@@ -121,8 +121,7 @@ def zonecheck_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.dns.name import ROOT_NAME
-    from repro.dnssec.validate import validate_zone
-    from repro.dnssec.zonemd import verify_zonemd
+    from repro.dnssec.digestcache import shared_cache
     from repro.zone.distribution import ZoneDistributor
     from repro.zone.rootzone import RootZoneBuilder
     from repro.zone.zonefile import render_zone_text
@@ -138,12 +137,13 @@ def zonecheck_main(argv: Optional[List[str]] = None) -> int:
         print(f";; injected bitflip: {report.description}")
 
     print(f";; zone serial {zone.serial} ({len(zone)} records) at {format_ts(ts)}")
-    report = validate_zone(zone.records, ROOT_NAME, now=ts, check_zonemd=False)
+    analysis = shared_cache().analyse_zone(zone, ROOT_NAME)
+    report = analysis.report_at(ts, check_zonemd=False)
     print(f";; DNSSEC: {'valid' if report.valid else 'INVALID'} "
           f"({report.rrsets_checked} RRsets checked)")
     for issue in report.issues[:5]:
         print(f";;   {issue.error.value} at {issue.name.to_text()}")
-    status, detail = verify_zonemd(zone.records, ROOT_NAME)
+    status, detail = analysis.zonemd
     print(f";; ZONEMD: {status.name} — {detail}")
 
     if args.dump:

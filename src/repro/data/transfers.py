@@ -63,13 +63,7 @@ class TransferRecord:
     def errors_at(self, now: Timestamp) -> List[ValidationError]:
         """The validation errors of this copy at time *now* — identical
         to validating the original zone content at *now*."""
-        errors = list(self.content_errors)
-        max_inception, min_expiration = self.rrsig_envelope
-        if now < max_inception:
-            errors.append(ValidationError.SIG_NOT_INCEPTED)
-        elif now > min_expiration:
-            errors.append(ValidationError.SIG_EXPIRED)
-        return errors
+        return _errors_with_envelope(self.content_errors, self.rrsig_envelope, now)
 
 
 def content_verdict(

@@ -159,21 +159,28 @@ def _analyse(
 ) -> ZoneAnalysis:
     """Run the expensive, time-independent validation work once."""
     rrsets = group_rrsets(records)
-    rrsigs = [r for r in records if r.rrtype == RRType.RRSIG]
+    # Covering signatures bucketed by (owner, type covered), each bucket
+    # in record order: one pass instead of a rescan per RRset.  Name
+    # hashes case-insensitively, exactly as ``Name.__eq__`` compares.
+    covering_index: Dict[Tuple[Name, int], List[RRSIG]] = {}
+    inceptions: List[int] = []
+    expirations: List[int] = []
+    for rec in records:
+        if rec.rrtype == RRType.RRSIG and isinstance(rec.rdata, RRSIG):
+            rrsig = rec.rdata
+            covering_index.setdefault(
+                (rec.name, int(rrsig.type_covered)), []
+            ).append(rrsig)
+            inceptions.append(rrsig.inception)
+            expirations.append(rrsig.expiration)
+    envelope = (max(inceptions), min(expirations)) if inceptions else (0, 0)
+
     dnskeys: Dict[int, DNSKEY] = {}
     for rrset in rrsets:
         if rrset.name == apex and rrset.rrtype == RRType.DNSKEY:
             for rec in rrset:
                 assert isinstance(rec.rdata, DNSKEY)
                 dnskeys[rec.rdata.key_tag()] = rec.rdata
-
-    inceptions: List[int] = []
-    expirations: List[int] = []
-    for rec in rrsigs:
-        if isinstance(rec.rdata, RRSIG):
-            inceptions.append(rec.rdata.inception)
-            expirations.append(rec.rdata.expiration)
-    envelope = (max(inceptions), min(expirations)) if inceptions else (0, 0)
 
     facts: List[_RRsetFact] = []
     if dnskeys:
@@ -183,15 +190,8 @@ def _analyse(
             is_apex = rrset.name == apex
             if not is_apex and rrset.rrtype in (RRType.NS, RRType.A, RRType.AAAA):
                 continue  # delegations and glue are unsigned by design
-            covering = [
-                r.rdata
-                for r in rrsigs
-                if isinstance(r.rdata, RRSIG)
-                and r.name == rrset.name
-                and r.rdata.type_covered == int(rrset.rrtype)
-            ]
             sig_facts = []
-            for rrsig in covering:
+            for rrsig in covering_index.get((rrset.name, int(rrset.rrtype)), ()):
                 known = rrsig.key_tag in dnskeys
                 digest_ok = known and verify_bytes(
                     dnskeys[rrsig.key_tag],

@@ -134,8 +134,10 @@ def validate_zone(
 ) -> ValidationReport:
     """Fully validate a zone copy (all RRSIGs + optional ZONEMD) at *now*.
 
-    This is the ``ldns-verify-zone``-equivalent entry point used by the
-    ZONEMD audit (analysis for Table 2).
+    This is the ``ldns-verify-zone``-equivalent reference: it validates
+    from scratch on every call.  Runtime callers go through
+    :class:`repro.dnssec.digestcache.ZoneValidationCache`, whose replayed
+    reports are tested equal to this one.
     """
     # Local import: zonemd depends on this module's report types.
     from repro.dnssec.zonemd import verify_zonemd, ZonemdStatus

@@ -7,11 +7,15 @@ and counters — while running the signature cryptography only once per
 distinct content.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.dns.name import ROOT_NAME
+from repro.dns.constants import RRType
+from repro.dns.name import ROOT_NAME, Name
 from repro.dnssec.digestcache import (
     ZoneValidationCache,
+    _analyse,
     records_fingerprint,
     shared_cache,
     zone_fingerprint,
@@ -25,6 +29,77 @@ from repro.zone.rootzone import RootZoneBuilder
 from repro.zone.zone import Zone
 
 TS = parse_ts("2023-12-10T12:00:00")
+DAY = 86400
+
+
+def _first_tld_rrsig(records) -> int:
+    """Index of the first RRSIG below the apex (a TLD's DS signature)."""
+    return next(
+        i
+        for i, rec in enumerate(records)
+        if rec.rrtype == RRType.RRSIG and not rec.name.is_root()
+    )
+
+
+def _zsk_roll(records):
+    """A second, non-verifying covering RRSIG issued *before* the good
+    one: an older window and a damaged signature, so issue order shows."""
+    i = _first_tld_rrsig(records)
+    rec = records[i]
+    sig = rec.rdata
+    stale = dataclasses.replace(
+        sig,
+        inception=sig.inception - 2 * DAY,
+        signature=bytes([sig.signature[0] ^ 0x01]) + sig.signature[1:],
+    )
+    return records[:i] + [dataclasses.replace(rec, rdata=stale)] + records[i:]
+
+
+def _rrsig_before_rrset(records):
+    """Move a covering RRSIG ahead of the first record of its RRset."""
+    i = _first_tld_rrsig(records)
+    rec = records[i]
+    j = next(
+        k
+        for k, other in enumerate(records)
+        if other.name == rec.name and int(other.rrtype) == rec.rdata.type_covered
+    )
+    assert j < i
+    return records[:j] + [rec] + records[j:i] + records[i + 1 :]
+
+
+def _orphan_rrsig(records):
+    """An RRSIG covering a type (private use 65280) with no RRset."""
+    i = _first_tld_rrsig(records)
+    rec = records[i]
+    orphan = dataclasses.replace(rec.rdata, type_covered=65280)
+    return records[: i + 1] + [dataclasses.replace(rec, rdata=orphan)] + records[i + 1 :]
+
+
+def _case_folded_owner(records):
+    """An RRSIG whose owner differs from its RRset's only in letter case."""
+    i = _first_tld_rrsig(records)
+    rec = records[i]
+    upper = Name(label.upper() for label in rec.name.labels)
+    assert upper.labels != rec.name.labels and upper == rec.name
+    return records[:i] + [dataclasses.replace(rec, name=upper)] + records[i + 1 :]
+
+
+ZONE_SHAPES = {
+    "as-built": list,
+    "zsk-roll": _zsk_roll,
+    "rrsig-before-rrset": _rrsig_before_rrset,
+    "orphan-rrsig": _orphan_rrsig,
+    "case-folded-owner": _case_folded_owner,
+}
+
+# The as-built zone keeps its bare check_zonemd ids.
+REPLAY_CASES = [
+    pytest.param(shape, check_zonemd, id=str(check_zonemd) if shape == "as-built"
+                 else f"{shape}-{check_zonemd}")
+    for shape in ZONE_SHAPES
+    for check_zonemd in (True, False)
+]
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +148,11 @@ class TestFingerprint:
 
 
 class TestReportReplay:
-    @pytest.mark.parametrize("check_zonemd", [True, False])
-    def test_matches_validate_zone_across_times(self, zone, check_zonemd):
+    @pytest.mark.parametrize("shape,check_zonemd", REPLAY_CASES)
+    def test_matches_validate_zone_across_times(self, zone, shape, check_zonemd):
+        records = ZONE_SHAPES[shape](list(zone.records))
         cache = ZoneValidationCache()
-        analysis = cache.analyse_zone(zone, ROOT_NAME)
+        analysis = cache.analyse(records, ROOT_NAME)
         max_inception, min_expiration = analysis.rrsig_envelope
         assert 0 < max_inception < min_expiration
         times = [
@@ -87,7 +163,7 @@ class TestReportReplay:
         for now in times:
             cached = analysis.report_at(now, check_zonemd=check_zonemd)
             fresh = validate_zone(
-                zone.records, ROOT_NAME, now=now, check_zonemd=check_zonemd
+                records, ROOT_NAME, now=now, check_zonemd=check_zonemd
             )
             assert_same_report(cached, fresh)
 
@@ -127,3 +203,22 @@ class TestCacheBehaviour:
 
     def test_shared_cache_is_a_singleton(self):
         assert shared_cache() is shared_cache()
+
+
+class TestComplexity:
+    def test_analysis_is_linear_in_zone_size(self, zone, monkeypatch):
+        """Covering RRSIGs are looked up, not rescanned per RRset: count
+        owner-name comparisons rather than time the analysis."""
+        calls = 0
+        compare = Name.__eq__
+
+        def counting_eq(self, other):
+            nonlocal calls
+            calls += 1
+            return compare(self, other)
+
+        records = list(zone.records)
+        monkeypatch.setattr(Name, "__eq__", counting_eq)
+        _analyse(records, ROOT_NAME, zone_fingerprint(zone))
+        monkeypatch.undo()
+        assert calls < 10 * len(records), f"{calls / len(records):.1f} per record"
