@@ -56,8 +56,10 @@ class ColocationAnalysis(RegisteredAnalysis):
         # time order, so the last write wins.
         latest: Dict[Tuple[int, int], int] = {}
         cols = self.dataset.traceroute_columns()
-        for i in range(len(cols["vp"])):
-            latest[(int(cols["vp"][i]), int(cols["addr"][i]))] = int(cols["hop"][i])
+        for vp_id, addr_idx, hop in zip(
+            cols["vp"].tolist(), cols["addr"].tolist(), cols["hop"].tolist()
+        ):
+            latest[(vp_id, addr_idx)] = hop
 
         # Per (vp, family): hops across letters, current generation only
         # (old and new b.root share sites; counting both would double b).

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.base import RegisteredAnalysis
+from repro.analysis.probe_cells import ProbeCells
 from repro.geo.continents import Continent
 from repro.vantage.node import VantagePoint
 
@@ -49,17 +50,10 @@ class RegionalRttAnalysis(RegisteredAnalysis):
     def __init__(self, dataset, vps: List[VantagePoint], config=None) -> None:
         self.dataset = dataset
         self.config = config
-        self.columns = dataset.probe_columns()
-        continents = list(Continent)
-        self._continent_list = continents
-        vp_cont = np.zeros(
-            max((vp.vp_id for vp in vps), default=0) + 1, dtype=np.int8
-        )
-        for vp in vps:
-            vp_cont[vp.vp_id] = continents.index(vp.continent)
-        self._vp_cont = vp_cont
+        self.cells = ProbeCells(dataset, vps)
+        self._summaries: Dict[str, Dict[str, Dict[int, RegionCell]]] = {}
 
-    def _letter_mask(self, letter: str, family: Optional[int] = None) -> np.ndarray:
+    def _letter_addrs(self, letter: str, family: Optional[int] = None) -> List[int]:
         indices = [
             self.dataset.addr_index[sa.address]
             for sa in self.dataset.addresses
@@ -67,18 +61,13 @@ class RegionalRttAnalysis(RegisteredAnalysis):
         ]
         if not indices:
             raise ValueError(f"no {letter}.root addresses in this dataset")
-        return np.isin(self.columns["addr"], np.asarray(indices))
-
-    def _continent_mask(self, continent: Continent) -> np.ndarray:
-        cont_idx = self._continent_list.index(continent)
-        return self._vp_cont[self.columns["vp"]] == cont_idx
+        return indices
 
     def cell(
         self, continent: Continent, family: int, letter: str = DEFAULT_LETTER
     ) -> Optional[RegionCell]:
         """The (continent, family) distribution, or None if unobserved."""
-        mask = self._letter_mask(letter, family) & self._continent_mask(continent)
-        rtts = self.columns["rtt"][mask]
+        rtts = self.cells.rtt(self._letter_addrs(letter, family), continent)
         if len(rtts) == 0:
             return None
         return RegionCell(
@@ -95,22 +84,26 @@ class RegionalRttAnalysis(RegisteredAnalysis):
     ) -> Dict[str, Dict[int, RegionCell]]:
         """Every observed (continent, family) cell, keyed by continent
         name then family."""
-        out: Dict[str, Dict[int, RegionCell]] = {}
-        for continent in Continent:
-            cells = {
-                family: cell
-                for family in (4, 6)
-                for cell in [self.cell(continent, family, letter)]
-                if cell is not None
-            }
-            if cells:
-                out[continent.name] = cells
-        return out
+        if letter not in self._summaries:
+            out: Dict[str, Dict[int, RegionCell]] = {}
+            for continent in Continent:
+                cells = {
+                    family: cell
+                    for family in (4, 6)
+                    for cell in [self.cell(continent, family, letter)]
+                    if cell is not None
+                }
+                if cells:
+                    out[continent.name] = cells
+            self._summaries[letter] = out
+        return {
+            region: dict(cells) for region, cells in self._summaries[letter].items()
+        }
 
-    def _month_labels(self) -> np.ndarray:
-        """Per-probe ``YYYY-MM`` labels (vectorised via the day grid)."""
-        days = self.columns["ts"] // 86400
-        unique_days, inverse = np.unique(days, return_inverse=True)
+    @staticmethod
+    def _month_labels(ts: np.ndarray) -> np.ndarray:
+        """``YYYY-MM`` label per timestamp (vectorised via the day grid)."""
+        unique_days, inverse = np.unique(ts // 86400, return_inverse=True)
         labels = np.array(
             [
                 time.strftime("%Y-%m", time.gmtime(int(day) * 86400))
@@ -124,15 +117,14 @@ class RegionalRttAnalysis(RegisteredAnalysis):
     ) -> Dict[str, List[Tuple[str, float, int]]]:
         """Per-continent ``(month, median RTT, count)`` series — the
         longitudinal build-out figure."""
-        letter_mask = self._letter_mask(letter, family)
-        months = self._month_labels()
+        addrs = self._letter_addrs(letter, family)
         out: Dict[str, List[Tuple[str, float, int]]] = {}
         for continent in Continent:
-            mask = letter_mask & self._continent_mask(continent)
-            if not mask.any():
+            rows = self.cells.rows(addrs, continent)
+            if len(rows) == 0:
                 continue
-            cont_months = months[mask]
-            cont_rtts = self.columns["rtt"][mask]
+            cont_months = self._month_labels(self.cells.column("ts", rows))
+            cont_rtts = self.cells.column("rtt", rows)
             series: List[Tuple[str, float, int]] = []
             for month in sorted(set(cont_months.tolist())):
                 rtts = cont_rtts[cont_months == month]

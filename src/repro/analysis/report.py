@@ -217,7 +217,8 @@ def render_figure8(behavior: ClientBehaviorAnalysis, family: int) -> str:
             f"  {label}: clients={dist.mean_clients_per_day()} "
             f"single-daily-contact={100 * single:.1f}%"
         )
-        for x, y in dist.cdf_points()[:: max(1, len(dist.cdf_points()) // 8)]:
+        points = dist.cdf_points()
+        for x, y in points[:: max(1, len(points) // 8)]:
             lines.append(f"    <= {x:8.1f} flows/day: {100 * y:5.1f}% of clients")
     return "\n".join(lines)
 

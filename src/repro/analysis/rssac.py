@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.probe_cells import ProbeCells
 from repro.data.transfers import TransferRecord
 from repro.rss.operators import ROOT_LETTERS
 from repro.util.timeutil import Timestamp
@@ -55,18 +56,18 @@ class RssacMetrics(RegisteredAnalysis):
     ) -> None:
         self.dataset = dataset
         self.distributor = distributor
-        self.columns = dataset.probe_columns()
+        self.cells = ProbeCells(dataset)
+        self._latencies: Optional[List[ResponseLatency]] = None
 
     # -- response latency ---------------------------------------------------------
 
     def response_latency(self, letter: str) -> Optional[ResponseLatency]:
         """RTT distribution for one letter (current-generation address)."""
-        addr_ok = np.zeros(len(self.dataset.addresses), dtype=bool)
-        for i, sa in enumerate(self.dataset.addresses):
-            if sa.letter == letter and sa.generation != "old":
-                addr_ok[i] = True
-        mask = addr_ok[self.columns["addr"]]
-        rtts = self.columns["rtt"][mask]
+        rtts = self.cells.rtt(
+            i
+            for i, sa in enumerate(self.dataset.addresses)
+            if sa.letter == letter and sa.generation != "old"
+        )
         if len(rtts) == 0:
             return None
         return ResponseLatency(
@@ -78,12 +79,13 @@ class RssacMetrics(RegisteredAnalysis):
         )
 
     def all_response_latencies(self) -> List[ResponseLatency]:
-        out = []
-        for letter in ROOT_LETTERS:
-            metrics = self.response_latency(letter)
-            if metrics is not None:
-                out.append(metrics)
-        return out
+        if self._latencies is None:
+            self._latencies = [
+                metrics
+                for metrics in map(self.response_latency, ROOT_LETTERS)
+                if metrics is not None
+            ]
+        return list(self._latencies)
 
     # -- publication latency -------------------------------------------------------
 

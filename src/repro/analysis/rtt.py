@@ -12,10 +12,11 @@ from __future__ import annotations
 from repro.analysis.base import RegisteredAnalysis
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.probe_cells import ProbeCells
 from repro.geo.continents import Continent
 from repro.rss.operators import ServiceAddress
 from repro.vantage.node import VantagePoint
@@ -48,21 +49,10 @@ class RttAnalysis(RegisteredAnalysis):
 
     def __init__(self, dataset, vps: List[VantagePoint]) -> None:
         self.dataset = dataset
-        self.columns = dataset.probe_columns()
-        # vp -> continent index for vectorised grouping
-        continents = list(Continent)
-        self._continent_list = continents
-        vp_cont = np.zeros(max((vp.vp_id for vp in vps), default=0) + 1, dtype=np.int8)
-        for vp in vps:
-            vp_cont[vp.vp_id] = continents.index(vp.continent)
-        self._vp_cont = vp_cont
+        self.cells = ProbeCells(dataset, vps)
 
     def _cell(self, address: str, continent: Continent) -> np.ndarray:
-        addr_idx = self.dataset.addr_index[address]
-        mask = self.columns["addr"] == addr_idx
-        cont_idx = self._continent_list.index(continent)
-        mask &= self._vp_cont[self.columns["vp"]] == cont_idx
-        return self.columns["rtt"][mask]
+        return self.cells.rtt((self.dataset.addr_index[address],), continent)
 
     def summary(self, address: str, continent: Continent) -> Optional[RttSummary]:
         """Distribution summary, or None with no observations."""

@@ -17,8 +17,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.rtt import RttAnalysis
 from repro.analysis.stability import StabilityAnalysis
 from repro.geo.continents import Continent
@@ -54,6 +52,12 @@ class VariabilityAnalysis(RegisteredAnalysis):
         self.vps = vps
         self.stability = StabilityAnalysis(dataset)
         self.rtt = RttAnalysis(dataset, vps)
+        # Per-instance results: a letter's median RTT is shared by every
+        # subset containing it, and a rendering asks for one spread twice.
+        self._median_rtts: Dict[str, Optional[float]] = {}
+        self._spreads: Dict[
+            Tuple[int, int], Tuple[SubsetStats, List[SubsetStats]]
+        ] = {}
 
     def _letter_median_changes(self, letter: str, family: int) -> Optional[float]:
         for series in self.stability.series_for(letter):
@@ -65,6 +69,11 @@ class VariabilityAnalysis(RegisteredAnalysis):
         return None
 
     def _letter_median_rtt(self, letter: str) -> Optional[float]:
+        if letter not in self._median_rtts:
+            self._median_rtts[letter] = self._compute_letter_median_rtt(letter)
+        return self._median_rtts[letter]
+
+    def _compute_letter_median_rtt(self, letter: str) -> Optional[float]:
         values: List[float] = []
         for continent in Continent:
             for sa in self.dataset.addresses:
@@ -111,10 +120,15 @@ class VariabilityAnalysis(RegisteredAnalysis):
         """
         if not 1 <= k <= len(ROOT_LETTERS):
             raise ValueError(f"k out of range: {k}")
-        combos = list(itertools.combinations(ROOT_LETTERS, k))
-        stride = max(1, len(combos) // max_subsets)
-        chosen = combos[::stride][:max_subsets]
-        return self.full_stats(), [self.subset_stats(c) for c in chosen]
+        if (k, max_subsets) not in self._spreads:
+            combos = list(itertools.combinations(ROOT_LETTERS, k))
+            stride = max(1, len(combos) // max_subsets)
+            chosen = combos[::stride][:max_subsets]
+            self._spreads[k, max_subsets] = (
+                self.full_stats(), [self.subset_stats(c) for c in chosen]
+            )
+        full, subsets = self._spreads[k, max_subsets]
+        return full, list(subsets)
 
     @staticmethod
     def relative_spread(

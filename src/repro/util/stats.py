@@ -102,13 +102,14 @@ class Ecdf:
 
     def points(self) -> List[Tuple[float, float]]:
         """(x, ccdf(x)) at each distinct sample value, ascending in x."""
-        out: List[Tuple[float, float]] = []
-        seen = None
-        for value in self._sorted:
-            if value != seen:
-                out.append((value, self.ccdf(value)))
-                seen = value
-        return out
+        # The last index of each run of equal values is its rank - 1.
+        ordered = self._sorted
+        n = len(ordered)
+        return [
+            (value, 1.0 - (i + 1) / n)
+            for i, value in enumerate(ordered)
+            if i + 1 == n or ordered[i + 1] != value
+        ]
 
     def _rank(self, x: float) -> int:
         # bisect_right without importing bisect keeps this file dependency-free

@@ -112,6 +112,23 @@ class TestStats:
         xs = [x for x, _ in points]
         assert xs == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3, 1, 1, 2],
+            [5.0, 0.5, 2.5, 2.5, 2.5, 0.5, 9.0, 1.25],
+            [7],
+            [4.0, 4.0, 4.0],
+            list(range(50)) + [10] * 7 + [0.5] * 3,
+        ],
+    )
+    def test_ecdf_points_match_per_value_ccdf(self, values):
+        """The one-pass points equal the definition: ccdf at every
+        distinct value, ascending."""
+        ecdf = Ecdf(values)
+        expected = [(x, ecdf.ccdf(x)) for x in sorted(set(values))]
+        assert ecdf.points() == expected
+
     def test_ecdf_quantile(self):
         assert Ecdf([0, 10]).quantile(0.5) == 5.0
 
