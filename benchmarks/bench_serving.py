@@ -1,7 +1,7 @@
 """Analysis-serving load test: cached HTTP latency vs cold computation.
 
 Builds one campaign dataset, serves it with ``rootsim-serve`` (stdlib
-backend, real subprocess, real sockets), and measures:
+server, real subprocess, real sockets), and measures:
 
 * **equivalence** — every registered analysis fetched over HTTP must be
   byte-identical to ``rootsim-analyze DIR NAME --json`` (the CLI run in

@@ -39,7 +39,7 @@ PASSIVE_ANALYSES = ("trafficshift", "clientbehavior", "querymix")
 from repro.passive.recipes import ISP_WINDOW as PASSIVE_WINDOW  # noqa: E402
 
 
-def passive_aggregate(seed: int, engine: str = "vectorized", traffic=None):
+def passive_aggregate(seed: int, traffic=None):
     """The deterministic ISP capture aggregate for *seed*.
 
     This is the exact aggregate ``rootsim-report`` feeds the passive
@@ -52,7 +52,7 @@ def passive_aggregate(seed: int, engine: str = "vectorized", traffic=None):
     """
     from repro.passive.recipes import isp_aggregate
 
-    return isp_aggregate(seed, engine=engine, traffic=traffic)
+    return isp_aggregate(seed, traffic=traffic)
 
 
 def _render_coverage(coverage) -> str:

@@ -51,12 +51,7 @@ class StudyResults:
             self._dataset = Dataset.from_collector(self.collector, self.config)
         return self._dataset
 
-    def save(
-        self,
-        directory: str,
-        passive: bool = True,
-        passive_engine: str = "vectorized",
-    ) -> Path:
+    def save(self, directory: str, passive: bool = True) -> Path:
         """Persist the dataset to *directory* (``rootsim-study --save``);
         returns the dataset path.
 
@@ -76,9 +71,7 @@ class StudyResults:
             dataset.attach_passive(
                 PassiveStore.from_aggregates(
                     standard_captures(
-                        self.config.seed,
-                        engine=passive_engine,
-                        traffic=self.config.traffic_spec(),
+                        self.config.seed, traffic=self.config.traffic_spec()
                     )
                 )
             )

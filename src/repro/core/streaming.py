@@ -493,7 +493,6 @@ def finalize_streaming_campaign(
     out_dir: Union[str, Path],
     *,
     passive: bool = True,
-    passive_engine: str = "vectorized",
 ) -> Path:
     """Turn a fully-sealed checkpoint into a normal dataset directory.
 
@@ -525,9 +524,7 @@ def finalize_streaming_campaign(
             if name in ckpt.get("passive_done", []):
                 aggregates[name] = read_passive_aggregate(writer.path, name)
             else:
-                aggregates[name] = build_capture(
-                    name, study_config.seed, passive_engine, traffic
-                )
+                aggregates[name] = build_capture(name, study_config.seed, traffic)
                 write_passive_aggregate(writer.path, name, aggregates[name])
                 writer.note_passive_done(name)
         passive_store = PassiveStore.from_aggregates(aggregates)

@@ -1,11 +1,10 @@
-"""The vectorized passive-capture engine.
+"""The passive-capture kernel behind :meth:`repro.passive.isp.IspCapture.capture`.
 
-:meth:`repro.passive.isp.IspCapture.capture` models sampled client
-traffic as a ``clients x buckets x addresses`` triple loop; at paper
-scale that is millions of pure-Python iterations, each paying a
-:func:`~repro.netsim.mix.mix_float` call.  This module evaluates the
-identical model as numpy kernels over a ``(bucket x client)`` grid, one
-service address at a time:
+The capture model is stated most plainly as a ``clients x buckets x
+addresses`` triple loop; at paper scale that is millions of pure-Python
+iterations, each paying a :func:`~repro.netsim.mix.mix_float` call.
+This module evaluates the identical model as numpy kernels over a
+``(bucket x client)`` grid, one service address at a time:
 
 * the client population compiles once into :class:`ClientColumns`
   (volumes, family availability, behaviour codes, adoption timestamps,
@@ -18,13 +17,14 @@ service address at a time:
   ``np.where`` selections over the grid,
 * per-``(bucket, address)`` flow totals and per-client totals reduce
   with ``np.cumsum`` (strictly left-to-right, exactly the dict
-  accumulation order of the scalar engine; ``np.sum`` would pairwise-
+  accumulation order of the triple loop; ``np.sum`` would pairwise-
   group and drift in the last bits).
 
-The result is **byte-identical** to the scalar engine: same dict keys,
+The result is **byte-identical** to the triple loop: same dict keys,
 same float bit patterns, same distinct-client sets (materialised lazily
-from the boolean keep-masks).  ``tests/passive/test_flow_engine.py``
-pins that equivalence for the ISP and all 14 IXP captures, with and
+from the boolean keep-masks).  The loop itself is test-only
+(``tests/passive/scalar_capture.py``); ``tests/passive/test_flow_engine.py``
+pins the equivalence for the ISP and all 14 IXP captures, with and
 without dips, across the renumbering boundary.
 """
 
@@ -124,7 +124,7 @@ def capture_vectorized(
     an exact carry-in cumsum, counts add exactly, and the per-client
     reductions never cross a block.  Any block width produces the same
     bytes — ``tests/passive/test_flow_engine.py`` pins a tiny width
-    against the default and the scalar engine.
+    against the default and the scalar oracle.
     """
     from repro.passive.isp import (
         TESTER_FRACTION,
@@ -146,7 +146,7 @@ def capture_vectorized(
     bucket_i64 = np.array(buckets, dtype=np.int64).reshape(-1, 1)
     if bucket_seconds < DAY:
         # Diurnal factor is a pure function of the bucket timestamp;
-        # computed in Python floats exactly as the scalar engine does.
+        # computed in Python floats exactly as the scalar oracle does.
         factors = np.array(
             [
                 0.6
@@ -259,7 +259,7 @@ def capture_vectorized(
 
             # cumsum reduces strictly left-to-right; seeding it with the
             # previous blocks' running total continues that exact chain,
-            # so the final bits match the unblocked (and scalar) engine.
+            # so the final bits match the unblocked grid (and the oracle).
             carried = np.cumsum(
                 np.concatenate(
                     [addr_bucket_totals[sa.address].reshape(-1, 1), contributions],

@@ -11,6 +11,10 @@ behaviour semantics from :mod:`repro.passive.clients`:
   per day,
 * v4/v6 mix: dual-stack clients send roughly a third of their root
   queries over IPv6 (paper: old b.root saw 76-89 % v4 / 10-21 % v6).
+
+:meth:`IspCapture.capture` evaluates the model as numpy kernels
+(:mod:`repro.passive.flow_engine`); ``tests/passive/scalar_capture.py``
+states the same model cell by cell as the equivalence tests' oracle.
 """
 
 from __future__ import annotations
@@ -18,15 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.netsim.mix import mix_float, mix_str
-from repro.passive.clients import (
-    ClientBehavior,
-    ClientNetwork,
-    LETTER_WEIGHTS_ISP,
-)
+from repro.passive.clients import LETTER_WEIGHTS_ISP
 from repro.rss.operators import ServiceAddress, all_service_addresses
 from repro.passive.traces import FlowAggregate, TrafficTimeSeries
-from repro.util.timeutil import DAY, HOUR, Timestamp
+from repro.util.timeutil import DAY, Timestamp
 
 #: Fraction of a dual-stack client's root traffic using IPv6.
 V6_TRAFFIC_SHARE = 0.30
@@ -71,13 +70,6 @@ DEFAULT_DIPS: Tuple[TrafficDip, ...] = (
 )
 
 
-#: Capture engines: "vectorized" evaluates numpy kernels over the
-#: (bucket x client) grid (repro.passive.flow_engine); "scalar" walks
-#: the original triple loop and is the golden reference.  Both produce
-#: byte-identical aggregates.
-CAPTURE_ENGINES = ("vectorized", "scalar")
-
-
 class IspCapture:
     """Capture point inside the ISP."""
 
@@ -89,23 +81,17 @@ class IspCapture:
         letter_weights: Optional[Dict[str, float]] = None,
         dips: Tuple[TrafficDip, ...] = DEFAULT_DIPS,
         noise_fraction: float = NOISE_FRACTION,
-        engine: str = "vectorized",
     ) -> None:
         if not 0.0 < sampling_rate <= 1.0:
             raise ValueError(f"sampling_rate must be in (0, 1], got {sampling_rate}")
         if not 0.0 <= noise_fraction < 1.0:
             raise ValueError(f"noise_fraction must be in [0, 1), got {noise_fraction}")
-        if engine not in CAPTURE_ENGINES:
-            raise ValueError(
-                f"engine must be one of {CAPTURE_ENGINES}, got {engine!r}"
-            )
         self.clients = clients
         self.seed = seed
         self.sampling_rate = sampling_rate
         self.letter_weights = letter_weights or LETTER_WEIGHTS_ISP
         self.dips = dips
         self.noise_fraction = noise_fraction
-        self.engine = engine
         self.addresses: List[ServiceAddress] = all_service_addresses()
         self._columns = None
 
@@ -130,114 +116,15 @@ class IspCapture:
         """Drop compiled per-population state (after mutating clients)."""
         self._columns = None
 
-    # -- flow generation ------------------------------------------------------------
-
-    def _client_bucket_flows(
-        self, client: ClientNetwork, bucket_ts: Timestamp, bucket_seconds: int
-    ) -> float:
-        """Total root-bound flows of one client in one bucket."""
-        base = client.daily_flows * bucket_seconds / DAY
-        # Diurnal pattern for sub-daily buckets (traffic peaks in the
-        # evening, as in the paper's hourly Figure 7 panel).
-        if bucket_seconds < DAY:
-            hour = (bucket_ts % DAY) / HOUR
-            base *= 0.6 + 0.8 * max(0.0, 1.0 - abs(hour - 19.0) / 12.0)
-        noise = 0.7 + 0.6 * mix_float(self.seed, client.client_id, bucket_ts)
-        return base * noise
-
-    def _address_flows(
-        self, client: ClientNetwork, sa: ServiceAddress, bucket_ts: Timestamp, flows: float
-    ) -> float:
-        """The share of a client's bucket traffic hitting one address."""
-        weight = self.letter_weights[sa.letter]
-        for dip in self.dips:
-            weight *= dip.scale(sa.letter, bucket_ts)
-        # Unfilterable non-DNS noise rides along on every subnet.
-        weight *= 1.0 + self.noise_fraction
-        # Family split.
-        if sa.family == 6:
-            if client.prefix_v6 is None:
-                return 0.0
-            family_share = V6_TRAFFIC_SHARE
-        else:
-            family_share = (
-                1.0 - V6_TRAFFIC_SHARE if client.prefix_v6 is not None else 1.0
-            )
-        amount = flows * weight * family_share
-        if sa.generation == "current":
-            return amount
-
-        # b.root old/new logic.
-        adopted = client.has_adopted(bucket_ts, sa.family)
-        behavior = client.behavior(sa.family)
-        is_tester = (
-            mix_float(self.seed, client.client_id, 4242) < TESTER_FRACTION
-        )
-        if sa.generation == "new":
-            if adopted:
-                return amount
-            if is_tester:
-                return amount * TESTER_TRAFFIC_SHARE
-            return 0.0
-        # generation == "old"
-        if not adopted:
-            if is_tester:
-                return amount * (1.0 - TESTER_TRAFFIC_SHARE)
-            return amount
-        if behavior is ClientBehavior.PRIMER:
-            # RFC 8109 priming: ~one query per day against the old
-            # address — a sliver of a sampled flow, not the client's full
-            # b.root volume.
-            return min(amount * 0.05, 0.5)
-        return 0.0
-
-    def _client_prefix(self, client: ClientNetwork, family: int) -> Optional[str]:
-        return client.prefix_v4 if family == 4 else client.prefix_v6
-
-    # -- capture -------------------------------------------------------------------
-
     def capture(
         self, start: Timestamp, end: Timestamp, bucket_seconds: int = DAY
     ) -> FlowAggregate:
         """Capture the window [start, end) into an aggregate."""
         if end <= start:
             raise ValueError("capture window must have positive length")
-        if self.engine == "vectorized":
-            from repro.passive.flow_engine import capture_vectorized
+        from repro.passive.flow_engine import capture_vectorized
 
-            return capture_vectorized(self, start, end, bucket_seconds)
-        if not isinstance(self.clients, list):
-            raise ValueError(
-                "the scalar engine walks ClientNetwork objects; a "
-                "columns-only population requires engine='vectorized'"
-            )
-        return self._capture_scalar(start, end, bucket_seconds)
-
-    def _capture_scalar(
-        self, start: Timestamp, end: Timestamp, bucket_seconds: int
-    ) -> FlowAggregate:
-        """The reference triple loop (``engine="scalar"``)."""
-        aggregate = FlowAggregate(bucket_seconds=bucket_seconds)
-        bucket = start - start % bucket_seconds
-        while bucket < end:
-            for client in self.clients:
-                flows = self._client_bucket_flows(client, bucket, bucket_seconds)
-                for sa in self.addresses:
-                    amount = self._address_flows(client, sa, bucket, flows)
-                    if amount <= 0:
-                        continue
-                    sampled = amount * self.sampling_rate
-                    prefix = self._client_prefix(client, sa.family)
-                    if prefix is None:
-                        continue
-                    # Sampling may drop a client's trickle entirely.
-                    if sampled < 1.0 and mix_float(
-                        self.seed, client.client_id, bucket, sa.family, mix_str(sa.address) & 0xFFFF
-                    ) > sampled:
-                        continue
-                    aggregate.add_flows(bucket, sa.address, max(sampled, 1.0), prefix)
-            bucket += bucket_seconds
-        return aggregate
+        return capture_vectorized(self, start, end, bucket_seconds)
 
     def time_series(self, aggregate: FlowAggregate) -> TrafficTimeSeries:
         """Wrap an aggregate for normalised-share reads."""

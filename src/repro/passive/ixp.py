@@ -59,7 +59,6 @@ def build_ixp_captures(
     seed: int,
     clients_per_ixp: int = 300,
     sampling_rate: float = 0.1,
-    engine: str = "vectorized",
     eu_profile: PopulationProfile = IXP_EU_PROFILE,
     na_profile: PopulationProfile = IXP_NA_PROFILE,
 ) -> List[IxpCapture]:
@@ -84,7 +83,6 @@ def build_ixp_captures(
             seed=seed ^ (mix_str(ixp_id) & 0xFFFF),
             sampling_rate=sampling_rate,
             letter_weights=LETTER_WEIGHTS_IXP,
-            engine=engine,
         )
         captures.append(IxpCapture(ixp=ixp, engine=flow_engine))
     return captures

@@ -7,10 +7,12 @@ client population costs minutes of pure-Python RNG calls.  This module
 is the scaling engine behind it: every draw is keyed by
 ``(population, client_id, purpose)`` through the splitmix64 mixer
 (:mod:`repro.netsim.mix`), so the whole population evaluates as a
-handful of array kernels — and a scalar golden reference replays the
-identical chain one client at a time.
+handful of array kernels (:func:`compile_population`).
+:func:`build_population_clients` replays the identical chain one client
+at a time as the golden reference the tests compare against; it lives
+here because it shares the draw helpers.
 
-Both engines use *numpy* transcendentals (``np.exp``/``np.log1p``/
+Both paths use *numpy* transcendentals (``np.exp``/``np.log1p``/
 ``np.sqrt``/``np.cos``): numpy ufuncs are elementwise-deterministic
 (a full-array call bit-matches the one-element call), while ``math.exp``
 and ``math.log`` do **not** bit-match their numpy counterparts — so the
@@ -70,9 +72,6 @@ _CODE_TO_BEHAVIOR = {
     _RELUCTANT: ClientBehavior.RELUCTANT,
     _PRIMER: ClientBehavior.PRIMER,
 }
-
-POPULATION_ENGINES = ("vectorized", "scalar")
-
 
 def population_state(profile: PopulationProfile, base_seed: int) -> int:
     """The mixer state of one population (absorbs seed + profile name)."""
@@ -163,26 +162,14 @@ def compile_population(
     profile: PopulationProfile,
     base_seed: int,
     change_ts: Timestamp = B_ROOT_CHANGE_TS,
-    *,
-    engine: str = "vectorized",
 ):
     """Compile a profile straight into :class:`ClientColumns`.
 
-    ``engine="vectorized"`` evaluates the population as array kernels
-    (no per-client Python objects — the only affordable path at 10⁵–10⁶
-    clients); ``engine="scalar"`` builds the golden-reference
-    :class:`ClientNetwork` list and compiles it, byte-identically.
+    Evaluates the population as array kernels, with no per-client Python
+    objects: the only affordable path at 10⁵–10⁶ clients.  Compiling
+    :func:`build_population_clients` gives the same bytes.
     """
     from repro.passive.flow_engine import ClientColumns
-
-    if engine not in POPULATION_ENGINES:
-        raise ValueError(
-            f"engine must be one of {POPULATION_ENGINES}, got {engine!r}"
-        )
-    if engine == "scalar":
-        return ClientColumns.from_clients(
-            build_population_clients(profile, base_seed, change_ts)
-        )
 
     n = profile.n_clients
     state = _states(profile, base_seed)
@@ -238,7 +225,10 @@ def build_population_clients(
 ) -> List[ClientNetwork]:
     """The scalar golden reference: one client at a time, every draw
     keyed through the same mixer chain as :func:`compile_population`
-    (numpy scalar transcendentals, so the bits match the array path)."""
+    (numpy scalar transcendentals, so the bits match the array path).
+
+    No runtime path calls it; ``tests/passive/test_population_engine.py``
+    compiles it with ``ClientColumns.from_clients`` and compares."""
     prefix = np.uint64(population_state(profile, base_seed))
     clients: List[ClientNetwork] = []
     shuffle_keys = {

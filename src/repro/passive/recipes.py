@@ -48,32 +48,25 @@ _REGIONS: Dict[str, Continent] = {
 
 def isp_capture(
     seed: int,
-    engine: str = "vectorized",
     traffic: Optional["TrafficSpec"] = None,
 ) -> IspCapture:
     """The ISP capture point for *seed* (population included)."""
     profile = ISP_PROFILE if traffic is None else traffic.profile("isp")
-    return IspCapture(
-        build_client_population(profile, RngFactory(seed)),
-        seed=seed,
-        engine=engine,
-    )
+    return IspCapture(build_client_population(profile, RngFactory(seed)), seed=seed)
 
 
 def isp_aggregate(
     seed: int,
-    engine: str = "vectorized",
     traffic: Optional["TrafficSpec"] = None,
 ) -> FlowAggregate:
     """The ISP aggregate over :data:`ISP_WINDOW` for *seed*."""
-    return isp_capture(seed, engine, traffic).capture(
+    return isp_capture(seed, traffic).capture(
         parse_ts(ISP_WINDOW[0]), parse_ts(ISP_WINDOW[1])
     )
 
 
 def ixp_captures(
     seed: int,
-    engine: str = "vectorized",
     traffic: Optional["TrafficSpec"] = None,
 ) -> List[IxpCapture]:
     """The 14 per-exchange capture points at report scale."""
@@ -85,7 +78,6 @@ def ixp_captures(
         RngFactory(seed).fork("ixp"),
         seed=seed,
         clients_per_ixp=CLIENTS_PER_IXP,
-        engine=engine,
         **kwargs,
     )
 
@@ -93,12 +85,11 @@ def ixp_captures(
 def build_capture(
     name: str,
     seed: int,
-    engine: str = "vectorized",
     traffic: Optional["TrafficSpec"] = None,
 ) -> FlowAggregate:
     """One standard aggregate by name ("isp", "ixp-eu", "ixp-na")."""
     if name == "isp":
-        return isp_aggregate(seed, engine, traffic)
+        return isp_aggregate(seed, traffic)
     try:
         region = _REGIONS[name]
     except KeyError:
@@ -107,17 +98,16 @@ def build_capture(
             f"{', '.join(STANDARD_CAPTURES)}"
         ) from None
     window = (parse_ts(IXP_WINDOW[0]), parse_ts(IXP_WINDOW[1]))
-    return regional_aggregate(ixp_captures(seed, engine, traffic), region, *window)
+    return regional_aggregate(ixp_captures(seed, traffic), region, *window)
 
 
 def standard_captures(
     seed: int,
-    engine: str = "vectorized",
     traffic: Optional["TrafficSpec"] = None,
 ) -> Dict[str, FlowAggregate]:
     """All standard aggregates for *seed*, keyed by capture name."""
-    out = {"isp": isp_aggregate(seed, engine, traffic)}
-    captures = ixp_captures(seed, engine, traffic)
+    out = {"isp": isp_aggregate(seed, traffic)}
+    captures = ixp_captures(seed, traffic)
     window = (parse_ts(IXP_WINDOW[0]), parse_ts(IXP_WINDOW[1]))
     for name, region in _REGIONS.items():
         out[name] = regional_aggregate(captures, region, *window)

@@ -5,16 +5,16 @@ service address, a flow count plus the set of client prefixes seen.  The
 paper can only report *relative* traffic (privacy aggregation), so the
 read-side API normalises to shares.
 
-The write side stays dict-keyed (the scalar reference engine appends one
-``add_flows`` call at a time), but every read view is memoized into
-columnar form on first use: the sorted bucket list, one flow array per
-address aligned to those buckets, per-address client counts and the
-Figure 8 per-client means.  The caches invalidate on any write, so
+The write side stays dict-keyed (the scalar test oracle,
+``tests/passive/scalar_capture.py``, appends one ``add_flows`` call at a
+time), but every read view is memoized into columnar form on first use:
+the sorted bucket list, one flow array per address aligned to those
+buckets, per-address client counts and the Figure 8 per-client means.  The caches invalidate on any write, so
 ``series``/``unique_clients``/``normalized_shares``/``window_share`` are
 O(1) dictionary-free lookups on the hot read path instead of per-call
 scans over every ``(bucket, address)`` item.
 
-The vectorized engine (:mod:`repro.passive.flow_engine`) builds
+The capture kernel (:mod:`repro.passive.flow_engine`) builds
 aggregates through :meth:`FlowAggregate.from_parts` without ever going
 through ``add_flows``; the distinct-client *sets* then live in a compact
 :class:`ClientMembership` payload and materialise lazily — the common
@@ -39,7 +39,7 @@ class ClientMembership:
     A compact stand-in for the per-``(bucket, address)`` prefix sets:
     ``kept[address][b, c]`` says client *c* contributed flows to
     *address* in bucket *b*.  :meth:`materialize` expands to the exact
-    sets the scalar engine would have built.
+    sets the scalar oracle would have built.
     """
 
     buckets: List[Timestamp]
@@ -91,8 +91,8 @@ class PerClientLedger:
     def materialize(
         self,
     ) -> Tuple[Dict[Tuple[str, str], float], Dict[Tuple[str, str], int]]:
-        """Expand to the exact scalar-engine dicts (entry order is the
-        scalar fill order: address-major, client-minor)."""
+        """Expand to the exact dicts the scalar oracle builds (entry order
+        is its fill order: address-major, client-minor)."""
         flows_dict: Dict[Tuple[str, str], float] = {}
         days_dict: Dict[Tuple[str, str], int] = {}
         addr_idx = self.addr_idx.tolist()
@@ -160,7 +160,7 @@ class FlowAggregate:
     ) -> "FlowAggregate":
         """Assemble an aggregate from pre-computed columns.
 
-        Used by the vectorized engine and the dataset reload path; with
+        Used by the capture kernel and the dataset reload path; with
         ``membership=None`` the aggregate is *counts-only* — every read
         works except the :attr:`clients` prefix sets themselves.  The
         per-client totals arrive either as the two dicts or as one

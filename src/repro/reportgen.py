@@ -411,25 +411,16 @@ def _generate(
     return written
 
 
-def generate_all(
-    study,
-    out_dir: str,
-    seed: int = 2024,
-    workers: int = 1,
-    engine: str = "vectorized",
-) -> Dict[str, Path]:
+def generate_all(study, out_dir: str, workers: int = 1) -> Dict[str, Path]:
     """Write every artefact for a finished *study*; returns name -> path.
 
-    Persists the study's dataset (passive captures for *seed* included)
-    under ``out_dir/dataset`` first, then fans the artefact groups out
-    over *workers* processes (or runs them inline when ``workers == 1``)
-    against that saved dataset.  *engine* selects the passive-capture
-    engine ("vectorized" or the reference "scalar"); both produce
-    byte-identical artefacts.
+    Persists the study's dataset under ``out_dir/dataset`` first, exactly
+    as ``rootsim-study --save`` does (passive captures for the study's
+    own seed included), then fans the artefact groups out over *workers*
+    processes (or runs them inline when ``workers == 1``) against that
+    saved dataset.
     """
     from repro.analysis import registry
-    from repro.data.passive import PassiveStore
-    from repro.passive.recipes import standard_captures
 
     results = study.results()
     out_path = Path(out_dir)
@@ -437,15 +428,6 @@ def generate_all(
 
     timings: Dict[str, float] = {}
     start = time.perf_counter()
-    dataset = results.dataset
-    if dataset.passive is None:
-        dataset.attach_passive(
-            PassiveStore.from_aggregates(
-                standard_captures(
-                    seed, engine=engine, traffic=results.config.traffic_spec()
-                )
-            )
-        )
     dataset_dir = out_path / "dataset"
     results.save(str(dataset_dir))
     timings["dataset"] = round(time.perf_counter() - start, 4)
@@ -503,11 +485,6 @@ def report_main(argv: Optional[List[str]] = None) -> int:
              "(output is byte-identical to a serial run)",
     )
     parser.add_argument(
-        "--engine", choices=("vectorized", "scalar"), default="vectorized",
-        help="passive-capture engine ('scalar' is the reference triple "
-             "loop; byte-identical but much slower)",
-    )
-    parser.add_argument(
         "--dataset", metavar="DIR", default=None,
         help="replay artefacts from a saved dataset directory instead of "
              "running a campaign (fig10 degrades to fault descriptions)",
@@ -545,10 +522,7 @@ def report_main(argv: Optional[List[str]] = None) -> int:
             print(f"running {args.preset} study (seed {args.seed}) ...")
         study = RootStudy(config)
         study.run()
-        written = generate_all(
-            study, args.out, seed=args.seed,
-            workers=args.workers, engine=args.engine,
-        )
+        written = generate_all(study, args.out, workers=args.workers)
     print(f"wrote {len(written)} artefacts to {args.out}:")
     for name in sorted(written):
         print(f"  {name}.txt")

@@ -9,14 +9,13 @@ resource, watermark)*.  Live checkpoints stay servable while they grow:
 a per-directory watcher observes sealed chunks and invalidates exactly
 the affected cache lines.
 
-The HTTP stack is pluggable — a dependency-free stdlib
-``ThreadingHTTPServer`` by default, FastAPI/uvicorn via the
-``[serving]`` extra — and both wrap the same framework-agnostic
+The HTTP stack is the dependency-free stdlib ``ThreadingHTTPServer``
+wrapping the framework-agnostic
 :class:`~repro.serving.service.AnalysisService`, whose responses are
 byte-identical to ``rootsim-analyze DIR NAME --json``.
 """
 
-from repro.serving.app import make_fastapi_app, run_server, serve_main
+from repro.serving.app import run_server, serve_main
 from repro.serving.cache import CacheStats, ResultCache, ResultKey
 from repro.serving.catalog import Catalog, CatalogEntry, discover
 from repro.serving.service import AnalysisService, Response
@@ -30,7 +29,6 @@ __all__ = [
     "ResultCache",
     "ResultKey",
     "discover",
-    "make_fastapi_app",
     "run_server",
     "serve_main",
 ]

@@ -1,12 +1,10 @@
-"""HTTP backends and the ``rootsim-serve`` entry point.
+"""The HTTP server and the ``rootsim-serve`` entry point.
 
-The default backend is the standard library's ``ThreadingHTTPServer`` —
-zero dependencies, one thread per connection, good for thousands of
-requests per second against the warm cache.  When the ``[serving]``
-extra is installed, :func:`make_fastapi_app` wraps the *same*
-:class:`~repro.serving.service.AnalysisService` in a FastAPI/uvicorn app
-for deployments that want an ASGI stack; both backends delegate every
-request to ``service.handle`` so their responses are byte-identical.
+The server is the standard library's ``ThreadingHTTPServer``: zero
+dependencies, one thread per connection, good for thousands of requests
+per second against the warm cache.  Every request goes to
+:meth:`~repro.serving.service.AnalysisService.handle`, so the served
+bytes are the service's bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from repro.serving.cache import ResultCache
 from repro.serving.catalog import Catalog
 from repro.serving.service import AnalysisService
 
-__all__ = ["make_fastapi_app", "run_server", "serve_main"]
+__all__ = ["run_server", "serve_main"]
 
 
 def _make_handler(service: AnalysisService):
@@ -77,7 +75,7 @@ def _make_handler(service: AnalysisService):
 def run_server(
     service: AnalysisService, host: str = "127.0.0.1", port: int = 0
 ) -> ThreadingHTTPServer:
-    """Bind the stdlib backend; ``port=0`` picks an ephemeral port.
+    """Bind the server; ``port=0`` picks an ephemeral port.
 
     Returns the bound server — the caller owns ``serve_forever()`` /
     ``shutdown()``, which lets tests and the bench run it on a thread.
@@ -85,38 +83,6 @@ def run_server(
     server = ThreadingHTTPServer((host, port), _make_handler(service))
     server.daemon_threads = True
     return server
-
-
-def make_fastapi_app(service: AnalysisService):
-    """The same service as a FastAPI app (requires the ``[serving]``
-    extra; raises a clear error when FastAPI is not installed)."""
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import Response as FastAPIResponse
-    except ImportError as exc:
-        raise RuntimeError(
-            "FastAPI backend requested but fastapi is not installed; "
-            "install the [serving] extra (pip install '.[serving]') or "
-            "use the dependency-free stdlib backend"
-        ) from exc
-
-    app = FastAPI(title="rootsim-serve", docs_url=None, redoc_url=None)
-
-    @app.api_route("/{rest:path}", methods=["GET", "POST"])
-    async def dispatch(rest: str, request: Request):  # pragma: no cover - needs extra
-        response = service.handle(
-            request.method,
-            "/" + rest,
-            dict(request.query_params),
-            {key.lower(): value for key, value in request.headers.items()},
-        )
-        return FastAPIResponse(
-            content=response.body,
-            status_code=response.status,
-            headers=response.headers,
-        )
-
-    return app
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
@@ -154,15 +120,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         default=256.0,
         help="result-cache byte bound, in MiB",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "stdlib", "fastapi"),
-        default="auto",
-        help=(
-            "HTTP stack: stdlib ThreadingHTTPServer (no deps) or "
-            "FastAPI+uvicorn ([serving] extra); auto prefers stdlib"
-        ),
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -175,26 +132,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         max_bytes=int(args.cache_mb * 1024 * 1024),
     )
     service = AnalysisService(catalog, cache=cache)
-
-    if args.backend == "fastapi":
-        try:
-            import uvicorn
-        except ImportError:
-            print(
-                "rootsim-serve: --backend fastapi needs the [serving] "
-                "extra (fastapi + uvicorn)",
-                file=sys.stderr,
-            )
-            return 2
-        app = make_fastapi_app(service)
-        print(
-            f"rootsim-serve: {len(catalog)} dataset(s) "
-            f"[{', '.join(catalog.ids())}] on http://{args.host}:{args.port} "
-            f"(fastapi)",
-            flush=True,
-        )
-        uvicorn.run(app, host=args.host, port=args.port, log_level="warning")
-        return 0
 
     server = run_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]

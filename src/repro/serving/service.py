@@ -1,10 +1,10 @@
 """Framework-agnostic request handling for the analysis server.
 
 :class:`AnalysisService` owns the catalog and the result cache and maps
-``(method, path, query, headers)`` to a :class:`Response` — plain data a
-stdlib ``BaseHTTPRequestHandler`` or a FastAPI adapter can both write
-out.  Keeping the logic here means the two backends cannot drift: they
-serve byte-identical documents because they *are* the same handler.
+``(method, path, query, headers)`` to a :class:`Response` — plain data
+the stdlib ``BaseHTTPRequestHandler`` in :mod:`repro.serving.app`
+writes out.  Keeping the logic out of the HTTP layer is what lets the
+tests drive every route without a socket.
 
 Routes::
 
@@ -48,7 +48,7 @@ JSON_TYPE = "application/json; charset=utf-8"
 
 @dataclass
 class Response:
-    """One HTTP response, backend-agnostic."""
+    """One HTTP response, as plain data."""
 
     status: int
     body: bytes = b""
@@ -136,7 +136,7 @@ class AnalysisService:
         headers: Optional[Dict[str, str]] = None,
     ) -> Response:
         """Serve one request.  *headers* keys must be lower-cased by the
-        backend; *query* holds single string values per parameter."""
+        caller; *query* holds single string values per parameter."""
         query = query or {}
         headers = {k.lower(): v for k, v in (headers or {}).items()}
         parts = [part for part in path.split("/") if part]

@@ -16,7 +16,7 @@ EXPECTED_ARTEFACTS = {
 @pytest.fixture(scope="module")
 def generated(full_window_study, tmp_path_factory):
     out = tmp_path_factory.mktemp("report")
-    written = generate_all(full_window_study, str(out), seed=1234)
+    written = generate_all(full_window_study, str(out))
     return written
 
 
@@ -64,9 +64,7 @@ class TestParallelIdentity:
         self, full_window_study, generated, tmp_path_factory
     ):
         out = tmp_path_factory.mktemp("report_par")
-        parallel = generate_all(
-            full_window_study, str(out), seed=1234, workers=2
-        )
+        parallel = generate_all(full_window_study, str(out), workers=2)
         assert set(parallel) == set(generated)
         for name, path in generated.items():
             assert parallel[name].read_text() == path.read_text(), name

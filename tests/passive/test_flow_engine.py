@@ -1,11 +1,11 @@
-"""Golden equivalence: the vectorized capture engine vs the scalar loop.
+"""Golden equivalence: the vectorized capture vs the scalar oracle.
 
-The scalar triple loop in :meth:`IspCapture._capture_scalar` is the
-reference semantics; :mod:`repro.passive.flow_engine` must reproduce it
-**byte-identically** — same dict keys, same float bit patterns, same
-distinct-client sets — for the ISP capture and all 14 IXP captures,
-with and without traffic dips, and across the b.root renumbering
-boundary.
+The scalar triple loop in :mod:`tests.passive.scalar_capture` is the
+reference semantics; :meth:`IspCapture.capture`
+(:mod:`repro.passive.flow_engine`) must reproduce it **byte-identically**
+— same dict keys, same float bit patterns, same distinct-client sets —
+for the ISP capture and all 14 IXP captures, with and without traffic
+dips, and across the b.root renumbering boundary.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ import pytest
 
 from repro.geo.continents import Continent
 from repro.passive.clients import ISP_PROFILE, build_client_population
-from repro.passive.isp import CAPTURE_ENGINES, IspCapture
+from repro.passive.isp import IspCapture
 from repro.passive.ixp import build_ixp_captures, regional_aggregate
 from repro.passive.traces import FlowAggregate
 from repro.util.rng import RngFactory
 from repro.util.timeutil import DAY, HOUR, parse_ts
+
+from tests.passive.scalar_capture import scalar_capture
 
 SEED = 42
 
@@ -63,11 +65,21 @@ def small_clients():
     )
 
 
+class ScalarOracle:
+    """The scalar oracle bound to one capture point's parameters."""
+
+    def __init__(self, capture: IspCapture) -> None:
+        self.point = capture
+
+    def capture(self, start, end, bucket_seconds=DAY) -> FlowAggregate:
+        return scalar_capture(self.point, start, end, bucket_seconds)
+
+
 def engine_pair(clients, **kwargs):
-    return (
-        IspCapture(clients, seed=SEED, engine="scalar", **kwargs),
-        IspCapture(clients, seed=SEED, engine="vectorized", **kwargs),
-    )
+    """(oracle, runtime) over one capture point: the scalar oracle and
+    :meth:`IspCapture.capture` read the same parameters."""
+    capture = IspCapture(clients, seed=SEED, **kwargs)
+    return ScalarOracle(capture), capture
 
 
 class TestIspEquivalence:
@@ -124,11 +136,6 @@ class TestIspEquivalence:
         for key, prefixes in aggregate.clients.items():
             assert aggregate.client_count(*key) == len(prefixes)
 
-    def test_engine_validation(self, small_clients):
-        assert set(CAPTURE_ENGINES) == {"vectorized", "scalar"}
-        with pytest.raises(ValueError, match="engine"):
-            IspCapture(small_clients, seed=SEED, engine="gpu")
-
 
 class TestClientBlocking:
     """The client-axis blocked grid is byte-identical at any width."""
@@ -169,16 +176,13 @@ class TestIxpEquivalence:
 
     @pytest.fixture(scope="class")
     def capture_lists(self):
-        return (
-            build_ixp_captures(
-                RngFactory(SEED).fork("ixp"), seed=SEED,
-                clients_per_ixp=60, engine="scalar",
-            ),
-            build_ixp_captures(
-                RngFactory(SEED).fork("ixp"), seed=SEED,
-                clients_per_ixp=60, engine="vectorized",
-            ),
+        """(oracle, runtime) per exchange: the oracle runs on each
+        exchange's own capture point, ``IxpCapture.engine``."""
+        captures = build_ixp_captures(
+            RngFactory(SEED).fork("ixp"), seed=SEED, clients_per_ixp=60
         )
+        oracles = [replace(cap, engine=ScalarOracle(cap.engine)) for cap in captures]
+        return oracles, captures
 
     def test_all_14_exchanges_equivalent(self, capture_lists):
         scalar_caps, vector_caps = capture_lists

@@ -4,7 +4,8 @@ Two contracts: (1) `client_prefix_v4`/`client_prefix_v6` stay unique out
 to 10⁶ clients and byte-compatible with the historical strings below
 id 65 536 (the old plan silently collided v4 /24s and emitted invalid
 v6 groups there); (2) `compile_population`'s vectorized kernels are
-byte-identical to the scalar golden reference for every profile shape,
+byte-identical to the scalar golden reference, `build_population_clients`
+compiled through `ClientColumns.from_clients`, for every profile shape,
 and captures over a columns-only population match captures over the
 reference client list.
 """
@@ -26,7 +27,6 @@ from repro.passive.clients import (
 from repro.passive.flow_engine import ClientColumns
 from repro.passive.isp import IspCapture
 from repro.passive.population_engine import (
-    POPULATION_ENGINES,
     build_population_clients,
     compile_population,
 )
@@ -98,13 +98,8 @@ class TestEngineEquivalence:
     )
     def test_vectorized_matches_scalar_reference(self, profile):
         got = compile_population(profile, SEED)
-        want = compile_population(profile, SEED, engine="scalar")
+        want = ClientColumns.from_clients(build_population_clients(profile, SEED))
         assert_columns_identical(got, want)
-
-    def test_engine_validation(self):
-        assert set(POPULATION_ENGINES) == {"vectorized", "scalar"}
-        with pytest.raises(ValueError, match="engine"):
-            compile_population(VOLUME_AWARE, SEED, engine="gpu")
 
     def test_seed_and_profile_separate_populations(self):
         base = compile_population(VOLUME_AWARE, SEED)
@@ -140,9 +135,3 @@ class TestColumnsOnlyCapture:
         assert via_columns.flows == via_clients.flows
         assert via_columns.per_client_flows == via_clients.per_client_flows
         assert via_columns.per_client_days == via_clients.per_client_days
-
-    def test_scalar_engine_rejects_columns_only_population(self):
-        columns = compile_population(VOLUME_AWARE, SEED)
-        capture = IspCapture(columns, seed=SEED, engine="scalar")
-        with pytest.raises(ValueError, match="columns-only"):
-            capture.capture(*self.WINDOW)

@@ -1,7 +1,7 @@
 """The analysis service over a real saved dataset.
 
 Exercises the routing layer through ``AnalysisService.handle`` (no
-socket needed — the stdlib and FastAPI backends are thin shims over it)
+socket needed — the stdlib server is a thin shim over it)
 plus one socket-level pass through the stdlib server, and pins the
 tentpole equivalence: served analysis bytes are exactly what
 ``rootsim-analyze DIR NAME --json`` prints.
@@ -258,16 +258,5 @@ class TestStdlibServer:
 
 class TestOptionalFastAPI:
     def test_stdlib_import_needs_no_extras(self):
-        # the serving package must import (and serve) without fastapi
+        # the serving package must import (and serve) with no extras
         assert "repro.serving" in sys.modules
-
-    def test_make_fastapi_app_gates_cleanly(self, service):
-        from repro.serving import make_fastapi_app
-
-        try:
-            import fastapi  # noqa: F401
-        except ImportError:
-            with pytest.raises(RuntimeError, match=r"\[serving\] extra"):
-                make_fastapi_app(service)
-        else:
-            assert make_fastapi_app(service) is not None
