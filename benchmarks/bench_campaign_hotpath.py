@@ -42,7 +42,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def make_config(scale: str) -> StudyConfig:
     if scale == "bench":
-        # The BENCH_pipeline.json campaign: full timeline, ~89 VPs.
+        # The bench-scale campaign: full timeline, ~89 VPs.
         return StudyConfig(
             seed=2024,
             ring_scale=0.1,

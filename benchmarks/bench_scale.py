@@ -5,12 +5,15 @@ is a per-process high-water mark):
 
 * ``epoch-<ring_scale>`` — builds the epoch-compiled campaign plan at
   ring_scale 0.1 / 0.3 / 1.0 on the paper's 30-minute schedule, twice:
-  materialized (every (VP, address) epoch list up front) and streamed
-  (``EpochCampaignPlan(streamed=True)``, epochs per emitted chunk).
-  Both emit the same opening chunks and must report identical collector
-  summaries.  Each child samples its own RSS after the platform build
-  (the floor) and after plan construction, so the cell attributes
-  memory to the *plan* — the part the streamed path changes; emission
+  ``streamed`` (the plan alone, epochs per emitted chunk) and the
+  ``materialized`` comparator, which additionally holds every (VP,
+  address) pair's whole-campaign epoch list
+  (``PairEpochStream(...).take(0, n_rounds)``) — what a plan that
+  compiled the campaign up front would keep.  The streamed child emits
+  the opening rounds in chunks, the comparator in one range, and both
+  must report identical collector summaries.  Each child samples its
+  own RSS after the platform build (the floor) and after plan
+  construction, so the cell attributes memory to the *plan*; emission
   (collector rows, allocator high-water) is identical either way.
   Streamed plan memory must sit well under materialized plan memory,
   and a chunk-size sweep (same rounds emitted at every chunk size)
@@ -95,6 +98,7 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
 
     from repro.core.config import StudyConfig
     from repro.core.pipeline import build_platform, build_world
+    from repro.netsim.epochs import PairEpochStream
     from repro.vantage.epoch_engine import EpochCampaignPlan
 
     config = replace(
@@ -107,22 +111,35 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
     floor_kb = _vmrss_kb()  # world + platform, before the first epoch
 
     started = time.perf_counter()
+    prober = platform_artifacts.prober
     plan = EpochCampaignPlan(
-        platform_artifacts.prober,
-        platform_artifacts.vps,
-        platform_artifacts.schedule,
-        streamed=(mode == "streamed"),
+        prober, platform_artifacts.vps, platform_artifacts.schedule
     )
+    held = []
+    if mode == "materialized":
+        # Every pair's whole-campaign epoch list, held for the run.
+        selector = prober.selector
+        held = [
+            PairEpochStream(
+                selector.churn, vp.vp_id, sa.address, sa.letter, sa.family,
+                plan.n_rounds,
+                len(selector.candidates(vp.attachment, sa.letter, sa.family)),
+            ).take(0, plan.n_rounds)
+            for vp in platform_artifacts.vps
+            for sa in prober.collector.addresses
+        ]
     build_seconds = time.perf_counter() - started
     plan_kb = max(0, _vmrss_kb() - floor_kb)  # retained by the plan itself
-    for lo in range(0, rounds, chunk):
-        plan.emit_range(lo, min(lo + chunk, rounds))
+    step = chunk if mode == "streamed" else rounds
+    for lo in range(0, rounds, step):
+        plan.emit_range(lo, min(lo + step, rounds))
     wall = time.perf_counter() - started
 
-    collector = platform_artifacts.prober.collector
+    collector = prober.collector
     print(json.dumps({
         "mode": mode,
-        "chunk": chunk,
+        "chunk": step,
+        "held_epochs": sum(len(epochs) for epochs in held),
         "rounds_emitted": rounds,
         "vps": len(platform_artifacts.vps),
         "rounds": platform_artifacts.schedule.round_count(),
@@ -227,7 +244,9 @@ def run_epoch_cell(ring_scale: float, sweep: bool, failures: List[str]) -> dict:
               f"plan RSS {runs[mode]['plan_rss_kb'] / 1024:7.1f} MB  "
               f"peak RSS {runs[mode]['peak_rss_kb'] / 1024:7.1f} MB")
     if runs["streamed"]["summary"] != runs["materialized"]["summary"]:
-        failures.append(f"{label}: streamed summary differs from materialized")
+        failures.append(
+            f"{label}: chunked emission summary differs from one-range emission"
+        )
 
     # Plan-attributable memory: what each child retains over its own
     # world + platform floor once the plan exists.  Emission costs

@@ -265,10 +265,7 @@ def study_main(argv: Optional[List[str]] = None) -> int:
             "paper": StudyConfig.paper_scale,
         }[args.preset](seed=args.seed)
         label = f"preset={args.preset}"
-    if args.shards < 1 or args.workers < 1:
-        parser.error("--shards and --workers must be >= 1")
-    if args.shards > 1 or args.workers > 1:
-        config = config.with_sharding(args.shards, workers=args.workers)
+    config = _with_sharding_flags(parser, args, config)
     if args.engine is not None:
         config = config.with_engine(args.engine)
 
@@ -307,6 +304,19 @@ def study_main(argv: Optional[List[str]] = None) -> int:
         path = results.save(args.save)
         print(f"dataset saved to {path}")
     return 0
+
+
+def _with_sharding_flags(parser, args, config):
+    """*config* with ``--shards``/``--workers`` applied.  Workers only
+    ever run shards, so ``--workers`` without ``--shards`` is an error
+    rather than a silently serial run."""
+    if args.shards < 1 or args.workers < 1:
+        parser.error("--shards and --workers must be >= 1")
+    if args.workers > 1 and args.shards == 1:
+        parser.error("--workers requires --shards > 1")
+    if args.shards > 1:
+        config = config.with_sharding(args.shards, workers=args.workers)
+    return config
 
 
 def _streaming_study_main(args, parser) -> int:
@@ -356,10 +366,7 @@ def _streaming_study_main(args, parser) -> int:
                     "paper": StudyConfig.paper_scale,
                 }[args.preset](seed=args.seed)
                 label = f"preset={args.preset}"
-            if args.shards < 1 or args.workers < 1:
-                parser.error("--shards and --workers must be >= 1")
-            if args.shards > 1 or args.workers > 1:
-                config = config.with_sharding(args.shards, workers=args.workers)
+            config = _with_sharding_flags(parser, args, config)
             if args.engine is not None:
                 config = config.with_engine(args.engine)
             print(f"streaming study: {label} seed={args.seed} "

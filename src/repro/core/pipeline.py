@@ -11,13 +11,16 @@ individually timed stages over a typed artifact store:
   re-deriving identical worlds.
 * **build_platform** — schedule, route selector, VP ring, fault plan,
   collector and prober (the full measurement platform).
-* **run_campaign** — executes the campaign.  With ``config.shards > 1``
-  the VP ring is partitioned and each shard probed against its own
-  :class:`~repro.vantage.collector.CampaignCollector`; the shard
-  collectors are then recombined with
+* **run_campaign** — executes the campaign.  The VP ring is
+  partitioned into ``config.shards`` disjoint shards and
+  :class:`CampaignShards` — the one campaign driver, which the streamed
+  campaign (:mod:`repro.core.streaming`) advances chunk by chunk —
+  advances them over the single range ``[0, n_rounds)``, in-process or,
+  with ``config.workers > 1``, on a ``ProcessPoolExecutor`` with mmap
+  spill handoff.  One shard's collector is the campaign collector;
+  several are recombined with
   :meth:`~repro.vantage.collector.CampaignCollector.merge`, which is
-  guaranteed to reproduce the serial run byte-for-byte.  With
-  ``config.workers > 1`` the shards run on a ``ProcessPoolExecutor``.
+  guaranteed to reproduce the serial run byte-for-byte.
 * **analyze** — runs analyses by name through
   :mod:`repro.analysis.registry`.
 
@@ -35,9 +38,9 @@ import shutil
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import StudyConfig
 from repro.core.results import StudyResults
@@ -50,6 +53,7 @@ from repro.rss.server import RootServerDeployment
 from repro.rss.sites import SiteCatalog, build_site_catalog
 from repro.util.rng import RngFactory
 from repro.vantage.collector import CampaignCollector
+from repro.vantage.epoch_engine import EpochCampaignPlan
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import Prober, SamplingPolicy
 from repro.vantage.ring import build_ring
@@ -291,20 +295,6 @@ def build_platform(config: StudyConfig, world: WorldArtifacts) -> PlatformArtifa
 # --- stage 3: run_campaign ----------------------------------------------------------
 
 
-def _execute_campaign(
-    engine: str,
-    prober: Prober,
-    vps: Sequence[VantagePoint],
-    schedule: MeasurementSchedule,
-) -> CampaignCollector:
-    """Run one (possibly shard-scoped) campaign on the configured engine."""
-    if engine == "epoch":
-        from repro.vantage.epoch_engine import run_epoch_campaign
-
-        return run_epoch_campaign(prober, list(vps), schedule)
-    return prober.run_campaign(list(vps), schedule)
-
-
 def shard_vp_lists(
     vps: Sequence[VantagePoint], shards: int
 ) -> List[List[VantagePoint]]:
@@ -319,139 +309,54 @@ def shard_vp_lists(
     return [list(vps[i::shards]) for i in range(shards)]
 
 
-#: Per-worker-process study config, installed once by the pool
-#: initializer so shard tasks ship only ``(shard_index, spill_root)``
-#: instead of re-pickling the config (and, transitively, nothing of the
-#: parent's world or platform) per task.
-_WORKER_CONFIG: Optional[StudyConfig] = None
+def _replay_churn(selector, vps, addresses, n_rounds: int) -> None:
+    """Advance the scalar churn state over the already-sealed rounds.
+
+    ``ChurnModel.select_index`` must be called once per (pair, round) in
+    round order; each draw is keyed by the round number, so replaying is
+    exact.  Only the flap-state machine runs — no routing, probing or
+    collection."""
+    churn = selector.churn
+    for vp in vps:
+        for sa in addresses:
+            n_candidates = len(selector.candidates(vp.attachment, sa.letter, sa.family))
+            for round_no in range(n_rounds):
+                churn.select_index(
+                    vp.vp_id, sa.address, sa.letter, sa.family, round_no, n_candidates
+                )
 
 
-def _init_shard_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
-    """Pool initializer: install the worker-process study config.
+def _resync_stale(world: WorldArtifacts, prober: Prober, ts_prev: Optional[int]) -> None:
+    """Put the distributor's freeze state where the scalar scan left it.
 
-    *config_values* is a plain ``asdict()`` of primitives — the only
-    payload that crosses the pipe at pool setup.  Worlds are NOT shipped:
-    each worker derives its own through the seed-keyed module cache
-    (``_WORLD_CACHE``), so repeated shard tasks in one worker reuse one
-    world build.  *owner_pid* arms the orphan watchdog: workers must not
-    outlive the campaign process that owns the pool.
-    """
-    from repro.util.procutil import exit_when_orphaned
-
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = StudyConfig(**config_values)
-    exit_when_orphaned(owner_pid)
-
-
-def _run_shard_spill_job(shard_index: int, spill_root: str) -> Dict[str, Any]:
-    """Worker-process entry: run one shard and spill it to disk.
-
-    Returns only the spill path plus a summary — the collector's numpy
-    buffers and zone graphs never transit the process-pool pipe.  The
-    parent memory-maps the spill back via
-    :func:`repro.data.spill.read_shard_spill`.
-    """
-    config = _WORKER_CONFIG
-    if config is None:
-        raise RuntimeError(
-            "shard worker used before _init_shard_worker installed its config"
-        )
-    serial_config = config.serial()
-    world = build_world(serial_config)
-    platform = build_platform(serial_config, world)
+    After processing round ``r`` the net freeze state is "frozen iff the
+    stale window is active at ``ts_r``" — so a full fault reset followed
+    by one event application at the previous round's timestamp restores
+    it exactly, whether we are resuming after a crash or interleaving
+    shards that each mutate the shared distributor."""
     world.distributor.reset_faults()
-    platform.prober.reset()
-    shard_vps = shard_vp_lists(platform.vps, config.shards)[shard_index]
-    _execute_campaign(config.engine, platform.prober, shard_vps, platform.schedule)
-
-    from repro.data.spill import write_shard_spill
-
-    spill_dir = write_shard_spill(
-        Path(spill_root) / f"shard-{shard_index:03d}", platform.collector
-    )
-    import resource
-
-    rusage = resource.getrusage(resource.RUSAGE_SELF)
-    return {
-        "shard": shard_index,
-        "spill_dir": str(spill_dir),
-        "summary": platform.collector.summary(),
-        # worker-process CPU accounting: forkserver workers are children
-        # of the forkserver daemon, not of the parent, so the parent's
-        # RUSAGE_CHILDREN never sees them — report it ourselves.
-        "worker_pid": os.getpid(),
-        "worker_cpu_seconds": rusage.ru_utime + rusage.ru_stime,
-    }
+    prober.reset()
+    if ts_prev is not None:
+        prober._apply_stale_events(ts_prev)
 
 
-#: Handoff accounting for the most recent multiprocess campaign in this
-#: process: ``{"shards", "payload_bytes", "spill_bytes", "spill_dirs"}``.
-#: Benchmarks and CI read it to prove the spill path ran (spill_bytes >
-#: 0) and to size the new handoff against the old pickled-collector one.
-_LAST_SPILL_STATS: Optional[Dict[str, Any]] = None
+class _ShardRunner:
+    """Advances one shard's campaign over round ranges."""
 
-
-def last_spill_stats() -> Optional[Dict[str, Any]]:
-    """Stats for the last multiprocess campaign (None if none ran)."""
-    return _LAST_SPILL_STATS
-
-
-def _run_multiprocess(
-    config: StudyConfig, spill_root: Path
-) -> List[CampaignCollector]:
-    """Run every shard on a process pool with mmap spill handoff.
-
-    The pool uses the pinned start method (forkserver preferred, spawn
-    fallback — never fork), ships the config once per worker via the
-    initializer, and receives back per-shard spill *paths*; the heavy
-    row buffers come home through the filesystem, memory-mapped.
-    """
-    global _LAST_SPILL_STATS
-    from repro.data.spill import read_shard_spill, spill_nbytes
-    from repro.util.procutil import mp_context, pool_width
-
-    processes = pool_width(config.workers, config.shards)
-    with ProcessPoolExecutor(
-        max_workers=processes,
-        mp_context=mp_context(preload=("repro.core.pipeline",)),
-        initializer=_init_shard_worker,
-        initargs=(asdict(config), os.getpid()),
-    ) as pool:
-        futures = [
-            pool.submit(_run_shard_spill_job, index, str(spill_root))
-            for index in range(config.shards)
-        ]
-        results = [future.result() for future in futures]
-
-    worker_cpu: Dict[int, float] = {}
-    for result in results:
-        pid = result["worker_pid"]
-        # rusage is cumulative per process; with task reuse the last
-        # task's reading covers the earlier ones too
-        worker_cpu[pid] = max(worker_cpu.get(pid, 0.0), result["worker_cpu_seconds"])
-    _LAST_SPILL_STATS = {
-        "shards": config.shards,
-        "pool_processes": processes,
-        "payload_bytes": sum(
-            len(json.dumps(result).encode()) for result in results
-        ),
-        "spill_bytes": sum(spill_nbytes(r["spill_dir"]) for r in results),
-        "spill_dirs": [r["spill_dir"] for r in results],
-        "worker_cpu_seconds": round(sum(worker_cpu.values()), 2),
-    }
-    return [read_shard_spill(result["spill_dir"]) for result in results]
-
-
-def _run_sharded(
-    config: StudyConfig, world: WorldArtifacts, platform: PlatformArtifacts
-) -> List[CampaignCollector]:
-    """Run every shard in-process; returns the per-shard collectors in
-    shard order."""
-    collectors: List[CampaignCollector] = []
-    for shard_vps in shard_vp_lists(platform.vps, config.shards):
-        world.distributor.reset_faults()
-        collector = CampaignCollector()
-        prober = Prober(
+    def __init__(
+        self,
+        world: WorldArtifacts,
+        platform: PlatformArtifacts,
+        vps: List[VantagePoint],
+        engine: str,
+        collector: CampaignCollector,
+    ) -> None:
+        self.world = world
+        self.engine = engine
+        self.vps = vps
+        self.collector = collector
+        self.ts_list = platform.schedule.rounds()
+        self.prober = Prober(
             fabric=world.fabric,
             selector=platform.selector,
             deployments=world.deployments,
@@ -459,48 +364,272 @@ def _run_sharded(
             collector=collector,
             sampling=platform.prober.sampling,
         )
-        _execute_campaign(config.engine, prober, shard_vps, platform.schedule)
-        collectors.append(collector)
-    return collectors
+        self._plan: Optional[EpochCampaignPlan] = None
+        if engine == "epoch":
+            self._plan = EpochCampaignPlan(self.prober, vps, platform.schedule)
+
+    def replay_to(self, round_no: int) -> None:
+        """Reconstruct non-collector engine state for rounds ``[0, round_no)``."""
+        if self.engine != "epoch":
+            _replay_churn(
+                self.prober.selector, self.vps, self.collector.addresses, round_no
+            )
+
+    def advance(self, lo: int, hi: int) -> None:
+        """Execute rounds ``[lo, hi)`` into this shard's collector."""
+        if self._plan is not None:
+            self._plan.emit_range(lo, hi)
+            return
+        _resync_stale(
+            self.world, self.prober, self.ts_list[lo - 1] if lo > 0 else None
+        )
+        for round_no in range(lo, hi):
+            ts = self.ts_list[round_no]
+            self.prober._apply_stale_events(ts)
+            for vp in self.vps:
+                self.prober.run_round(vp, round_no, ts)
+            self.collector.rounds_processed += 1
+
+
+# --- multiprocess shard workers ------------------------------------------------------
+
+#: Per-worker-process state: the study config installed by the pool
+#: initializer, and a cache of live shard runners keyed by shard index.
+#: ProcessPoolExecutor does not pin tasks to workers, so a cache entry is
+#: only reused when its recorded position matches the requested ``lo`` —
+#: a reassigned shard rebuilds its runner from the shipped state dict
+#: (correct always, cheap in the common pinned case).
+_STREAM_CONFIG: Optional[StudyConfig] = None
+_STREAM_RUNNERS: Dict[int, Tuple[_ShardRunner, int]] = {}
+
+
+def _init_stream_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
+    """Pool initializer: install the worker-process study config.
+
+    *config_values* is a plain ``asdict()`` of primitives — the only
+    payload that crosses the pipe at pool setup.  Worlds are NOT shipped:
+    each worker derives its own through the seed-keyed module cache.
+    *owner_pid* arms the orphan watchdog — a SIGKILLed campaign (the
+    crash-injection tests) must not leave workers blocked on the call
+    queue holding its inherited file descriptors.
+    """
+    from repro.util.procutil import exit_when_orphaned
+
+    global _STREAM_CONFIG
+    _STREAM_CONFIG = StudyConfig(**config_values)
+    _STREAM_RUNNERS.clear()
+    exit_when_orphaned(owner_pid)
+
+
+def _advance_stream_shard(
+    shard_index: int, lo: int, hi: int, state: Dict, spill_root: str
+) -> Dict[str, Any]:
+    """Worker-process entry: advance one shard over ``[lo, hi)`` and
+    spill the range's rows.
+
+    The shipped *state* is the shard's aggregate state after round
+    ``lo``; a cached runner already carrying that state (its position
+    matches ``lo``) advances directly, anything else rebuilds world,
+    platform and runner from the per-process seed-keyed world cache plus
+    the state dict.  Rows cross back to the parent through the spill —
+    only this path string and the shard index transit the pool pipe.
+    """
+    config = _STREAM_CONFIG
+    if config is None:
+        raise RuntimeError(
+            "stream worker used before _init_stream_worker installed its config"
+        )
+    cached = _STREAM_RUNNERS.get(shard_index)
+    if cached is not None and cached[1] == lo:
+        runner = cached[0]
+    else:
+        serial_config = config.serial()
+        world = build_world(serial_config)
+        platform = build_platform(serial_config, world)
+        world.distributor.reset_faults()
+        platform.prober.reset()
+        shard_vps = shard_vp_lists(platform.vps, config.shards)[shard_index]
+        collector = CampaignCollector()
+        collector.restore_state_dict(state)
+        runner = _ShardRunner(world, platform, shard_vps, config.engine, collector)
+        runner.replay_to(lo)
+
+    runner.advance(lo, hi)
+
+    from repro.data.spill import write_shard_spill
+
+    spill_dir = write_shard_spill(
+        Path(spill_root) / f"rounds-{lo:05d}-shard-{shard_index:03d}",
+        runner.collector,
+    )
+    # Drain so the next advance appends only its own range's rows; the
+    # aggregates stay cumulative, exactly like the in-process path.
+    runner.collector.drain_rows()
+    _STREAM_RUNNERS[shard_index] = (runner, hi)
+    return {"shard": shard_index, "spill_dir": str(spill_dir)}
+
+
+#: Handoff accounting for the most recent pool advance in this process:
+#: ``{"shards", "payload_bytes", "spill_bytes"}``.  CI reads it to prove
+#: the spill path ran (spill_bytes > 0) and that no row data crossed the
+#: pool pipe.
+_LAST_SPILL_STATS: Optional[Dict[str, Any]] = None
+
+
+def last_spill_stats() -> Optional[Dict[str, Any]]:
+    """Stats for the last multiprocess advance (None if none ran)."""
+    return _LAST_SPILL_STATS
+
+
+class CampaignShards:
+    """Every shard of one campaign, advanced together over round ranges.
+
+    The one campaign driver: batch :func:`run_campaign` advances it over
+    ``[0, n_rounds)`` once, the streamed campaign
+    (:mod:`repro.core.streaming`) one chunk at a time.  Each shard owns a
+    disjoint VP subset over the full schedule.  With ``workers > 1`` and
+    ``shards > 1`` the shards advance on a process pool (pinned start
+    method: forkserver preferred, spawn fallback, never fork) and each
+    range's rows come home as per-shard mmap spills; otherwise every
+    shard is a :class:`_ShardRunner` in this process.
+
+    *collectors* (one per shard, fresh by default) carry the aggregate
+    state after round *start* — the streamed campaign's resume point.
+    """
+
+    def __init__(
+        self,
+        config: StudyConfig,
+        world: WorldArtifacts,
+        platform: PlatformArtifacts,
+        collectors: Optional[List[CampaignCollector]] = None,
+        *,
+        start: int = 0,
+    ) -> None:
+        shard_vps = shard_vp_lists(platform.vps, config.shards)
+        if collectors is None:
+            collectors = [CampaignCollector() for _ in shard_vps]
+        self.collectors = collectors
+        self._states: Optional[List[Dict]] = None
+        self._runners: List[_ShardRunner] = []
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._spill_root: Optional[Path] = None
+        self._spill_dirs: List[str] = []
+        if config.workers > 1 and config.shards > 1:
+            from repro.data.spill import spill_tempdir
+            from repro.util.procutil import mp_context, pool_width
+
+            self._spill_root = spill_tempdir("rootsim-spill-")
+            self._pool = ProcessPoolExecutor(
+                max_workers=pool_width(config.workers, config.shards),
+                mp_context=mp_context(preload=("repro.core.pipeline",)),
+                initializer=_init_stream_worker,
+                initargs=(asdict(config), os.getpid()),
+            )
+        else:
+            self._runners = [
+                _ShardRunner(world, platform, vps, config.engine, collector)
+                for vps, collector in zip(shard_vps, collectors)
+            ]
+            for runner in self._runners:
+                runner.replay_to(start)
+
+    def advance(self, lo: int, hi: int) -> List[CampaignCollector]:
+        """Execute rounds ``[lo, hi)`` on every shard; returns the
+        per-shard collectors in shard order.
+
+        Their row tables hold the rows appended since the caller last
+        drained them; pool-advanced collectors are memory-mapped views
+        of this range's spills, valid until :meth:`discard_spills` or
+        :meth:`close`.
+        """
+        states = self._states
+        self._states = None
+        if self._pool is None:
+            for runner in self._runners:
+                runner.advance(lo, hi)
+            return self.collectors
+
+        global _LAST_SPILL_STATS
+        from repro.data.spill import read_shard_spill, spill_nbytes
+
+        if states is None:
+            states = [c.state_dict() for c in self.collectors]
+
+        futures = [
+            self._pool.submit(
+                _advance_stream_shard, index, lo, hi, state, str(self._spill_root)
+            )
+            for index, state in enumerate(states)
+        ]
+        results = [future.result() for future in futures]
+        self._spill_dirs += [result["spill_dir"] for result in results]
+        _LAST_SPILL_STATS = {
+            "shards": len(results),
+            "payload_bytes": sum(
+                len(json.dumps(result).encode()) for result in results
+            ),
+            "spill_bytes": sum(spill_nbytes(r["spill_dir"]) for r in results),
+        }
+        self.collectors = [read_shard_spill(r["spill_dir"]) for r in results]
+        return self.collectors
+
+    def shard_states(self) -> List[Dict]:
+        """The per-shard ``state_dict()`` of the current collectors —
+        what the next pool advance ships — computed once per advance."""
+        if self._states is None:
+            self._states = [c.state_dict() for c in self.collectors]
+        return self._states
+
+    def discard_spills(self) -> None:
+        """Delete the last advance's spills once their rows have been
+        copied out or drained."""
+        for spill_dir in self._spill_dirs:
+            shutil.rmtree(spill_dir, ignore_errors=True)
+        self._spill_dirs = []
+
+    def close(self) -> None:
+        """Stop the pool and delete every spill."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+        if self._spill_root is not None:
+            shutil.rmtree(self._spill_root, ignore_errors=True)
+            self._spill_root = None
+            self._spill_dirs = []
+
+    def __enter__(self) -> "CampaignShards":
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        self.close()
 
 
 def run_campaign(
     config: StudyConfig, world: WorldArtifacts, platform: PlatformArtifacts
 ) -> CampaignCollector:
-    """Execute the campaign (serial, sharded, or multiprocess) and leave
-    the merged collector on the platform."""
-    world.distributor.reset_faults()
-    platform.prober.reset()
-    if config.shards <= 1:
-        _execute_campaign(
-            config.engine, platform.prober, platform.vps, platform.schedule
-        )
-        return platform.collector
-    if config.workers > 1:
-        from repro.data.spill import spill_tempdir
+    """Execute the campaign over ``[0, n_rounds)`` and leave the
+    campaign collector on the platform.
 
-        spill_root = spill_tempdir("rootsim-spill-")
-        try:
-            shard_collectors = _run_multiprocess(config, spill_root)
-            world.distributor.reset_faults()
-            platform.prober.reset()
-            # merge copies every row out of the mmapped spill views, and
-            # the reload already pulled the transfer metadata and zone
-            # pack bytes into memory, so the spill directory is safe to
-            # delete once the merge returns.
-            merged = CampaignCollector.merge(shard_collectors)
-        finally:
-            shutil.rmtree(spill_root, ignore_errors=True)
-        platform.collector = merged
-        platform.prober.collector = merged
-        return merged
-    shard_collectors = _run_sharded(config, world, platform)
+    One shard's collector is used as is; several are merged, which
+    reproduces the serial run byte-for-byte.  The merge copies every row
+    out of the mmapped spill views (and the spill reload already pulled
+    the transfer metadata and zone pack bytes into memory), so the
+    spills are deleted once it returns.
+    """
     world.distributor.reset_faults()
     platform.prober.reset()
-    merged = CampaignCollector.merge(shard_collectors)
-    platform.collector = merged
-    platform.prober.collector = merged
-    return merged
+    with CampaignShards(config, world, platform) as shards:
+        collectors = shards.advance(0, platform.expected_rounds)
+        if len(collectors) == 1:
+            collector = collectors[0]
+        else:
+            collector = CampaignCollector.merge(collectors)
+    world.distributor.reset_faults()
+    platform.prober.reset()
+    platform.collector = collector
+    platform.prober.collector = collector
+    return collector
 
 
 # --- stage 4: analyze ---------------------------------------------------------------

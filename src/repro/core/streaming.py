@@ -1,14 +1,16 @@
 """Round-incremental campaign execution with checkpoint/resume.
 
-The batch pipeline (:mod:`repro.core.pipeline`) holds the whole campaign
-in one collector and seals it at the end.  This module runs the same
-campaign **in round ranges**: every ``checkpoint_every`` rounds the new
-rows are folded out of the shard collectors, sealed into a columnar
-chunk on disk (:mod:`repro.data.chunks`), and the crash-safe
-``CHECKPOINT.json`` is atomically replaced.  Peak memory is bounded by
-one chunk instead of the campaign, and a killed run resumes from the
-last sealed chunk — producing a finalized dataset byte-identical to an
-uninterrupted batch run (DESIGN.md §11).
+The batch pipeline (:mod:`repro.core.pipeline`) advances the campaign's
+shards over the single range ``[0, n_rounds)`` and seals the result at
+the end.  This module drives the same shards
+(:class:`~repro.core.pipeline.CampaignShards`) **in round ranges**:
+every ``checkpoint_every`` rounds the new rows are folded out of the
+shard collectors, sealed into a columnar chunk on disk
+(:mod:`repro.data.chunks`), and the crash-safe ``CHECKPOINT.json`` is
+atomically replaced.  Peak memory is bounded by one chunk instead of
+the campaign, and a killed run resumes from the last sealed chunk —
+producing a finalized dataset byte-identical to an uninterrupted batch
+run (DESIGN.md §11).
 
 Why resume is exact, engine by engine:
 
@@ -25,34 +27,25 @@ Why resume is exact, engine by engine:
   one ``_apply_stale_events(ts_{lo-1})`` after a fault reset restores
   it).
 
-Sharding composes with streaming exactly like with the batch path: every
-shard advances the same round range over its disjoint VP subset, and
-:meth:`CampaignCollector.merge` folds the shard collectors — whose row
-tables hold only the current chunk, earlier rows having been drained to
-disk — into the chunk's globally-ordered rows plus the cumulative
-aggregate state.  Timestamps ascend strictly across chunks, so
-concatenating per-chunk merges reproduces the whole-campaign merge.
+Every shard advances the same round range over its disjoint VP subset,
+and :meth:`CampaignCollector.merge` folds the shard collectors — whose
+row tables hold only the current chunk, earlier rows having been
+drained to disk — into the chunk's globally-ordered rows plus the
+cumulative aggregate state.  Timestamps ascend strictly across chunks,
+so concatenating per-chunk merges reproduces the whole-campaign merge.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import shutil
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import StudyConfig
-from repro.core.pipeline import (
-    WorldArtifacts,
-    build_platform,
-    build_world,
-    shard_vp_lists,
-)
+from repro.core.pipeline import CampaignShards, build_platform, build_world
 from repro.data.chunks import (
     CheckpointReader,
     ChunkData,
@@ -62,8 +55,6 @@ from repro.data.chunks import (
 )
 from repro.data.schema import CheckpointError
 from repro.vantage.collector import CampaignCollector
-from repro.vantage.epoch_engine import EpochCampaignPlan
-from repro.vantage.probes import Prober
 
 
 #: Called after every sealed chunk: (chunk_index, chunk_dir, lo, hi).
@@ -89,179 +80,13 @@ class StreamingRun:
         return self.rounds_done == self.n_rounds
 
 
-# --- engine advance ------------------------------------------------------------------
+# --- checkpoint fingerprint and chunk deltas -----------------------------------------
 
 
 def _config_fingerprint(config: StudyConfig) -> dict:
     """The config as it appears in a checkpoint (JSON round-tripped, so
     comparisons against a reloaded checkpoint are exact)."""
     return json.loads(json.dumps(asdict(config)))
-
-
-def _replay_churn(selector, vps, addresses, n_rounds: int) -> None:
-    """Advance the scalar churn state over the already-sealed rounds.
-
-    ``ChurnModel.select_index`` must be called once per (pair, round) in
-    round order; each draw is keyed by the round number, so replaying is
-    exact.  Only the flap-state machine runs — no routing, probing or
-    collection."""
-    churn = selector.churn
-    for vp in vps:
-        for sa in addresses:
-            n_candidates = len(selector.candidates(vp.attachment, sa.letter, sa.family))
-            for round_no in range(n_rounds):
-                churn.select_index(
-                    vp.vp_id, sa.address, sa.letter, sa.family, round_no, n_candidates
-                )
-
-
-def _resync_stale(world: WorldArtifacts, prober: Prober, ts_prev: Optional[int]) -> None:
-    """Put the distributor's freeze state where the scalar scan left it.
-
-    After processing round ``r`` the net freeze state is "frozen iff the
-    stale window is active at ``ts_r``" — so a full fault reset followed
-    by one event application at the previous round's timestamp restores
-    it exactly, whether we are resuming after a crash or interleaving
-    shards that each mutate the shared distributor."""
-    world.distributor.reset_faults()
-    prober.reset()
-    if ts_prev is not None:
-        prober._apply_stale_events(ts_prev)
-
-
-class _ShardRunner:
-    """Advances one shard's campaign over round ranges."""
-
-    def __init__(
-        self,
-        world: WorldArtifacts,
-        platform,
-        vps,
-        engine: str,
-        collector: CampaignCollector,
-    ) -> None:
-        self.world = world
-        self.engine = engine
-        self.vps = vps
-        self.collector = collector
-        self.ts_list = platform.schedule.rounds()
-        self.prober = Prober(
-            fabric=world.fabric,
-            selector=platform.selector,
-            deployments=world.deployments,
-            fault_plan=platform.fault_plan,
-            collector=collector,
-            sampling=platform.prober.sampling,
-        )
-        self._plan: Optional[EpochCampaignPlan] = None
-        if engine == "epoch":
-            # Streamed plan: per-pair epoch lists are materialised one
-            # chunk at a time, so the plan's retained memory is the
-            # sparse trigger arrays, not O(campaign) epoch tuples.
-            self._plan = EpochCampaignPlan(
-                self.prober, list(vps), platform.schedule, streamed=True
-            )
-
-    def replay_to(self, round_no: int) -> None:
-        """Reconstruct non-collector engine state for rounds ``[0, round_no)``."""
-        if self.engine != "epoch":
-            _replay_churn(
-                self.prober.selector, self.vps, self.collector.addresses, round_no
-            )
-
-    def advance(self, lo: int, hi: int) -> None:
-        """Execute rounds ``[lo, hi)`` into this shard's collector."""
-        if self._plan is not None:
-            self._plan.emit_range(lo, hi)
-            return
-        _resync_stale(
-            self.world, self.prober, self.ts_list[lo - 1] if lo > 0 else None
-        )
-        for round_no in range(lo, hi):
-            ts = self.ts_list[round_no]
-            self.prober._apply_stale_events(ts)
-            for vp in self.vps:
-                self.prober.run_round(vp, round_no, ts)
-            self.collector.rounds_processed += 1
-
-
-# --- multiprocess shard workers ------------------------------------------------------
-
-#: Per-worker-process streaming state: the study config installed by the
-#: pool initializer, and a cache of live shard runners keyed by shard
-#: index.  ProcessPoolExecutor does not pin tasks to workers, so a cache
-#: entry is only reused when its recorded position matches the requested
-#: ``lo`` — a reassigned shard rebuilds its runner from the shipped
-#: state dict (correct always, cheap in the common pinned case).
-_STREAM_CONFIG: Optional[StudyConfig] = None
-_STREAM_RUNNERS: Dict[int, Tuple[_ShardRunner, int]] = {}
-
-
-def _init_stream_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
-    """Pool initializer: install the worker-process study config.
-
-    *owner_pid* arms the orphan watchdog — a SIGKILLed campaign (the
-    crash-injection tests) must not leave workers blocked on the call
-    queue holding its inherited file descriptors.
-    """
-    from repro.util.procutil import exit_when_orphaned
-
-    global _STREAM_CONFIG
-    _STREAM_CONFIG = StudyConfig(**config_values)
-    _STREAM_RUNNERS.clear()
-    exit_when_orphaned(owner_pid)
-
-
-def _advance_stream_shard(
-    shard_index: int, lo: int, hi: int, state: Dict, spill_root: str
-) -> Dict[str, Any]:
-    """Worker-process entry: advance one shard over ``[lo, hi)`` and
-    spill the chunk's rows.
-
-    The shipped *state* is the shard's aggregate state after round
-    ``lo`` was sealed; a cached runner already carrying that state (its
-    position matches ``lo``) advances directly, anything else rebuilds
-    world, platform and runner from the per-process seed-keyed world
-    cache plus the state dict.  Rows cross back to the parent through
-    the spill — only this path string and the shard index transit the
-    pool pipe.
-    """
-    config = _STREAM_CONFIG
-    if config is None:
-        raise RuntimeError(
-            "stream worker used before _init_stream_worker installed its config"
-        )
-    cached = _STREAM_RUNNERS.get(shard_index)
-    if cached is not None and cached[1] == lo:
-        runner = cached[0]
-    else:
-        serial_config = config.serial()
-        world = build_world(serial_config)
-        platform = build_platform(serial_config, world)
-        world.distributor.reset_faults()
-        platform.prober.reset()
-        shard_vps = shard_vp_lists(platform.vps, config.shards)[shard_index]
-        collector = CampaignCollector()
-        collector.restore_state_dict(state)
-        runner = _ShardRunner(world, platform, shard_vps, config.engine, collector)
-        runner.replay_to(lo)
-
-    runner.advance(lo, hi)
-
-    from repro.data.spill import write_shard_spill
-
-    spill_dir = write_shard_spill(
-        Path(spill_root) / f"rounds-{lo:05d}-shard-{shard_index:03d}",
-        runner.collector,
-    )
-    # Drain so the next advance appends only its own chunk's rows; the
-    # aggregates stay cumulative, exactly like the in-process path.
-    runner.collector.drain_rows()
-    _STREAM_RUNNERS[shard_index] = (runner, hi)
-    return {"shard": shard_index, "spill_dir": str(spill_dir)}
-
-
-# --- chunk delta extraction ----------------------------------------------------------
 
 
 def _stability_delta(
@@ -331,12 +156,11 @@ def run_streaming_campaign(
     world.distributor.reset_faults()
     platform.prober.reset()
     n_rounds = platform.expected_rounds
-    shard_vps = shard_vp_lists(platform.vps, config.shards)
     study = _config_fingerprint(config)
 
     writer = ChunkedDatasetWriter(checkpoint_dir)
     global_state = CampaignCollector()
-    shard_collectors = [CampaignCollector() for _ in shard_vps]
+    shard_collectors = [CampaignCollector() for _ in range(config.shards)]
 
     if resume:
         ckpt = writer.resume()
@@ -372,68 +196,19 @@ def run_streaming_campaign(
         )
 
     rounds_done = writer.rounds_done
-    use_workers = config.workers > 1 and config.shards > 1
-    pool: Optional[ProcessPoolExecutor] = None
-    spill_root: Optional[Path] = None
-    runners: List[_ShardRunner] = []
-    shard_states: List[Dict] = []
-    if use_workers:
-        # Shards advance on worker processes; each chunk comes home as a
-        # per-shard mmap spill, merged columnar-ly here at seal time.
-        # The shipped per-task payload is (shard, range, state dict);
-        # returned payload is the spill path.
-        from repro.data.spill import spill_tempdir
-        from repro.util.procutil import mp_context, pool_width
-
-        shard_states = [c.state_dict() for c in shard_collectors]
-        spill_root = spill_tempdir("rootsim-stream-spill-")
-        pool = ProcessPoolExecutor(
-            max_workers=pool_width(config.workers, config.shards),
-            mp_context=mp_context(preload=("repro.core.streaming",)),
-            initializer=_init_stream_worker,
-            initargs=(asdict(config), os.getpid()),
-        )
-    else:
-        runners = [
-            _ShardRunner(world, platform, vps, config.engine, collector)
-            for vps, collector in zip(shard_vps, shard_collectors)
-        ]
-        for runner in runners:
-            runner.replay_to(rounds_done)
-
     prev_counts = global_state.change_counts()
     prev_idents = _snapshot_identities(global_state)
     prev_queries = global_state.queries_simulated
     prev_total = global_state.transfer_total
     prev_clean = global_state.transfer_clean
 
-    try:
+    with CampaignShards(
+        config, world, platform, shard_collectors, start=rounds_done
+    ) as shards:
         lo = rounds_done
         while lo < n_rounds:
             hi = min(lo + checkpoint_every, n_rounds)
-            spill_dirs: List[str] = []
-            if use_workers:
-                from repro.data.spill import read_shard_spill
-
-                futures = [
-                    pool.submit(
-                        _advance_stream_shard,
-                        index,
-                        lo,
-                        hi,
-                        shard_states[index],
-                        str(spill_root),
-                    )
-                    for index in range(len(shard_collectors))
-                ]
-                results = [future.result() for future in futures]
-                spill_dirs = [r["spill_dir"] for r in results]
-                chunk_collectors = [read_shard_spill(d) for d in spill_dirs]
-            else:
-                for runner in runners:
-                    runner.advance(lo, hi)
-                chunk_collectors = shard_collectors
-
+            chunk_collectors = shards.advance(lo, hi)
             merged = CampaignCollector.merge(chunk_collectors)
             probes, traceroutes, transfers = merged.drain_rows()
             chunk = ChunkData(
@@ -450,15 +225,13 @@ def run_streaming_campaign(
             )
             for collector in chunk_collectors:
                 collector.drain_rows()
-            shard_states = [c.state_dict() for c in chunk_collectors]
             chunk_index = len(writer.checkpoint["chunks"])
             chunk_dir = writer.seal_chunk(
                 chunk,
                 state=merged.state_dict(),
-                shard_states=shard_states,
+                shard_states=shards.shard_states(),
             )
-            for spill_dir in spill_dirs:
-                shutil.rmtree(spill_dir, ignore_errors=True)
+            shards.discard_spills()
 
             global_state = merged
             prev_counts = global_state.change_counts()
@@ -469,11 +242,6 @@ def run_streaming_campaign(
             lo = hi
             if after_chunk is not None:
                 after_chunk(chunk_index, chunk_dir, chunk.round_lo, hi)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if spill_root is not None:
-            shutil.rmtree(spill_root, ignore_errors=True)
 
     return StreamingRun(
         config=config,

@@ -10,9 +10,10 @@ route on an excursion trigger, and triggers are sparse, so the epoch
 list is short: one epoch when the pair never flips, ``2k (+1)`` epochs
 for ``k`` excursions.
 
-The compiler replays the exact :meth:`ChurnModel.select_index` state
-machine, but evaluates the per-round trigger uniform for every round at
-once (:func:`repro.netsim.mix.mix_float_array`) and then walks only the
+:class:`PairEpochStream` replays the exact
+:meth:`ChurnModel.select_index` state machine, but evaluates the
+per-round trigger uniform for every round at once
+(:func:`repro.netsim.mix.mix_float_array`) and then walks only the
 rounds whose uniform clears the excursion probability.  The resulting
 index sequence is *identical* to calling ``select_index`` round by
 round — asserted by tests/netsim/test_epochs.py over the full candidate
@@ -35,73 +36,12 @@ from repro.netsim.mix import mix_float, mix64_prefix, mix_float_array, mix_str
 Epoch = Tuple[int, int, int]
 
 
-def compile_pair_epochs(
-    churn: ChurnModel,
-    client_id: int,
-    address: str,
-    letter: str,
-    family: int,
-    n_rounds: int,
-    n_candidates: int,
-) -> List[Epoch]:
-    """The pair's campaign as ``(round_start, round_end, index)`` epochs.
-
-    Equivalent to ``[churn.select_index(client_id, address, letter,
-    family, r, n_candidates) for r in range(n_rounds)]`` run-length
-    encoded — but without advancing any churn state, so compilation can
-    interleave freely with (or replace) scalar selection.
-    """
-    if n_rounds <= 0:
-        return []
-    if n_candidates <= 1:
-        return [(0, n_rounds, 0)]
-
-    state = churn.state_for(client_id, address, letter, family)
-    prob = state.excursion_prob
-    seed = churn.seed
-
-    # Per-round trigger uniforms, evaluated in bulk.  Only the rounds
-    # where the state machine actually *checks* the trigger (at the
-    # preferred route, not inside or immediately after an excursion) are
-    # consumed below.
-    rounds = np.arange(n_rounds, dtype=np.int64)
-    u = mix_float_array(mix64_prefix(seed, client_id, mix_str(address)), rounds)
-    triggers = np.nonzero(u < prob)[0]
-
-    epochs: List[Epoch] = []
-    cursor = 0  # first round not yet assigned to an epoch
-    resume = 0  # first round at which the trigger check is live again
-    for t in triggers:
-        t = int(t)
-        if t < resume:
-            continue  # inside an excursion, or the untriggered return round
-        depth_u = mix_float(seed, client_id, t, 7)
-        depth = 1 + int(depth_u * depth_u * (n_candidates - 1))
-        depth = min(depth, n_candidates - 1)
-        duration_u = mix_float(seed, client_id, t, 11)
-        duration = 1 + int(duration_u * 3.0)
-        if t > cursor:
-            epochs.append((cursor, t, 0))
-        end = min(t + duration, n_rounds)
-        epochs.append((t, end, depth))
-        cursor = end
-        # The round the pair returns to the preferred route takes the
-        # excursion-countdown branch, so the next trigger check is one
-        # round later still.
-        resume = t + duration + 1
-        if cursor >= n_rounds:
-            break
-    if cursor < n_rounds:
-        epochs.append((cursor, n_rounds, 0))
-    return epochs
-
-
 class PairEpochStream:
-    """:func:`compile_pair_epochs` emitted one round range at a time.
+    """One pair's campaign epochs, emitted one round range at a time.
 
-    A full campaign's epoch lists dominate the epoch engine's memory at
-    paper scale (~1.1M tuples across ~19k pairs); the streaming path
-    only ever needs the epochs overlapping the chunk it is executing.
+    A full campaign's epoch lists would dominate the epoch engine's
+    memory at paper scale (~1.1M tuples across ~19k pairs); the engine
+    only ever needs the epochs overlapping the range it is executing.
     This class keeps the per-pair *trigger rounds* (the sparse output of
     the bulk uniform scan — a few dozen int32s) plus the walk cursor,
     and :meth:`take` materialises exactly the epochs overlapping a
@@ -109,11 +49,10 @@ class PairEpochStream:
 
     The concatenation of ``take(lo, hi)`` results over any ascending
     sequence of ranges covering ``[0, n_rounds)`` — deduplicating the
-    boundary epochs shared by adjacent ranges — equals
-    ``compile_pair_epochs(...)`` exactly, which is what keeps the
-    streamed engine byte-identical to the materialized plan
-    (tests/netsim/test_epochs.py pins the equivalence over the same
-    parameter space as the compiler itself).
+    boundary epochs shared by adjacent ranges — equals ``[churn.
+    select_index(...) for every round]`` run-length encoded, without
+    advancing any churn state (tests/netsim/test_epochs.py pins the
+    equivalence against a whole-campaign oracle compiler).
     """
 
     __slots__ = (
@@ -219,13 +158,3 @@ class PairEpochStream:
         self._consumed_to = hi
         return out
 
-
-def epoch_change_count(epochs: List[Epoch]) -> int:
-    """Consecutive-round route changes implied by an epoch list.
-
-    Adjacent epochs always carry different candidate indices (an
-    excursion departs from and returns to index 0), and candidate lists
-    are site-deduplicated, so each boundary is exactly one observed
-    catchment change.
-    """
-    return max(0, len(epochs) - 1)

@@ -1,7 +1,7 @@
 """The epoch-compiled campaign engine.
 
-The scalar :meth:`~repro.vantage.probes.Prober.run_campaign` walks every
-(round, VP, address) cell: tens of millions of ``RouteSelector.select``
+The scalar scan (:meth:`~repro.vantage.probes.Prober.run_round` once
+per round and VP) walks every (round, VP, address) cell: tens of millions of ``RouteSelector.select``
 calls, interner lookups and per-call hash mixes.  This engine exploits
 the structure of the workload instead:
 
@@ -24,13 +24,13 @@ the structure of the workload instead:
   observations that are actually kept.
 
 The engine is exposed as :class:`EpochCampaignPlan`: compilation happens
-once, then :meth:`~EpochCampaignPlan.emit_range` executes any
+once, then :meth:`~EpochCampaignPlan.emit_range` executes any ascending
 round range ``[lo, hi)`` — the streaming checkpoint path drives it one
-chunk at a time, and :func:`run_epoch_campaign` is simply the single
-range ``[0, n_rounds)``.  Every per-round draw is keyed by the round
-number (counter-based mixing, no sequential RNG state), so the
-concatenation of range emissions is byte-identical to one whole-campaign
-emission — and a resumed run is byte-identical to an uninterrupted one.
+chunk at a time, a batch run as the single range ``[0, n_rounds)``.
+Every per-round draw is keyed by the round number (counter-based
+mixing, no sequential RNG state), so the concatenation of range
+emissions is byte-identical to one whole-campaign emission — and a
+resumed run is byte-identical to an uninterrupted one.
 
 Output is **byte-identical** to the scalar prober — same summary, same
 interner contents in the same order, same identity dict insertion order,
@@ -51,10 +51,10 @@ import numpy as np
 
 from repro.faults.bitflip import flip_bit_in_zone
 from repro.geo.coords import RTT_MS_PER_KM
-from repro.netsim.epochs import PairEpochStream, compile_pair_epochs
+from repro.netsim.epochs import PairEpochStream
 from repro.netsim.latency import JITTER, PER_HOP_MS
 from repro.netsim.mix import mix64_array, mix64_prefix, mix_float_array
-from repro.vantage.collector import CampaignCollector, TransferObservation
+from repro.vantage.collector import TransferObservation
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import (
     Prober,
@@ -65,19 +65,15 @@ from repro.vantage.scheduler import MeasurementSchedule
 from repro.zone.distribution import ZoneDistributor
 
 
-def _sampled_rounds(vp_id: int, every: int, n_rounds: int) -> np.ndarray:
-    """Rounds where ``(round + vp_id) % every == 0``, ascending."""
-    return np.arange((-vp_id) % every, n_rounds, every, dtype=np.int64)
-
-
 def _sampled_rounds_range(vp_id: int, every: int, lo: int, hi: int) -> np.ndarray:
-    """The ``[lo, hi)`` slice of :func:`_sampled_rounds`."""
+    """Rounds in ``[lo, hi)`` where ``(round + vp_id) % every == 0``,
+    ascending."""
     first = lo + ((-vp_id - lo) % every)
     return np.arange(first, hi, every, dtype=np.int64)
 
 
 class _PairPlan:
-    """One (VP, address) pair's compiled campaign."""
+    """One (VP, address) pair's epochs overlapping the emitted range."""
 
     __slots__ = ("vp", "addr_idx", "sa", "epochs", "routes", "starts")
 
@@ -116,25 +112,22 @@ class _PairStream:
 
 
 class EpochCampaignPlan:
-    """A compiled campaign that can be executed one round range at a time.
+    """A compiled campaign that is executed one round range at a time.
 
-    Compilation (epoch lists per pair) is a pure function of the world
-    and the schedule, so a resumed run recompiles the identical plan;
-    :meth:`emit_range` then appends rounds ``[lo, hi)`` into the
-    prober's collector.  Emitting ``[0, n)`` in one call or in any
-    ascending, contiguous sequence of sub-ranges produces byte-identical
-    collector contents — the invariant the checkpoint/resume path and
-    ``tests/vantage/test_stream_equivalence.py`` rely on.
+    Compilation is a pure function of the world and the schedule, so a
+    resumed run recompiles the identical plan; :meth:`emit_range` then
+    appends rounds ``[lo, hi)`` into the prober's collector.  Emitting
+    ``[0, n)`` in one call or in any ascending, contiguous sequence of
+    sub-ranges produces byte-identical collector contents — the
+    invariant the checkpoint/resume path and
+    ``tests/core/test_streaming.py`` rely on.
 
-    With ``streamed=True`` the whole-campaign epoch lists are never
-    held: each pair keeps a :class:`~repro.netsim.epochs.
-    PairEpochStream` (the sparse trigger rounds plus a cursor), and
-    :meth:`emit_range` materialises only the epochs overlapping the
-    requested range, discarding them afterwards — epoch-plan memory is
-    O(chunk) + O(pairs) instead of O(campaign).  The cost is that
-    ranges must then be emitted in ascending order (the streaming
-    checkpoint path's natural call pattern); output stays byte-identical
-    to the materialized plan.
+    The whole-campaign epoch lists are never held: each pair keeps a
+    :class:`~repro.netsim.epochs.PairEpochStream` (the sparse trigger
+    rounds plus a cursor), and :meth:`emit_range` materialises only the
+    epochs overlapping the requested range, discarding them afterwards —
+    epoch-plan memory is O(chunk) + O(pairs), not O(campaign).  Ranges
+    must therefore be emitted in ascending order.
     """
 
     def __init__(
@@ -142,47 +135,31 @@ class EpochCampaignPlan:
         prober: Prober,
         vps: List[VantagePoint],
         schedule: MeasurementSchedule,
-        *,
-        streamed: bool = False,
     ) -> None:
         self.prober = prober
         self.collector = prober.collector
         self.sampling = prober.sampling
-        self.streamed = streamed
         ts_list = schedule.rounds()
         self.n_rounds = len(ts_list)
         self.ts_arr = np.asarray(ts_list, dtype=np.int64)
 
         selector = prober.selector
-        self.pairs: List[_PairPlan] = []
         self._pair_streams: List[_PairStream] = []
         for vp in vps:
             for addr_idx, sa in enumerate(self.collector.addresses):
                 routes = selector.candidates(vp.attachment, sa.letter, sa.family)
-                if streamed:
-                    stream = PairEpochStream(
-                        selector.churn,
-                        vp.vp_id,
-                        sa.address,
-                        sa.letter,
-                        sa.family,
-                        self.n_rounds,
-                        len(routes),
-                    )
-                    self._pair_streams.append(
-                        _PairStream(vp, addr_idx, sa, routes, stream)
-                    )
-                else:
-                    epochs = compile_pair_epochs(
-                        selector.churn,
-                        vp.vp_id,
-                        sa.address,
-                        sa.letter,
-                        sa.family,
-                        self.n_rounds,
-                        len(routes),
-                    )
-                    self.pairs.append(_PairPlan(vp, addr_idx, sa, epochs, routes))
+                stream = PairEpochStream(
+                    selector.churn,
+                    vp.vp_id,
+                    sa.address,
+                    sa.letter,
+                    sa.family,
+                    self.n_rounds,
+                    len(routes),
+                )
+                self._pair_streams.append(
+                    _PairStream(vp, addr_idx, sa, routes, stream)
+                )
 
     # -- range execution ---------------------------------------------------------------
 
@@ -194,17 +171,13 @@ class EpochCampaignPlan:
             )
         if lo == hi:
             return
-        if self.streamed:
-            # Materialise only the epochs overlapping this range; the
-            # helpers below see the same epoch tuples (true bounds) the
-            # materialized plan's epoch_span would have selected, so
-            # every downstream computation is unchanged.
-            pairs = [
-                _PairPlan(p.vp, p.addr_idx, p.sa, p.stream.take(lo, hi), p.routes)
-                for p in self._pair_streams
-            ]
-        else:
-            pairs = self.pairs
+        # Epoch tuples keep their true (unclipped) bounds, so every
+        # helper below sees exactly the epochs a whole-campaign list
+        # would have selected for this range.
+        pairs = [
+            _PairPlan(p.vp, p.addr_idx, p.sa, p.stream.take(lo, hi), p.routes)
+            for p in self._pair_streams
+        ]
         self._update_aggregates(pairs, lo, hi)
         tr_state = self._intern_hops(pairs, lo, hi)
         self._emit_rows(pairs, lo, hi, tr_state)
@@ -617,19 +590,3 @@ class EpochCampaignPlan:
             fault_detail=fault_detail,
         )
 
-
-def run_epoch_campaign(
-    prober: Prober,
-    vps: List[VantagePoint],
-    schedule: MeasurementSchedule,
-) -> CampaignCollector:
-    """Run the campaign via epoch compilation; returns the collector.
-
-    Drop-in replacement for ``prober.run_campaign(vps, schedule)`` with
-    byte-identical collector output.  Unlike the scalar path it advances
-    no churn state and never mutates the distributor's freeze state, so
-    it composes freely with in-process sharding.
-    """
-    plan = EpochCampaignPlan(prober, vps, schedule)
-    plan.emit_range(0, plan.n_rounds)
-    return prober.collector

@@ -19,7 +19,7 @@ identical analysis-level records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.dns.constants import RRClass, RRType
 from repro.dns.edns import add_edns
@@ -38,7 +38,6 @@ from repro.rss.server import RootServerDeployment
 from repro.util.timeutil import Timestamp
 from repro.vantage.collector import CampaignCollector, TransferObservation
 from repro.vantage.node import VantagePoint
-from repro.vantage.scheduler import MeasurementSchedule
 
 #: Probability the traceroute's second-to-last hop went unanswered.
 STLH_MISSING_PROB = 0.03
@@ -119,19 +118,6 @@ class Prober:
                 self._stale_frozen[event.site_key] = False
 
     # -- campaign ------------------------------------------------------------------
-
-    def run_campaign(
-        self,
-        vps: List[VantagePoint],
-        schedule: MeasurementSchedule,
-    ) -> CampaignCollector:
-        """Run the whole campaign; returns the (shared) collector."""
-        for round_no, ts in enumerate(schedule.instants()):
-            self._apply_stale_events(ts)
-            for vp in vps:
-                self.run_round(vp, round_no, ts)
-            self.collector.rounds_processed += 1
-        return self.collector
 
     def run_round(self, vp: VantagePoint, round_no: int, ts: Timestamp) -> None:
         """One VP's measurement round across all service addresses."""

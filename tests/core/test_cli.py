@@ -128,6 +128,20 @@ class TestStudyCli:
             study_main(["--checkpoint", "a", "--resume", "b"])
         assert "mutually exclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("streamed", [False, True], ids=["batch", "checkpoint"])
+    def test_workers_without_shards_rejected(self, streamed, tmp_path, capsys):
+        # Workers only ever run shards: a lone --workers would run
+        # serially while MANIFEST.json recorded the worker count.
+        ckpt = tmp_path / "ckpt"
+        argv = ["--preset", "quick", "--workers", "2"]
+        if streamed:
+            argv += ["--checkpoint", str(ckpt)]
+        with pytest.raises(SystemExit) as exit_info:
+            study_main(argv)
+        assert exit_info.value.code == 2
+        assert "--workers requires --shards > 1" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_resume_without_checkpoint_fails_cleanly(self, tmp_path, capsys):
         code = study_main(["--resume", str(tmp_path / "missing")])
         assert code == 2

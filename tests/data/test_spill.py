@@ -14,11 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (
-    _run_sharded,
-    build_platform,
-    build_world,
-)
+from repro.core.pipeline import CampaignShards, build_platform, build_world
 from repro.data import DatasetError
 from repro.data.spill import (
     SPILL_NAME,
@@ -39,7 +35,8 @@ def shard_collectors():
     platform = build_platform(config, world)
     world.distributor.reset_faults()
     platform.prober.reset()
-    return _run_sharded(config, world, platform)
+    with CampaignShards(config, world, platform) as shards:
+        return shards.advance(0, platform.expected_rounds)
 
 
 def test_round_trip_preserves_rows_and_state(shard_collectors, tmp_path):

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.netsim.churn import ChurnModel, TARGET_MEDIAN_CHANGES
-from repro.netsim.epochs import (
-    PairEpochStream,
-    compile_pair_epochs,
-    epoch_change_count,
-)
+from repro.netsim.epochs import PairEpochStream
+
+from tests.netsim.epoch_oracle import compile_pair_epochs, epoch_change_count
 
 
 def scalar_indices(seed, client_id, address, letter, family, n_rounds, n_candidates):
@@ -168,6 +166,7 @@ class TestEpochEquivalence:
         """Compiling then selecting must equal selecting alone."""
         churn = ChurnModel(9, expected_rounds=200)
         compile_pair_epochs(churn, 3, "192.58.128.30", "j", 4, 200, 5)
+        PairEpochStream(churn, 3, "192.58.128.30", "j", 4, 200, 5).take(0, 200)
         via_shared = [
             churn.select_index(3, "192.58.128.30", "j", 4, r, 5) for r in range(200)
         ]

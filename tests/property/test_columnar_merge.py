@@ -168,7 +168,7 @@ class TestCampaignShardCounts:
         """A shard that owned zero VPs contributes an empty collector;
         merging it in must not perturb the result."""
         from repro.core.pipeline import (
-            _run_sharded,
+            CampaignShards,
             build_platform,
             build_world,
         )
@@ -181,7 +181,8 @@ class TestCampaignShardCounts:
         platform = build_platform(config, world)
         world.distributor.reset_faults()
         platform.prober.reset()
-        shard_collectors = _run_sharded(config, world, platform)
+        with CampaignShards(config, world, platform) as shards:
+            shard_collectors = shards.advance(0, platform.expected_rounds)
 
         empty = CampaignCollector()
         empty.rounds_processed = shard_collectors[0].rounds_processed

@@ -6,10 +6,10 @@ refactor, from a tiny five-day campaign at seed 77 — the exact
 ``tiny_stream_config`` shape — hashed over every output surface: all
 probe and traceroute columns, the dataset-size summary, and the CHAOS
 identity counts.  The same digest must fall out of a config
-materialised through ``compose("default")`` today, on both engines and
-either shard count.  Any drift in VP placement, scheduling, sampling
-or fault injection caused by the config decomposition shows up here as
-a digest mismatch.
+materialised through ``compose("default")`` today, on both engines,
+either shard count, and with the shards on a worker pool.  Any drift
+in VP placement, scheduling, sampling or fault injection caused by the
+config decomposition shows up here as a digest mismatch.
 """
 
 from __future__ import annotations
@@ -46,14 +46,16 @@ def campaign_digest(collector) -> str:
     return h.hexdigest()
 
 
-def scenario_tiny_config(engine: str, shards: int) -> StudyConfig:
+def scenario_tiny_config(
+    engine: str, shards: int, workers: int = 1
+) -> StudyConfig:
     """The tiny golden campaign config, derived through the scenario
     path: compose the default scenario, then shrink only the execution
     scale (the same shrink the smoke runner applies)."""
     config = compose("default").study_config(
-        seed=77, engine=engine, shards=shards
+        seed=77, engine=engine, shards=shards, workers=workers
     )
-    tiny = tiny_stream_config(engine=engine, shards=shards)
+    tiny = tiny_stream_config(engine=engine, shards=shards, workers=workers)
     return replace(
         config,
         ring_scale=tiny.ring_scale,
@@ -69,15 +71,17 @@ def scenario_tiny_config(engine: str, shards: int) -> StudyConfig:
 
 class TestGoldenByteIdentity:
     @pytest.mark.parametrize("engine", ["epoch", "scalar"])
-    @pytest.mark.parametrize("shards", [1, 2])
+    # (2, 2): the shards advance on the worker pool and hand their rows
+    # back through mmap spills before the merge.
+    @pytest.mark.parametrize("shards,workers", [(1, 1), (2, 1), (2, 2)])
     def test_default_scenario_matches_pre_refactor_digest(
-        self, engine, shards
+        self, engine, shards, workers
     ):
-        config = scenario_tiny_config(engine, shards)
+        config = scenario_tiny_config(engine, shards, workers)
         # the scenario stamp rides along but is pure provenance
         assert config.scenario_name == "default"
         assert config.without_scenario() == tiny_stream_config(
-            engine=engine, shards=shards
+            engine=engine, shards=shards, workers=workers
         )
         study = RootStudy(config)
         study.run()

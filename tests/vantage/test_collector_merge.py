@@ -82,32 +82,16 @@ def test_sharded_run_equals_serial(serial_collector, shards):
 
 
 def test_merge_of_explicit_split_equals_serial(serial_collector):
-    """Drive the shard path by hand (no RootStudy plumbing): split, run,
-    merge in scrambled shard order — merge is order-independent."""
-    from repro.core.pipeline import (
-        build_platform,
-        build_world,
-        shard_vp_lists,
-    )
-    from repro.vantage.probes import Prober
+    """Drive the shard path by hand (no RootStudy plumbing): split, run
+    the scalar scan, merge in scrambled shard order — merge is
+    order-independent."""
+    from repro.core.pipeline import CampaignShards, build_platform, build_world
 
-    config = tiny_config()
+    config = tiny_config(engine="scalar").with_sharding(3)
     world = build_world(config)
     platform = build_platform(config, world)
-    collectors = []
-    for shard_vps in shard_vp_lists(platform.vps, 3):
-        world.distributor.reset_faults()
-        collector = CampaignCollector()
-        prober = Prober(
-            fabric=world.fabric,
-            selector=platform.selector,
-            deployments=world.deployments,
-            fault_plan=platform.fault_plan,
-            collector=collector,
-            sampling=platform.prober.sampling,
-        )
-        prober.run_campaign(shard_vps, platform.schedule)
-        collectors.append(collector)
+    with CampaignShards(config, world, platform) as shards:
+        collectors = shards.advance(0, platform.expected_rounds)
     world.distributor.reset_faults()
 
     merged = CampaignCollector.merge([collectors[2], collectors[0], collectors[1]])

@@ -133,10 +133,12 @@ class TestFastPathVsFullFidelity:
 
 
 class TestStreamedPlan:
-    """streamed=True materialises epochs per range, byte-identically."""
+    """Range invariance: the plan emits any ascending split of the
+    campaign byte-identically to the single range ``[0, n_rounds)``,
+    whose collector the scalar scan pins."""
 
     @staticmethod
-    def _collector(streamed, ranges, config=None):
+    def _collector(ranges, config=None, state=None):
         from repro.core.pipeline import build_platform, build_world
         from repro.vantage.epoch_engine import EpochCampaignPlan
 
@@ -145,9 +147,9 @@ class TestStreamedPlan:
         platform = build_platform(config, world)
         world.distributor.reset_faults()
         platform.prober.reset()
-        plan = EpochCampaignPlan(
-            platform.prober, platform.vps, platform.schedule, streamed=streamed
-        )
+        if state is not None:
+            platform.prober.collector.restore_state_dict(state)
+        plan = EpochCampaignPlan(platform.prober, platform.vps, platform.schedule)
         if ranges is None:
             ranges = [(0, plan.n_rounds)]
         for lo, hi in ranges:
@@ -155,29 +157,36 @@ class TestStreamedPlan:
         return plan, platform.prober.collector
 
     def test_streamed_whole_range_matches_materialized(self):
-        _, want = self._collector(False, None)
-        _, got = self._collector(True, None)
-        assert_collectors_identical(got, want)
+        """One range over the whole campaign reproduces the scalar scan."""
+        config = fault_window_config()
+        scalar = RootStudy(config.with_engine("scalar"))
+        scalar.run()
+        _, got = self._collector(None, config)
+        assert_collectors_identical(got, scalar.collector)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_streamed_chunked_matches_materialized(self, chunk):
-        plan, want = self._collector(False, None)
+        plan, want = self._collector(None)
         n = plan.n_rounds
         ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        _, got = self._collector(True, ranges)
+        _, got = self._collector(ranges)
         assert_collectors_identical(got, want)
 
     def test_streamed_mid_campaign_start_matches(self):
-        """A resumed runner's first emit_range starts past round 0."""
-        plan, _ = self._collector(False, [])
+        """A resumed runner's first emit_range starts past round 0: a
+        fresh plan over the aggregate state sealed at round k emits
+        ``[k, n)`` exactly as the uninterrupted plan does."""
+        plan, want = self._collector([])
         k, n = plan.n_rounds // 3, plan.n_rounds
-        _, want = self._collector(False, [(k, n)])
-        _, got = self._collector(True, [(k, n)])
+        plan, want = self._collector([(0, k)])
+        state = want.state_dict()
+        want.drain_rows()
+        plan.emit_range(k, n)
+        _, got = self._collector([(k, n)], state=state)
         assert_collectors_identical(got, want)
 
     def test_streamed_holds_no_epoch_lists_between_ranges(self):
-        plan, _ = self._collector(True, [(0, 4)])
-        assert plan.pairs == []
+        plan, _ = self._collector([(0, 4)])
         buffered = sum(len(p.stream._buffer) for p in plan._pair_streams)
         # Only epochs still open past the range boundary stay buffered —
         # at most the boundary-spanning gap epoch plus the excursion
@@ -185,6 +194,6 @@ class TestStreamedPlan:
         assert buffered <= 2 * len(plan._pair_streams)
 
     def test_streamed_rejects_descending_ranges(self):
-        plan, _ = self._collector(True, [(0, 8)])
+        plan, _ = self._collector([(0, 8)])
         with pytest.raises(ValueError, match="cannot rewind"):
             plan.emit_range(4, 12)
