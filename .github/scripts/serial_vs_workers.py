@@ -1,0 +1,51 @@
+"""Smoke check: a multiprocess campaign reproduces the serial
+run byte-for-byte AND hands shards off via mmap spills — a
+regression to pickling collectors through the pool pipe fails
+here.
+
+Run by path (``PYTHONPATH=src python .github/scripts/serial_vs_workers.py``),
+never through ``python -``: the forkserver pool re-imports ``__main__``
+from its file, and a script read from stdin has none.
+"""
+import numpy as np
+
+from repro.core import RootStudy, StudyConfig
+from repro.core.pipeline import last_spill_stats
+from repro.util.timeutil import parse_ts
+
+
+def main() -> None:
+    config = StudyConfig(
+        seed=77,
+        ring_scale=0.02,
+        interval_scale=96.0,
+        campaign_start=parse_ts("2023-11-25"),
+        campaign_end=parse_ts("2023-11-30"),
+        rtt_sample_every=1,
+        traceroute_sample_every=2,
+        axfr_sample_every=2,
+        clean_transfer_keep_one_in=20,
+    )
+    serial = RootStudy(config).run().collector
+    mp = RootStudy(config.with_sharding(2, workers=2)).run().collector
+
+    assert mp.summary() == serial.summary()
+    assert mp.state_dict() == serial.state_dict()
+    for name, column in serial.probe_columns().items():
+        assert np.array_equal(mp.probe_columns()[name], column), name
+    for name, column in serial.traceroute_columns().items():
+        assert np.array_equal(mp.traceroute_columns()[name], column), name
+
+    stats = last_spill_stats()
+    assert stats is not None, "multiprocess run never spilled"
+    assert stats["spill_bytes"] > 0, "empty spills — handoff regressed"
+    assert stats["payload_bytes"] < 4096, (
+        f"pool pipe carried {stats['payload_bytes']} bytes; "
+        f"the handoff has regressed to shipping row data"
+    )
+    print("multiprocess byte-identity OK:", stats["spill_bytes"],
+          "spill bytes,", stats["payload_bytes"], "pipe bytes")
+
+
+if __name__ == "__main__":
+    main()

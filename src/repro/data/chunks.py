@@ -284,7 +284,9 @@ class ChunkedDatasetWriter:
     def _write_checkpoint(self) -> None:
         tmp = self.path / (CHECKPOINT_NAME + ".tmp")
         with open(tmp, "w") as handle:
-            handle.write(json.dumps(self._checkpoint, indent=2))
+            # Compact: the C encoder only serves the no-indent form, and
+            # every reader goes through json.loads.
+            handle.write(json.dumps(self._checkpoint, separators=(",", ":")))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path / CHECKPOINT_NAME)

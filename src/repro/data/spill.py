@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import tempfile
 from collections.abc import Sequence
 from pathlib import Path
@@ -61,26 +62,67 @@ _SHM_MIN_FREE = 2 << 30
 
 
 def spill_tempdir(prefix: str) -> Path:
-    """A scratch root for shard spills.
+    """A scratch root for shard spills, named ``<prefix><pid>-*``.
 
     Prefers ``/dev/shm`` (tmpfs) when it exists, is writable, and has
     comfortable headroom: the handoff then never touches a disk — the
     worker's table write is a memcpy into shared memory and the parent's
     ``np.memmap`` reads the same pages back.  Falls back to the standard
     temp dir otherwise.  ``ROOTSIM_SPILL_DIR`` overrides both.
+
+    The owner pid in the name lets a later run clean up after a killed
+    one: sibling roots of the same prefix whose pid no longer exists are
+    removed first (see :func:`_sweep_orphan_roots`).
     """
     override = os.environ.get("ROOTSIM_SPILL_DIR")
+    parent: Optional[str] = None
     if override:
-        return Path(tempfile.mkdtemp(prefix=prefix, dir=override))
-    shm = Path("/dev/shm")
+        parent = override
+    else:
+        shm = Path("/dev/shm")
+        try:
+            if shm.is_dir() and os.access(shm, os.W_OK):
+                stats = os.statvfs(shm)
+                if stats.f_bavail * stats.f_frsize >= _SHM_MIN_FREE:
+                    parent = str(shm)
+        except OSError:
+            pass
+    if parent is None:
+        parent = tempfile.gettempdir()
+    _sweep_orphan_roots(Path(parent), prefix)
+    return Path(tempfile.mkdtemp(prefix=f"{prefix}{os.getpid()}-", dir=parent))
+
+
+def _pid_alive(pid: int) -> bool:
     try:
-        if shm.is_dir() and os.access(shm, os.W_OK):
-            stats = os.statvfs(shm)
-            if stats.f_bavail * stats.f_frsize >= _SHM_MIN_FREE:
-                return Path(tempfile.mkdtemp(prefix=prefix, dir=str(shm)))
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by someone else
+    return True
+
+
+def _sweep_orphan_roots(parent: Path, prefix: str) -> None:
+    """Remove ``<prefix><pid>-*`` directories under *parent* whose owner
+    pid is gone — roots a SIGKILLed run could not delete itself.  Live
+    pids and every other name are left alone."""
+    try:
+        children = list(parent.iterdir())
     except OSError:
-        pass
-    return Path(tempfile.mkdtemp(prefix=prefix))
+        return
+    for child in children:
+        name = child.name
+        if not name.startswith(prefix):
+            continue
+        pid_text, sep, _rest = name[len(prefix):].partition("-")
+        if not sep or not pid_text.isdigit():
+            continue
+        pid = int(pid_text)
+        if pid <= 0 or pid == os.getpid() or _pid_alive(pid):
+            continue
+        if child.is_dir() and not child.is_symlink():
+            shutil.rmtree(child, ignore_errors=True)
 
 
 class SpillTransfers(Sequence):

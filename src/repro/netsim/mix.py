@@ -17,6 +17,8 @@ output byte-identical to the scalar prober.
 
 from __future__ import annotations
 
+from typing import Union
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -56,13 +58,16 @@ def mix64_prefix(*values: int) -> int:
     return h
 
 
-def mix64_array(prefix, values: "np.ndarray", *suffix: int) -> "np.ndarray":
+def mix64_array(
+    prefix: Union[int, "np.ndarray"], values: "np.ndarray", *suffix: int
+) -> "np.ndarray":
     """Absorb an array of values (then optional scalar *suffix* values)
     into a :func:`mix64_prefix` state; element-wise equal to
     ``mix64(*prefix_values, v, *suffix)``.
 
-    *prefix* may be a scalar state or an equal-length uint64 array of
-    per-element states (each from :func:`mix64_prefix`).
+    *prefix* may be a scalar state or a uint64 array of per-element
+    states (each from :func:`mix64_prefix`) that broadcasts against
+    *values*.
     """
     if isinstance(prefix, np.ndarray):
         h = np.bitwise_xor(
@@ -84,8 +89,16 @@ def mix64_array(prefix, values: "np.ndarray", *suffix: int) -> "np.ndarray":
     return h
 
 
-def mix_float_array(prefix: int, values: "np.ndarray", *suffix: int) -> "np.ndarray":
-    """Array form of :func:`mix_float`; bit-identical element-wise."""
+def mix_float_array(
+    prefix: Union[int, "np.ndarray"], values: "np.ndarray", *suffix: int
+) -> "np.ndarray":
+    """Array form of :func:`mix_float`; bit-identical element-wise.
+
+    *prefix* is a scalar :func:`mix64_prefix` state or an array of
+    per-element states that broadcasts against *values* (as in
+    :func:`mix64_array`) — the epoch engine hashes the cells of every
+    (VP, address) pair in one call, each cell with its pair's prefix.
+    """
     return mix64_array(prefix, values, *suffix) / float(1 << 64)
 
 

@@ -77,6 +77,8 @@ class RouteSelector:
         self.fabric = fabric
         self.churn = churn
         self._candidate_cache: Dict[Tuple[int, str, str, int], List[Route]] = {}
+        self._km_cache: Dict[Tuple[str, str], float] = {}
+        self._site_hash_cache: Dict[str, int] = {}
         self._transit_site_cache: Dict[Tuple[int, str, str], List[Tuple[float, Site]]] = {}
         # (asn, letter) -> per-site (site, hub, tail_km, diversity_km):
         # everything in the ranking that does not depend on the entry PoP.
@@ -86,13 +88,32 @@ class RouteSelector:
 
     # -- candidate construction ---------------------------------------------------
 
+    def distance_km(self, a: City, b: City) -> float:
+        """``haversine_km`` between two cities, memoised per ordered
+        city pair: compiling a campaign's candidates asks for ~10x more
+        distances than there are distinct pairs.  The scalar ``math``
+        formula is kept on purpose — a numpy haversine differs from it
+        in the last bits, which would change every distance column."""
+        key = (a.iata, b.iata)
+        km = self._km_cache.get(key)
+        if km is None:
+            km = self._km_cache[key] = haversine_km(a.location, b.location)
+        return km
+
+    def _site_hash(self, site_key: str) -> int:
+        """``mix_str(site_key)``, memoised per site."""
+        h = self._site_hash_cache.get(site_key)
+        if h is None:
+            h = self._site_hash_cache[site_key] = mix_str(site_key)
+        return h
+
     def _peer_routes(self, att: Attachment, letter: str, family: int) -> List[Route]:
         routes: List[Route] = []
         for ixp_id in att.ixp_memberships(family):
             for site in self.fabric.sites_at_ixp(ixp_id, letter):
                 facility = self.fabric.facility_of(site)
                 entry = facility.city
-                path_km = haversine_km(att.city.location, entry.location)
+                path_km = self.distance_km(att.city, entry)
                 routes.append(
                     Route(
                         site=site,
@@ -101,7 +122,7 @@ class RouteSelector:
                         transit=None,
                         entry_city=entry,
                         path_km=path_km,
-                        direct_km=haversine_km(att.city.location, site.city.location),
+                        direct_km=self.distance_km(att.city, site.city),
                         hop_count=4,
                         as_path=(att.asn, LETTER_ASN[letter]),
                         stable_key=mix_str(f"{att.asn}|{site.key}|peer|{family}"),
@@ -111,7 +132,7 @@ class RouteSelector:
         # direct adjacency, not an exchange route — never import-filtered.
         for site in self.fabric.country_local_sites(att.city.country, letter):
             facility = self.fabric.facility_of(site)
-            path_km = haversine_km(att.city.location, site.city.location)
+            path_km = self.distance_km(att.city, site.city)
             routes.append(
                 Route(
                     site=site,
@@ -142,12 +163,14 @@ class RouteSelector:
                 geometry = []
                 for site in self.fabric.global_sites(letter):
                     hub = transit.nearest_pop(site.city)
-                    tail = haversine_km(hub.location, site.city.location)
+                    tail = self.distance_km(hub, site.city)
                     # Interconnection diversity: each (provider, site) pair
                     # has its own peering/backhaul cost, so different
                     # letters exit a provider's backbone at different
                     # places rather than all converging on one hub.
-                    diversity = 1600.0 * mix_float(transit.asn, mix_str(site.key), 5)
+                    diversity = 1600.0 * mix_float(
+                        transit.asn, self._site_hash(site.key), 5
+                    )
                     geometry.append((site, hub, tail, diversity))
                 self._transit_geometry_cache[geom_key] = geometry
             hauls: Dict[str, float] = {}
@@ -155,7 +178,7 @@ class RouteSelector:
             for site, hub, tail, diversity in geometry:
                 haul = hauls.get(hub.iata)
                 if haul is None:
-                    haul = haversine_km(entry.location, hub.location)
+                    haul = self.distance_km(entry, hub)
                     hauls[hub.iata] = haul
                 ranked.append((haul + tail + diversity, site))
             ranked.sort(key=lambda pair: (pair[0], pair[1].key))
@@ -166,12 +189,12 @@ class RouteSelector:
         routes: List[Route] = []
         for transit in att.transits(family):
             entry = transit.nearest_pop(att.city)
-            access_km = haversine_km(att.city.location, entry.location)
+            access_km = self.distance_km(att.city, entry)
             ranked = self._transit_site_ranking(transit, entry, letter)
             for haul_km, site in ranked[:2]:  # best exit + one alternate
                 facility = self.fabric.facility_of(site)
                 hub = transit.nearest_pop(site.city)
-                long_haul = haversine_km(entry.location, hub.location) > HAUL_HOP_THRESHOLD_KM
+                long_haul = self.distance_km(entry, hub) > HAUL_HOP_THRESHOLD_KM
                 routes.append(
                     Route(
                         site=site,
@@ -180,7 +203,7 @@ class RouteSelector:
                         transit=transit,
                         entry_city=entry,
                         path_km=access_km + haul_km,
-                        direct_km=haversine_km(att.city.location, site.city.location),
+                        direct_km=self.distance_km(att.city, site.city),
                         hop_count=6 if long_haul else 5,
                         as_path=(att.asn, transit.asn, LETTER_ASN[letter]),
                         stable_key=mix_str(
@@ -197,13 +220,17 @@ class RouteSelector:
         if cache_key not in self._candidate_cache:
             peers = self._peer_routes(att, letter, family)
             peers.sort(key=lambda r: (r.path_km, r.site.key))
-            imported = [
-                r
-                for r in peers
-                if r.via == "local"
-                or mix_float(att.asn, mix_str(r.site.key), family, 3) < PEER_IMPORT_PROB
-            ]
-            demoted = [r for r in peers if r not in imported]
+            imported: List[Route] = []
+            demoted: List[Route] = []
+            for r in peers:
+                if (
+                    r.via == "local"
+                    or mix_float(att.asn, self._site_hash(r.site.key), family, 3)
+                    < PEER_IMPORT_PROB
+                ):
+                    imported.append(r)
+                else:
+                    demoted.append(r)
             transits = self._transit_routes(att, letter, family)
             pref = {t.asn: i for i, t in enumerate(att.transits(family))}
             transits.sort(

@@ -1,36 +1,55 @@
 """The epoch-compiled campaign engine.
 
 The scalar scan (:meth:`~repro.vantage.probes.Prober.run_round` once
-per round and VP) walks every (round, VP, address) cell: tens of millions of ``RouteSelector.select``
-calls, interner lookups and per-call hash mixes.  This engine exploits
-the structure of the workload instead:
+per round and VP) walks every (round, VP, address) cell: tens of
+millions of ``RouteSelector.select`` calls, interner lookups and
+per-call hash mixes.  This engine exploits the structure of the
+workload instead, and lays every (VP, address) pair out as one
+structure of arrays so that a round range costs a fixed number of numpy
+passes, not a Python loop over pairs:
 
-* **Routes are piecewise constant.**  Each (VP, address) pair's campaign
-  is compiled into a handful of ``(round_start, round_end, route)``
-  epochs (:mod:`repro.netsim.epochs`); site, identity and stability
-  bookkeeping then costs one update per *epoch*, not per round.
+* **Routes are piecewise constant.**  Each pair's campaign is compiled
+  into a handful of ``(round_start, round_end, candidate)`` epochs
+  (:class:`repro.netsim.epochs.PairEpochs`, all pairs at once); site,
+  identity and stability bookkeeping then costs one array element per
+  *epoch*, reduced over all pairs together.
+* **One candidate table.**  Every pair's candidate routes are one flat
+  table (pair → candidate segment) of the columns rows need: site and
+  hop codes, base RTT, the jitter hash prefix of the route's stable
+  key, direct distance, peer flag and transit ASN.  Route geometry
+  comes from the scalar ``haversine_km`` (memoised per city pair in
+  :class:`~repro.netsim.routing.RouteSelector`) — a numpy haversine
+  differs from it in the last bits and would change every distance
+  column.
 * **Sampling is arithmetic.**  The ``(round + vp) % every == 0`` masks
-  select arithmetic progressions of rounds, so probe and traceroute rows
-  are produced as whole numpy blocks per pair — epoch-constant columns
-  are gathers through the round→epoch index, and jitter/loss uniforms
-  come from the array mixer (:func:`repro.netsim.mix.mix64_array`),
-  which is bit-identical to the scalar mixer — and enter the collector
-  through its batch-append APIs.
+  select the sampled cells of all pairs directly in serial scan order
+  (round, VP, address); epoch-constant columns are one gather through
+  the cell → epoch → candidate index, and jitter/loss uniforms are one
+  :func:`~repro.netsim.mix.mix64_array` pass over all cells with
+  per-cell pair prefixes, bit-identical to the scalar mixer.
+* **First occurrences are reductions.**  Interner order keys are the
+  (round, VP, address) position of a value's first use; with cells (and
+  epoch keys) in scan order that is the first index of each code, so
+  only values not yet interned reach Python.
 * **Almost no transfer is recorded.**  The scalar path runs a full AXFR
   for every sampled transfer and then throws nearly all of them away
   (``clean_transfer_keep_one_in``).  Faults and clock skew are pure
   functions of (VP, site, timestamp), so clean/faulty *counts* are
   computed from window masks alone and zones are only served for the
-  observations that are actually kept.
+  observations that are actually kept; only pairs touching a fault
+  window take the per-pair path.
 
 The engine is exposed as :class:`EpochCampaignPlan`: compilation happens
 once, then :meth:`~EpochCampaignPlan.emit_range` executes any ascending
 round range ``[lo, hi)`` — the streaming checkpoint path drives it one
-chunk at a time, a batch run as the single range ``[0, n_rounds)``.
-Every per-round draw is keyed by the round number (counter-based
-mixing, no sequential RNG state), so the concatenation of range
-emissions is byte-identical to one whole-campaign emission — and a
-resumed run is byte-identical to an uninterrupted one.
+chunk at a time, a batch run as the single range ``[0, n_rounds)`` —
+internally split into sub-ranges of at most
+:data:`~repro.netsim.epochs.CELL_BUDGET` pair×round cells, so no dense
+pairs × rounds grid is ever built.  Every per-round draw is keyed by the
+round number (counter-based mixing, no sequential RNG state), so the
+concatenation of range emissions is byte-identical to one
+whole-campaign emission — and a resumed run is byte-identical to an
+uninterrupted one.
 
 Output is **byte-identical** to the scalar prober — same summary, same
 interner contents in the same order, same identity dict insertion order,
@@ -45,13 +64,14 @@ Like the scalar scan (and the sharded merge, which sorts rows by
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.faults.bitflip import flip_bit_in_zone
 from repro.geo.coords import RTT_MS_PER_KM
-from repro.netsim.epochs import PairEpochStream
+from repro.netsim import epochs
+from repro.netsim.epochs import PairEpochs, RangeEpochs
 from repro.netsim.latency import JITTER, PER_HOP_MS
 from repro.netsim.mix import mix64_array, mix64_prefix, mix_float_array
 from repro.vantage.collector import TransferObservation
@@ -65,50 +85,31 @@ from repro.vantage.scheduler import MeasurementSchedule
 from repro.zone.distribution import ZoneDistributor
 
 
-def _sampled_rounds_range(vp_id: int, every: int, lo: int, hi: int) -> np.ndarray:
-    """Rounds in ``[lo, hi)`` where ``(round + vp_id) % every == 0``,
-    ascending."""
-    first = lo + ((-vp_id - lo) % every)
-    return np.arange(first, hi, every, dtype=np.int64)
+def _codes(values: Sequence, table: Dict, names: List) -> np.ndarray:
+    """Plan-local integer codes of *values*, extending *table*/*names*."""
+    out = np.empty(len(values), dtype=np.int64)
+    for i, value in enumerate(values):
+        code = table.get(value)
+        if code is None:
+            code = table[value] = len(names)
+            names.append(value)
+        out[i] = code
+    return out
 
 
-class _PairPlan:
-    """One (VP, address) pair's epochs overlapping the emitted range."""
-
-    __slots__ = ("vp", "addr_idx", "sa", "epochs", "routes", "starts")
-
-    def __init__(self, vp: VantagePoint, addr_idx: int, sa, epochs, routes) -> None:
-        self.vp = vp
-        self.addr_idx = addr_idx
-        self.sa = sa
-        self.epochs = epochs  # [(start, end, candidate_index)]
-        self.routes = routes  # candidate Route list
-        self.starts = np.fromiter(
-            (e[0] for e in epochs), dtype=np.int64, count=len(epochs)
-        )
-
-    def epoch_of(self, rounds: np.ndarray) -> np.ndarray:
-        """Epoch index covering each (ascending) round number."""
-        return np.searchsorted(self.starts, rounds, side="right") - 1
-
-    def epoch_span(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Indices of the first and last epoch overlapping ``[lo, hi)``."""
-        e_lo = int(np.searchsorted(self.starts, lo, side="right")) - 1
-        e_hi = int(np.searchsorted(self.starts, hi - 1, side="right")) - 1
-        return e_lo, e_hi
+def _interned(index: Dict[str, int], names: List[str]) -> np.ndarray:
+    """Collector index of each plan-local code (-1: not interned yet)."""
+    return np.array([index.get(name, -1) for name in names], dtype=np.int64)
 
 
-class _PairStream:
-    """One (VP, address) pair's campaign as a lazy epoch stream."""
-
-    __slots__ = ("vp", "addr_idx", "sa", "routes", "stream")
-
-    def __init__(self, vp: VantagePoint, addr_idx: int, sa, routes, stream) -> None:
-        self.vp = vp
-        self.addr_idx = addr_idx
-        self.sa = sa
-        self.routes = routes
-        self.stream = stream
+def _first_new(codes: np.ndarray, known: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Codes with ``known[code]`` false, and the position of each one's
+    first occurrence in *codes*, both in first-occurrence order."""
+    unique, first = np.unique(codes, return_index=True)
+    new = ~known[unique]
+    unique, first = unique[new], first[new]
+    order = np.argsort(first, kind="stable")
+    return unique[order], first[order]
 
 
 class EpochCampaignPlan:
@@ -122,12 +123,12 @@ class EpochCampaignPlan:
     invariant the checkpoint/resume path and
     ``tests/core/test_streaming.py`` rely on.
 
-    The whole-campaign epoch lists are never held: each pair keeps a
-    :class:`~repro.netsim.epochs.PairEpochStream` (the sparse trigger
-    rounds plus a cursor), and :meth:`emit_range` materialises only the
-    epochs overlapping the requested range, discarding them afterwards —
-    epoch-plan memory is O(chunk) + O(pairs), not O(campaign).  Ranges
-    must therefore be emitted in ascending order.
+    Pair ``p`` is ``(vps[p // n_addr], addresses[p % n_addr])``.  The
+    held state is per pair (candidate segment, hash prefix, closest
+    global site) plus the flat candidate table and the trigger walk of
+    :class:`~repro.netsim.epochs.PairEpochs`; a range's epochs are
+    materialised as arrays only while it is emitted.  Ranges must be
+    emitted in ascending order.
     """
 
     def __init__(
@@ -142,24 +143,109 @@ class EpochCampaignPlan:
         ts_list = schedule.rounds()
         self.n_rounds = len(ts_list)
         self.ts_arr = np.asarray(ts_list, dtype=np.int64)
+        self.vps = list(vps)
+        addresses = self.collector.addresses
+        n_addr = len(addresses)
+        self.n_addr = n_addr
+        self.n_pairs = len(self.vps) * n_addr
 
+        vp_ids = np.array([vp.vp_id for vp in self.vps], dtype=np.int64)
+        self.pair_vp = np.repeat(vp_ids, n_addr)
+        self.pair_addr = np.tile(np.arange(n_addr, dtype=np.int64), len(self.vps))
+        self.vp_ids = vp_ids
+        #: ``mix64_prefix(vp_id, addr_idx)`` per pair.
+        self.pair_prefix = mix64_array(
+            mix64_array(mix64_prefix(), self.pair_vp), self.pair_addr
+        )
+
+        # -- candidate routes: one table row per (pair, candidate) -------------------
         selector = prober.selector
-        self._pair_streams: List[_PairStream] = []
-        for vp in vps:
-            for addr_idx, sa in enumerate(self.collector.addresses):
-                routes = selector.candidates(vp.attachment, sa.letter, sa.family)
-                stream = PairEpochStream(
-                    selector.churn,
-                    vp.vp_id,
-                    sa.address,
-                    sa.letter,
-                    sa.family,
-                    self.n_rounds,
-                    len(routes),
-                )
-                self._pair_streams.append(
-                    _PairStream(vp, addr_idx, sa, routes, stream)
-                )
+        stale_keys = {e.site_key for e in prober.fault_plan.stale_sites}
+        lists: Dict[int, int] = {}  # id(candidate list) -> first route row
+        routes = []  # unique candidate routes, list after list
+        route_letter: List[str] = []
+        self.pair_routes = []  # per pair: its candidate Route list
+        list_row = np.empty(self.n_pairs, dtype=np.int64)
+        closest = np.empty(self.n_pairs, dtype=np.float64)
+        last_mile = np.empty(self.n_pairs, dtype=np.float64)
+        churn_pairs = []
+        p = 0
+        for vp in self.vps:
+            iata = vp.attachment.city.iata
+            for sa in addresses:
+                cands = selector.candidates(vp.attachment, sa.letter, sa.family)
+                row = lists.get(id(cands))
+                if row is None:
+                    row = lists[id(cands)] = len(routes)
+                    routes.extend(cands)
+                    route_letter.extend([sa.letter] * len(cands))
+                self.pair_routes.append(cands)
+                list_row[p] = row
+                closest[p] = prober._closest_global_km(iata, sa.letter)
+                last_mile[p] = vp.last_mile_ms
+                churn_pairs.append((vp.vp_id, sa.address, sa.letter, sa.family))
+                p += 1
+        n_cand = np.array([len(c) for c in self.pair_routes], dtype=np.int64)
+        self.pair_closest = closest
+
+        #: Plan-local value tables; codes index these lists.
+        self.site_keys: List[str] = []
+        self.hop_names: List[str] = []
+        self.identity_keys: List[Tuple[str, str]] = []
+        r_site = _codes([r.site.key for r in routes], {}, self.site_keys)
+        r_hop = _codes([r.second_to_last_hop for r in routes], {}, self.hop_names)
+        r_ident = _codes(
+            [(letter, r.site.identity()) for letter, r in zip(route_letter, routes)],
+            {},
+            self.identity_keys,
+        )
+        r_path = np.array([r.path_km for r in routes], dtype=np.float64)
+        r_hops = np.array([r.hop_count for r in routes], dtype=np.int64)
+        r_extra = np.array([r.extra_ms for r in routes], dtype=np.float64)
+        r_skey = np.array([r.stable_key for r in routes], dtype=np.uint64)
+        r_direct = np.array([r.direct_km for r in routes], dtype=np.float64)
+        r_peer = np.array([r.via != "transit" for r in routes], dtype=bool)
+        r_transit = np.array(
+            [0 if r.transit is None else r.transit.asn for r in routes], dtype=np.int64
+        )
+        self.site_stale = np.array(
+            [key in stale_keys for key in self.site_keys], dtype=bool
+        )
+
+        #: Pair p's candidates are table rows ``cand_ptr[p]:cand_ptr[p + 1]``.
+        self.cand_ptr = np.zeros(self.n_pairs + 1, dtype=np.int64)
+        np.cumsum(n_cand, out=self.cand_ptr[1:])
+        cand_pair = np.repeat(np.arange(self.n_pairs, dtype=np.int64), n_cand)
+        route = list_row[cand_pair] + (
+            np.arange(self.cand_ptr[-1], dtype=np.int64) - self.cand_ptr[:-1][cand_pair]
+        )
+        self.c_site = r_site[route]
+        self.c_hop = r_hop[route]
+        self.c_ident = r_ident[route]
+        # identical op order to netsim.latency.route_rtt_ms
+        self.c_base = r_path[route] * RTT_MS_PER_KM + (
+            PER_HOP_MS * r_hops[route] + last_mile[cand_pair] + r_extra[route]
+        )
+        self.c_skpfx = mix64_array(mix64_prefix(), r_skey[route])
+        self.c_direct = r_direct[route]
+        self.c_peer = r_peer[route]
+        self.c_transit = r_transit[route]
+
+        # -- faults: pairs whose transfers can never take the fast path ---------------
+        plan = prober.fault_plan
+        self.pair_events: Dict[int, List] = {}
+        self.pair_faulty = np.zeros(self.n_pairs, dtype=bool)
+        for p, (vp_id, address, _letter, _family) in enumerate(churn_pairs):
+            events = [
+                (i, e)
+                for i, e in enumerate(plan.bitflips)
+                if e.vp_id == vp_id and e.address in (None, address)
+            ]
+            if events:
+                self.pair_events[p] = events
+            self.pair_faulty[p] = bool(events) or vp_id in plan.clocks.episodes
+
+        self.epochs = PairEpochs(selector.churn, churn_pairs, self.n_rounds, n_cand)
 
     # -- range execution ---------------------------------------------------------------
 
@@ -169,21 +255,46 @@ class EpochCampaignPlan:
             raise ValueError(
                 f"round range [{lo}, {hi}) outside campaign [0, {self.n_rounds})"
             )
-        if lo == hi:
-            return
-        # Epoch tuples keep their true (unclipped) bounds, so every
-        # helper below sees exactly the epochs a whole-campaign list
-        # would have selected for this range.
-        pairs = [
-            _PairPlan(p.vp, p.addr_idx, p.sa, p.stream.take(lo, hi), p.routes)
-            for p in self._pair_streams
-        ]
-        self._update_aggregates(pairs, lo, hi)
-        tr_state = self._intern_hops(pairs, lo, hi)
-        self._emit_rows(pairs, lo, hi, tr_state)
-        self._run_transfers(pairs, lo, hi)
+        step = max(1, epochs.CELL_BUDGET // max(1, self.n_pairs))
+        for a in range(lo, hi, step):
+            self._emit_block(a, min(a + step, hi))
 
-    def _update_aggregates(self, pairs: List[_PairPlan], lo: int, hi: int) -> None:
+    def _emit_block(self, lo: int, hi: int) -> None:
+        ep = self.epochs.take(lo, hi)
+        cand = self.cand_ptr[:-1][ep.pair] + ep.index
+        self._update_aggregates(ep, cand, lo, hi)
+        lookup = self._cell_lookup(ep, cand)
+        hop_rows = self._intern_hops(lookup, lo, hi)
+        self._emit_rows(lookup, lo, hi, hop_rows)
+        self._run_transfers(ep, cand, lo, hi)
+
+    def _cells(self, every: int, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(round, pair) of every cell in ``[lo, hi)`` sampled at
+        ``(round + vp_id) % every == 0``, in serial scan order (round,
+        VP, address)."""
+        rounds = np.arange(lo, hi, dtype=np.int64)
+        r_idx, v_idx = np.nonzero((rounds[:, None] + self.vp_ids[None, :]) % every == 0)
+        n_addr = self.n_addr
+        r = np.repeat(rounds[r_idx], n_addr)
+        pair = (v_idx[:, None] * n_addr + np.arange(n_addr)[None, :]).reshape(-1)
+        return r, pair
+
+    def _cell_lookup(self, ep: RangeEpochs, cand: np.ndarray):
+        """``(round, pair) -> candidate table row`` for cells of the range."""
+        span = self.n_rounds + 1
+        key = ep.pair * span + ep.start
+
+        def lookup(r: np.ndarray, pair: np.ndarray) -> np.ndarray:
+            return cand[np.searchsorted(key, pair * span + r, side="right") - 1]
+
+        return lookup
+
+    def _order_key(self, round_no: int, pair: int) -> Tuple[int, int, int]:
+        return (round_no, int(self.pair_vp[pair]), int(self.pair_addr[pair]))
+
+    def _update_aggregates(
+        self, ep: RangeEpochs, cand: np.ndarray, lo: int, hi: int
+    ) -> None:
         """Sites, identities, stability and counters for ``[lo, hi)``.
 
         First-occurrence keys are clipped to ``max(epoch_start, lo)``;
@@ -192,227 +303,127 @@ class EpochCampaignPlan:
         interned order keys equal the whole-campaign scan's keys.
         """
         collector = self.collector
-        site_index = collector.sites._index
-        site_first: Dict[str, Tuple[int, int, int]] = {}
-        ident_first: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
-        ident_delta: Dict[Tuple[str, str], int] = {}
+        n_pairs = self.n_pairs
+        clip = np.maximum(ep.start, lo)
+        # (clipped round, pair) in scan order; pair order is (vp, addr)
+        order = np.argsort(clip * n_pairs + ep.pair, kind="stable")
 
-        for pair in pairs:
-            vp_id = pair.vp.vp_id
-            addr_idx = pair.addr_idx
-            e_lo, e_hi = pair.epoch_span(lo, hi)
-            for e in range(e_lo, e_hi + 1):
-                start, end, index = pair.epochs[e]
-                route = pair.routes[index]
-                key = (max(start, lo), vp_id, addr_idx)
-                site_key = route.site.key
-                if site_key not in site_index and (
-                    site_key not in site_first or key < site_first[site_key]
-                ):
-                    site_first[site_key] = key
-                ident_key = (pair.sa.letter, route.site.identity())
-                overlap = min(end, hi) - max(start, lo)
-                ident_delta[ident_key] = ident_delta.get(ident_key, 0) + overlap
-                known = (
-                    ident_key[0] in collector.identities
-                    and ident_key[1] in collector.identities[ident_key[0]]
-                )
-                if not known and (
-                    ident_key not in ident_first or key < ident_first[ident_key]
-                ):
-                    ident_first[ident_key] = key
-
-        for site_key in sorted(site_first, key=site_first.__getitem__):
-            collector.sites.intern(site_key, site_first[site_key])
-
-        for letter, identity in sorted(ident_first, key=ident_first.__getitem__):
-            collector.identities.setdefault(letter, {})[identity] = 0
-            collector._identity_order[(letter, identity)] = ident_first[
-                (letter, identity)
-            ]
-        for (letter, identity), delta in ident_delta.items():
-            collector.identities[letter][identity] += delta
-
-        # Stability: pairs enter the dict in pass scan order during the
-        # first range (round 0), matching the scalar serial insertion
-        # order; an epoch start *at* lo belongs to this range's changes.
-        stability = collector._stability
-        for pair in pairs:
-            e_lo, e_hi = pair.epoch_span(lo, hi)
-            last_site = site_index[pair.routes[pair.epochs[e_hi][2]].site.key]
-            changes = e_hi - e_lo
-            if lo >= 1 and pair.epochs[e_lo][0] == lo:
-                changes += 1
-            state = stability.get((pair.vp.vp_id, pair.addr_idx))
-            if state is None:
-                stability[(pair.vp.vp_id, pair.addr_idx)] = [
-                    last_site,
-                    changes,
-                    hi - lo,
-                ]
-            else:
-                state[0] = last_site
-                state[1] += changes
-                state[2] += hi - lo
-
-        collector.queries_simulated += (
-            (hi - lo) * len(pairs) * QUERIES_PER_ADDRESS
-        )
-        collector.rounds_processed += hi - lo
-
-    def _intern_hops(
-        self, pairs: List[_PairPlan], lo: int, hi: int
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Traceroute sampling for ``[lo, hi)``; fixes hop interner order."""
-        collector = self.collector
-        hop_known = collector.hops._index
-        tr_state: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        hop_first: Dict[str, Tuple[int, int, int]] = {}
-        for pair in pairs:
-            r_tr = _sampled_rounds_range(
-                pair.vp.vp_id, self.sampling.traceroute_every, lo, hi
+        site_code = self.c_site[cand][order]
+        site_map = _interned(collector.sites._index, self.site_keys)
+        new, first = _first_new(site_code, site_map >= 0)
+        for code, pos in zip(new.tolist(), order[first].tolist()):
+            collector.sites.intern(
+                self.site_keys[code], self._order_key(int(clip[pos]), int(ep.pair[pos]))
             )
-            if not len(r_tr):
-                tr_state.append((r_tr, r_tr, r_tr))
-                continue
-            pf = mix64_prefix(pair.vp.vp_id, pair.addr_idx)
-            missing = mix_float_array(pf, r_tr, 13) < STLH_MISSING_PROB
-            eidx = pair.epoch_of(r_tr)
-            tr_state.append((r_tr, missing, eidx))
-            answered = ~missing
-            # first answered sampled round of each epoch that has one
-            first_rows = np.unique(eidx[answered], return_index=True)[1]
-            answered_rounds = r_tr[answered]
-            answered_eidx = eidx[answered]
-            for row in first_rows:
-                hop = pair.routes[
-                    pair.epochs[int(answered_eidx[row])][2]
-                ].second_to_last_hop
-                if hop in hop_known:
-                    continue
-                key = (int(answered_rounds[row]), pair.vp.vp_id, pair.addr_idx)
-                if hop not in hop_first or key < hop_first[hop]:
-                    hop_first[hop] = key
-        for hop in sorted(hop_first, key=hop_first.__getitem__):
-            collector.hops.intern(hop, hop_first[hop])
-        return tr_state
 
-    def _emit_rows(
-        self,
-        pairs: List[_PairPlan],
-        lo: int,
-        hi: int,
-        tr_state: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    ) -> None:
-        """Columnar probe/traceroute row production for ``[lo, hi)``."""
+        ident = self.c_ident[cand]
+        identities = collector.identities
+        delta = np.bincount(
+            ident,
+            weights=np.minimum(ep.end, hi) - clip,
+            minlength=len(self.identity_keys),
+        )
+        present = np.nonzero(delta)[0].tolist()
+        known = np.ones(len(self.identity_keys), dtype=bool)
+        for code in present:
+            letter, identity = self.identity_keys[code]
+            known[code] = identity in identities.get(letter, ())
+        new, first = _first_new(ident[order], known)
+        for code, pos in zip(new.tolist(), order[first].tolist()):
+            letter, identity = self.identity_keys[code]
+            identities.setdefault(letter, {})[identity] = 0
+            collector._identity_order[(letter, identity)] = self._order_key(
+                int(clip[pos]), int(ep.pair[pos])
+            )
+        for code in present:
+            letter, identity = self.identity_keys[code]
+            identities[letter][identity] += int(delta[code])
+
+        # Stability: pairs enter the dict in pair order during the first
+        # range (round 0), matching the scalar serial insertion order; an
+        # epoch start *at* lo belongs to this range's changes.
+        site_map = _interned(collector.sites._index, self.site_keys)
+        first_e, last_e = ep.ptr[:-1], ep.ptr[1:] - 1
+        last_site = site_map[self.c_site[cand[last_e]]].tolist()
+        changes = last_e - first_e
+        if lo >= 1:
+            changes = changes + (ep.start[first_e] == lo)
+        stability = collector._stability
+        rounds = hi - lo
+        for vp_id, addr_idx, site, n_changes in zip(
+            self.pair_vp.tolist(), self.pair_addr.tolist(), last_site, changes.tolist()
+        ):
+            state = stability.get((vp_id, addr_idx))
+            if state is None:
+                stability[(vp_id, addr_idx)] = [site, n_changes, rounds]
+            else:
+                state[0] = site
+                state[1] += n_changes
+                state[2] += rounds
+
+        collector.queries_simulated += rounds * n_pairs * QUERIES_PER_ADDRESS
+        collector.rounds_processed += rounds
+
+    def _intern_hops(self, lookup, lo: int, hi: int):
+        """Traceroute sampling for ``[lo, hi)``; fixes hop interner order.
+
+        Returns the traceroute cells and their hop codes (-1: the
+        second-to-last hop went unanswered)."""
         collector = self.collector
-        prober = self.prober
-        sampling = self.sampling
-        site_index = collector.sites._index
-        hop_index = collector.hops._index
+        r, pair = self._cells(self.sampling.traceroute_every, lo, hi)
+        missing = mix_float_array(self.pair_prefix[pair], r, 13) < STLH_MISSING_PROB
+        hop = self.c_hop[lookup(r, pair)]
+        answered = np.nonzero(~missing)[0]
+        hop_map = _interned(collector.hops._index, self.hop_names)
+        new, first = _first_new(hop[answered], hop_map >= 0)
+        for code, pos in zip(new.tolist(), answered[first].tolist()):
+            collector.hops.intern(
+                self.hop_names[code], self._order_key(int(r[pos]), int(pair[pos]))
+            )
+        hop[missing] = -1
+        return r, pair, hop
+
+    def _emit_rows(self, lookup, lo: int, hi: int, hop_rows) -> None:
+        """Columnar probe/traceroute row production for ``[lo, hi)``.
+
+        Cells come out in serial scan order (round, VP, address), and
+        ranges ascend, so appending each block reproduces the
+        whole-campaign tables."""
+        collector = self.collector
         ts_arr = self.ts_arr
 
-        p_cols: Dict[str, List[np.ndarray]] = {
-            name: [] for name in ("round", "vp", "addr", "site", "rtt",
-                                  "direct_km", "closest_km", "peer", "transit")
-        }
-        t_cols: Dict[str, List[np.ndarray]] = {
-            name: [] for name in ("round", "vp", "addr", "hop")
-        }
-
-        for pair, (r_tr, missing, eidx_tr) in zip(pairs, tr_state):
-            vp = pair.vp
-            pf = mix64_prefix(vp.vp_id, pair.addr_idx)
-            n_epochs = len(pair.epochs)
-
-            # per-epoch route constants
-            site_e = np.empty(n_epochs, dtype=np.int64)
-            hop_e = np.empty(n_epochs, dtype=np.int64)
-            base_e = np.empty(n_epochs, dtype=np.float64)
-            skpfx_e = np.empty(n_epochs, dtype=np.uint64)
-            direct_e = np.empty(n_epochs, dtype=np.float64)
-            peer_e = np.empty(n_epochs, dtype=bool)
-            transit_e = np.empty(n_epochs, dtype=np.int64)
-            for i, (_start, _end, index) in enumerate(pair.epochs):
-                route = pair.routes[index]
-                # epochs entirely outside [lo, hi) may reference sites
-                # not yet live/interned; rows never gather them
-                site_e[i] = site_index.get(route.site.key, -1)
-                # a hop whose every sampled round (so far) was lost is
-                # absent from the interner; those rows are forced to -1
-                # below anyway
-                hop_e[i] = hop_index.get(route.second_to_last_hop, -1)
-                # identical op order to netsim.latency.route_rtt_ms
-                base_e[i] = route.path_km * RTT_MS_PER_KM + (
-                    PER_HOP_MS * route.hop_count + vp.last_mile_ms + route.extra_ms
-                )
-                skpfx_e[i] = mix64_prefix(route.stable_key)
-                direct_e[i] = route.direct_km
-                peer_e[i] = route.via != "transit"
-                transit_e[i] = 0 if route.transit is None else route.transit.asn
-
-            # probe rows
-            r_rtt = _sampled_rounds_range(vp.vp_id, sampling.rtt_every, lo, hi)
-            if len(r_rtt):
-                closest = prober._closest_global_km(
-                    vp.attachment.city.iata, pair.sa.letter
-                )
-                eidx = pair.epoch_of(r_rtt)
-                u = mix_float_array(skpfx_e[eidx], mix64_array(pf, r_rtt))
-                n = len(r_rtt)
-                p_cols["round"].append(r_rtt)
-                p_cols["vp"].append(np.full(n, vp.vp_id, dtype=np.int64))
-                p_cols["addr"].append(np.full(n, pair.addr_idx, dtype=np.int64))
-                p_cols["site"].append(site_e[eidx])
-                p_cols["rtt"].append(base_e[eidx] * (1.0 - JITTER + u * 4.0 * JITTER))
-                p_cols["direct_km"].append(direct_e[eidx])
-                p_cols["closest_km"].append(np.full(n, closest, dtype=np.float64))
-                p_cols["peer"].append(peer_e[eidx])
-                p_cols["transit"].append(transit_e[eidx])
-
-            # traceroute rows
-            if len(r_tr):
-                hop_col = hop_e[eidx_tr]
-                hop_col[missing] = -1
-                t_cols["round"].append(r_tr)
-                t_cols["vp"].append(np.full(len(r_tr), vp.vp_id, dtype=np.int64))
-                t_cols["addr"].append(
-                    np.full(len(r_tr), pair.addr_idx, dtype=np.int64)
-                )
-                t_cols["hop"].append(hop_col)
-
-        # Serial scan order is (round, vp, addr); per-pair blocks are
-        # already round-ascending, so a stable lexsort restores the exact
-        # row order.  Ranges are emitted in ascending round order, so
-        # concatenating per-range blocks reproduces the whole-campaign
-        # table.
-        if p_cols["round"]:
-            cat = {name: np.concatenate(blocks) for name, blocks in p_cols.items()}
-            order = np.lexsort((cat["addr"], cat["vp"], cat["round"]))
+        r, pair = self._cells(self.sampling.rtt_every, lo, hi)
+        if len(r):
+            c = lookup(r, pair)
+            site_map = _interned(collector.sites._index, self.site_keys)
+            u = mix_float_array(self.c_skpfx[c], mix64_array(self.pair_prefix[pair], r))
             collector.add_probe_block(
-                vp=cat["vp"][order],
-                ts=ts_arr[cat["round"][order]],
-                addr=cat["addr"][order],
-                site=cat["site"][order],
-                rtt=cat["rtt"][order],
-                direct_km=cat["direct_km"][order],
-                closest_km=cat["closest_km"][order],
-                peer=cat["peer"][order],
-                transit=cat["transit"][order],
+                vp=self.pair_vp[pair],
+                ts=ts_arr[r],
+                addr=self.pair_addr[pair],
+                site=site_map[self.c_site[c]],
+                rtt=self.c_base[c] * (1.0 - JITTER + u * 4.0 * JITTER),
+                direct_km=self.c_direct[c],
+                closest_km=self.pair_closest[pair],
+                peer=self.c_peer[c],
+                transit=self.c_transit[c],
             )
-        if t_cols["round"]:
-            cat = {name: np.concatenate(blocks) for name, blocks in t_cols.items()}
-            order = np.lexsort((cat["addr"], cat["vp"], cat["round"]))
+
+        r, pair, hop = hop_rows
+        if len(r):
+            hop_map = _interned(collector.hops._index, self.hop_names)
             collector.add_traceroute_block(
-                vp=cat["vp"][order],
-                ts=ts_arr[cat["round"][order]],
-                addr=cat["addr"][order],
-                hop=cat["hop"][order],
+                vp=self.pair_vp[pair],
+                ts=ts_arr[r],
+                addr=self.pair_addr[pair],
+                hop=np.where(hop < 0, -1, hop_map[hop]),
             )
 
     # -- transfers ---------------------------------------------------------------------
 
-    def _run_transfers(self, pairs: List[_PairPlan], lo: int, hi: int) -> None:
+    def _run_transfers(
+        self, ep: RangeEpochs, cand: np.ndarray, lo: int, hi: int
+    ) -> None:
         """Count every sampled/faulted transfer in ``[lo, hi)``; serve
         only the kept ones.
 
@@ -420,147 +431,153 @@ class EpochCampaignPlan:
         timestamp) — bitflip windows, stale-site windows and clock-skew
         episodes — so totals come from window masks and the expensive
         AXFR machinery only runs for observations that survive the keep
-        filter (all faulted ones plus the 1-in-N clean sample).
+        filter (all faulted ones plus the 1-in-N clean sample).  Pairs
+        with a bitflip event, a skewed clock, or a route through a stale
+        site in this range take the per-pair path; every other pair's
+        transfers are clean.
         """
-        prober = self.prober
         collector = self.collector
-        plan = prober.fault_plan
-        sampling = self.sampling
         ts_arr = self.ts_arr
-        n_rounds = self.n_rounds
-        every = sampling.axfr_every
-        keep_threshold = 1.0 / sampling.clean_transfer_keep_one_in
-        stale_keys = {e.site_key for e in plan.stale_sites}
+        keep_threshold = 1.0 / self.sampling.clean_transfer_keep_one_in
+
+        slow = self.pair_faulty
+        if self.site_stale.any():
+            stale_epoch = self.site_stale[self.c_site[cand]]
+            touched = np.bincount(ep.pair[stale_epoch], minlength=self.n_pairs)
+            slow = slow | (touched > 0)
 
         kept: List[Tuple[Tuple[int, int, int], TransferObservation]] = []
-        total = 0
-        clean_total = 0
-
-        for pair in pairs:
-            vp = pair.vp
-            events = [
-                (i, e)
-                for i, e in enumerate(plan.bitflips)
-                if e.vp_id == vp.vp_id and e.address in (None, pair.sa.address)
-            ]
-            episode = plan.clocks.episodes.get(vp.vp_id)
-            touches_stale = stale_keys and any(
-                pair.routes[index].site.key in stale_keys
-                for _s, _e, index in pair.epochs
+        r, pair = self._cells(self.sampling.axfr_every, lo, hi)
+        fast = ~slow[pair]
+        r, pair = r[fast], pair[fast]
+        collector.transfer_total += len(r)
+        collector.transfer_clean += len(r)
+        ts = ts_arr[r]
+        keep = np.nonzero(
+            mix_float_array(self.pair_prefix[pair], ts, 29) < keep_threshold
+        )[0]
+        for row in keep.tolist():
+            p = int(pair[row])
+            kept.append(
+                (
+                    self._order_key(int(r[row]), p),
+                    self._build_observation(p, int(ts[row]), "", None, None, 0),
+                )
             )
-            pf = mix64_prefix(vp.vp_id, pair.addr_idx)
 
-            if not events and episode is None and not touches_stale:
-                # Fast path: every transfer of this pair is clean.
-                r_tf = _sampled_rounds_range(vp.vp_id, every, lo, hi)
-                if not len(r_tf):
-                    continue
-                total += len(r_tf)
-                clean_total += len(r_tf)
-                ts_tf = ts_arr[r_tf]
-                keep_tf = mix_float_array(pf, ts_tf, 29) < keep_threshold
-                for row in np.nonzero(keep_tf)[0]:
-                    row = int(row)
-                    kept.append(
-                        (
-                            (int(r_tf[row]), vp.vp_id, pair.addr_idx),
-                            self._build_observation(
-                                vp, pair, int(ts_tf[row]), "", None, None, 0
-                            ),
-                        )
-                    )
-                continue
+        for p in np.nonzero(slow)[0].tolist():
+            segment = slice(ep.ptr[p], ep.ptr[p + 1])
+            self._faulted_pair_transfers(
+                p, ep.start[segment], ep.end[segment], ep.index[segment], lo, hi, kept
+            )
 
-            mask = np.zeros(n_rounds, dtype=bool)
-            mask[(-vp.vp_id) % every::every] = True
-            # bitflip_for returns the *first* matching event; overwrite in
-            # reverse plan order so earlier events win.
-            event_of = np.full(n_rounds, -1, dtype=np.int64)
-            for i, event in reversed(events):
-                w_lo, w_hi = np.searchsorted(ts_arr, (event.start_ts, event.end_ts))
-                mask[w_lo:w_hi] = True
-                event_of[w_lo:w_hi] = i
-            mask[:lo] = False
-            mask[hi:] = False
-            r_tf = np.nonzero(mask)[0]
-            if not len(r_tf):
-                continue
-            ts_tf = ts_arr[r_tf]
-            total += len(r_tf)
-
-            evt_tf = event_of[r_tf]
-            stale_tf = np.zeros(len(r_tf), dtype=bool)
-            frozen_of: Dict[int, object] = {}  # row -> StaleZoneEvent
-            if touches_stale:
-                for start, end, index in pair.epochs:
-                    site_key = pair.routes[index].site.key
-                    for stale in plan.stale_sites:
-                        if stale.site_key != site_key:
-                            continue
-                        w_lo, w_hi = np.searchsorted(r_tf, (start, end))
-                        window = (ts_tf[w_lo:w_hi] >= stale.freeze_from) & (
-                            ts_tf[w_lo:w_hi] < stale.detected_until
-                        )
-                        stale_tf[w_lo:w_hi] |= window
-                        for row in np.nonzero(window)[0] + w_lo:
-                            frozen_of[int(row)] = stale
-            if episode is None:
-                offset_tf = np.zeros(len(r_tf), dtype=np.int64)
-            else:
-                offset_tf = np.where(
-                    (ts_tf >= episode.start_ts) & (ts_tf < episode.end_ts),
-                    np.int64(episode.offset_s),
-                    np.int64(0),
-                )
-
-            clean_tf = (evt_tf < 0) & ~stale_tf & (offset_tf == 0)
-            clean_total += int(np.count_nonzero(clean_tf))
-
-            keep_tf = mix_float_array(pf, ts_tf, 29) < keep_threshold
-            record_tf = ~clean_tf | keep_tf
-            if not record_tf.any():
-                continue
-
-            eidx_tf = pair.epoch_of(r_tf)
-            for row in np.nonzero(record_tf)[0]:
-                row = int(row)
-                ts = int(ts_tf[row])
-                route = pair.routes[pair.epochs[int(eidx_tf[row])][2]]
-                kept.append(
-                    (
-                        (int(r_tf[row]), vp.vp_id, pair.addr_idx),
-                        self._build_observation(
-                            vp,
-                            pair,
-                            ts,
-                            route.site.key,
-                            None if evt_tf[row] < 0 else plan.bitflips[int(evt_tf[row])],
-                            frozen_of.get(row),
-                            int(offset_tf[row]),
-                        ),
-                    )
-                )
-
-        collector.transfer_total += total
-        collector.transfer_clean += clean_total
         kept.sort(key=lambda item: item[0])
         for _key, obs in kept:
             collector.transfers.append(obs)
 
+    def _faulted_pair_transfers(
+        self,
+        p: int,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        indices: np.ndarray,
+        lo: int,
+        hi: int,
+        kept: List,
+    ) -> None:
+        """One fault-touching pair's transfers in ``[lo, hi)``, given its
+        epochs overlapping the range."""
+        prober = self.prober
+        collector = self.collector
+        plan = prober.fault_plan
+        ts_arr = self.ts_arr
+        n_rounds = self.n_rounds
+        every = self.sampling.axfr_every
+        vp_id = int(self.pair_vp[p])
+        routes = self.pair_routes[p]
+        events = self.pair_events.get(p, ())
+        episode = plan.clocks.episodes.get(vp_id)
+
+        mask = np.zeros(n_rounds, dtype=bool)
+        mask[(-vp_id) % every::every] = True
+        # bitflip_for returns the *first* matching event; overwrite in
+        # reverse plan order so earlier events win.
+        event_of = np.full(n_rounds, -1, dtype=np.int64)
+        for i, event in reversed(events):
+            w_lo, w_hi = np.searchsorted(ts_arr, (event.start_ts, event.end_ts))
+            mask[w_lo:w_hi] = True
+            event_of[w_lo:w_hi] = i
+        mask[:lo] = False
+        mask[hi:] = False
+        r_tf = np.nonzero(mask)[0]
+        if not len(r_tf):
+            return
+        ts_tf = ts_arr[r_tf]
+        collector.transfer_total += len(r_tf)
+
+        evt_tf = event_of[r_tf]
+        stale_tf = np.zeros(len(r_tf), dtype=bool)
+        frozen_of: Dict[int, object] = {}  # row -> StaleZoneEvent
+        for start, end, index in zip(starts.tolist(), ends.tolist(), indices.tolist()):
+            site_key = routes[index].site.key
+            for stale in plan.stale_sites:
+                if stale.site_key != site_key:
+                    continue
+                w_lo, w_hi = np.searchsorted(r_tf, (start, end))
+                window = (ts_tf[w_lo:w_hi] >= stale.freeze_from) & (
+                    ts_tf[w_lo:w_hi] < stale.detected_until
+                )
+                stale_tf[w_lo:w_hi] |= window
+                for row in np.nonzero(window)[0] + w_lo:
+                    frozen_of[int(row)] = stale
+        if episode is None:
+            offset_tf = np.zeros(len(r_tf), dtype=np.int64)
+        else:
+            offset_tf = np.where(
+                (ts_tf >= episode.start_ts) & (ts_tf < episode.end_ts),
+                np.int64(episode.offset_s),
+                np.int64(0),
+            )
+
+        clean_tf = (evt_tf < 0) & ~stale_tf & (offset_tf == 0)
+        collector.transfer_clean += int(np.count_nonzero(clean_tf))
+
+        keep_threshold = 1.0 / self.sampling.clean_transfer_keep_one_in
+        keep_tf = mix_float_array(int(self.pair_prefix[p]), ts_tf, 29) < keep_threshold
+        record_tf = ~clean_tf | keep_tf
+        if not record_tf.any():
+            return
+
+        eidx_tf = np.searchsorted(starts, r_tf, side="right") - 1
+        for row in np.nonzero(record_tf)[0].tolist():
+            route = routes[int(indices[eidx_tf[row]])]
+            kept.append(
+                (
+                    self._order_key(int(r_tf[row]), p),
+                    self._build_observation(
+                        p,
+                        int(ts_tf[row]),
+                        route.site.key,
+                        None if evt_tf[row] < 0 else plan.bitflips[int(evt_tf[row])],
+                        frozen_of.get(row),
+                        int(offset_tf[row]),
+                    ),
+                )
+            )
+
     def _build_observation(
         self,
-        vp: VantagePoint,
-        pair: _PairPlan,
+        p: int,
         ts: int,
         site_key: str,
         bitflip,
         frozen,
         clock_offset: int,
     ) -> TransferObservation:
-        """Serve + record one kept transfer, mirroring
+        """Serve + record one kept transfer of pair *p*, mirroring
         ``Prober._do_transfer``."""
-        prober = self.prober
-        deployment = prober.deployments[pair.sa.letter]
+        sa = self.collector.addresses[p % self.n_addr]
+        deployment = self.prober.deployments[sa.letter]
         distributor = deployment.distributor
         if frozen is not None:
             pub_ts, edition = ZoneDistributor.latest_publication(frozen.freeze_from)
@@ -580,13 +597,12 @@ class EpochCampaignPlan:
             fault = "stale"
             fault_detail = f"site {site_key} frozen"
         return TransferObservation(
-            vp_id=vp.vp_id,
+            vp_id=int(self.pair_vp[p]),
             true_ts=ts,
             observed_ts=ts + clock_offset,
-            address=pair.sa,
+            address=sa,
             serial=zone.serial,
             zone=zone,
             fault=fault,
             fault_detail=fault_detail,
         )
-

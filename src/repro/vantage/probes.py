@@ -28,7 +28,6 @@ from repro.dns.name import Name, ROOT_NAME
 from repro.faults.bitflip import flip_bit_in_zone
 from repro.faults.plan import FaultPlan
 from repro.geo.cities import city
-from repro.geo.coords import haversine_km
 from repro.netsim.latency import route_rtt_ms
 from repro.netsim.mix import mix64, mix_float
 from repro.netsim.routing import RouteSelector
@@ -97,10 +96,10 @@ class Prober:
     def _closest_global_km(self, city_iata: str, letter: str) -> float:
         key = (city_iata, letter)
         if key not in self._closest_global_cache:
-            origin = city(city_iata).location
+            origin = city(city_iata)
             sites = self.fabric.global_sites(letter)
             self._closest_global_cache[key] = min(
-                haversine_km(origin, s.city.location) for s in sites
+                self.selector.distance_km(origin, s.city) for s in sites
             )
         return self._closest_global_cache[key]
 

@@ -21,6 +21,7 @@ from repro.data.spill import (
     SPILL_VERSION,
     read_shard_spill,
     spill_nbytes,
+    spill_tempdir,
     write_shard_spill,
 )
 from repro.vantage.collector import CampaignCollector
@@ -131,3 +132,43 @@ def test_attached_rows_are_read_only_merge_inputs(shard_collectors, tmp_path):
     )
     with pytest.raises(CollectorSealedError, match="read-only"):
         reloaded._probes.append(0, 0, 0, 0, 0.0, 0.0, 0.0, False, 0)
+
+
+def _reaped_pid() -> int:
+    """The pid of a child that has exited and been reaped."""
+    import subprocess
+    import sys
+
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_spill_root_names_its_owner_pid(tmp_path, monkeypatch):
+    import os
+
+    monkeypatch.setenv("ROOTSIM_SPILL_DIR", str(tmp_path))
+    root = spill_tempdir("rootsim-spill-")
+    assert root.parent == tmp_path
+    assert root.name.startswith(f"rootsim-spill-{os.getpid()}-")
+
+
+def test_spill_tempdir_sweeps_only_dead_owner_roots(tmp_path, monkeypatch):
+    import os
+
+    monkeypatch.setenv("ROOTSIM_SPILL_DIR", str(tmp_path))
+    dead = tmp_path / f"rootsim-spill-{_reaped_pid()}-abc"
+    live = tmp_path / f"rootsim-spill-{os.getpid()}-xyz"
+    others = [
+        tmp_path / "rootsim-spill-abc123",  # the old, pid-less format
+        tmp_path / "rootsim-spill-12x-abc",
+        tmp_path / "other-1-abc",
+    ]
+    for path in (dead, live, *others):
+        (path / "rounds-00000-shard-000").mkdir(parents=True)
+
+    root = spill_tempdir("rootsim-spill-")
+
+    assert not dead.exists()
+    assert live.is_dir() and root.is_dir()
+    assert all(path.is_dir() for path in others)

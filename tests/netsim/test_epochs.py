@@ -1,9 +1,10 @@
 """Epoch compilation must replay ChurnModel.select_index exactly."""
 
+import numpy as np
 import pytest
 
 from repro.netsim.churn import ChurnModel, TARGET_MEDIAN_CHANGES
-from repro.netsim.epochs import PairEpochStream
+from repro.netsim.epochs import CELL_BUDGET, PairEpochs, PairEpochStream
 
 from tests.netsim.epoch_oracle import compile_pair_epochs, epoch_change_count
 
@@ -171,3 +172,62 @@ class TestEpochEquivalence:
             churn.select_index(3, "192.58.128.30", "j", 4, r, 5) for r in range(200)
         ]
         assert via_shared == scalar_indices(9, 3, "192.58.128.30", "j", 4, 200, 5)
+
+
+class TestPairBatch:
+    """All pairs walked together equal each pair walked alone."""
+
+    @staticmethod
+    def _pairs():
+        # a flappy-heavy mix: short expected campaign, many candidates
+        pairs, n_candidates = [], []
+        for client_id in range(40):
+            for address, letter, family in (
+                ("198.41.0.4", "a", 4),
+                ("199.7.91.13", "g", 6),
+                ("192.33.4.12", "c", 4),
+            ):
+                pairs.append((client_id, address, letter, family))
+                n_candidates.append(1 + (client_id * 7 + ord(letter)) % 6)
+        return pairs, n_candidates
+
+    @pytest.mark.parametrize("budget", [1, 7, CELL_BUDGET])
+    def test_batch_equals_per_pair_across_chunkings(self, monkeypatch, budget):
+        import repro.netsim.epochs as epochs_module
+
+        monkeypatch.setattr(epochs_module, "CELL_BUDGET", budget)
+        pairs, n_candidates = self._pairs()
+        n_rounds = 120
+        want = [
+            compile_pair_epochs(
+                ChurnModel(4, expected_rounds=30), *pair, n_rounds, n_cand
+            )
+            for pair, n_cand in zip(pairs, n_candidates)
+        ]
+        assert sum(len(epochs) for epochs in want) > 4 * len(pairs)
+        for chunk in (1, 5, 33, n_rounds):
+            batch = PairEpochs(
+                ChurnModel(4, expected_rounds=30), pairs, n_rounds, n_candidates
+            )
+            got = [[] for _ in pairs]
+            for lo in range(0, n_rounds, chunk):
+                hi = min(lo + chunk, n_rounds)
+                view = batch.take(lo, hi)
+                assert np.all(np.diff(view.ptr) >= 1)
+                for row in range(len(view.pair)):
+                    epoch = (
+                        int(view.start[row]), int(view.end[row]), int(view.index[row])
+                    )
+                    out = got[int(view.pair[row])]
+                    if not out or out[-1] != epoch:
+                        out.append(epoch)
+                assert np.count_nonzero(batch._last_start >= 0) <= len(pairs)
+            assert got == want, chunk
+
+    def test_mid_campaign_first_take(self):
+        pairs, n_candidates = self._pairs()
+        want = PairEpochs(ChurnModel(4, expected_rounds=30), pairs, 90, n_candidates)
+        want.take(0, 40)
+        got = PairEpochs(ChurnModel(4, expected_rounds=30), pairs, 90, n_candidates)
+        for a, b in zip(want.take(40, 90), got.take(40, 90)):
+            assert np.array_equal(a, b)

@@ -156,7 +156,7 @@ class TestStreamedPlan:
             plan.emit_range(lo, hi)
         return plan, platform.prober.collector
 
-    def test_streamed_whole_range_matches_materialized(self):
+    def test_whole_range_matches_scalar(self):
         """One range over the whole campaign reproduces the scalar scan."""
         config = fault_window_config()
         scalar = RootStudy(config.with_engine("scalar"))
@@ -165,7 +165,7 @@ class TestStreamedPlan:
         assert_collectors_identical(got, scalar.collector)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_streamed_chunked_matches_materialized(self, chunk):
+    def test_chunked_ranges_match_one_range(self, chunk):
         plan, want = self._collector(None)
         n = plan.n_rounds
         ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
@@ -187,13 +187,80 @@ class TestStreamedPlan:
 
     def test_streamed_holds_no_epoch_lists_between_ranges(self):
         plan, _ = self._collector([(0, 4)])
-        buffered = sum(len(p.stream._buffer) for p in plan._pair_streams)
-        # Only epochs still open past the range boundary stay buffered —
-        # at most the boundary-spanning gap epoch plus the excursion
-        # after it, nothing like the full campaign's lists.
-        assert buffered <= 2 * len(plan._pair_streams)
+        # Between ranges the epoch walk keeps only each pair's last
+        # entered excursion (the one a boundary can split) besides the
+        # raw trigger rounds — nothing like the full campaign's lists,
+        # which on this window run to several epochs per pair.
+        held = np.count_nonzero(plan.epochs._last_start >= 0)
+        assert held <= 2 * plan.n_pairs
 
     def test_streamed_rejects_descending_ranges(self):
         plan, _ = self._collector([(0, 8)])
         with pytest.raises(ValueError, match="cannot rewind"):
             plan.emit_range(4, 12)
+
+
+class TestPairBatchedPlan:
+    """The pair-batched layout: block sizes never show in the output,
+    and the candidate table is exactly the routes it was built from."""
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_cell_budget_invariance(self, monkeypatch, budget, shards):
+        """Trigger-scan blocks and emit sub-ranges of 1 or 7 cells give
+        the default run's collector exactly, on the fault window."""
+        from repro.netsim import epochs
+
+        config = fault_window_config().with_sharding(shards)
+        want = RootStudy(config)
+        want.run()
+        monkeypatch.setattr(epochs, "CELL_BUDGET", budget)
+        got = RootStudy(config)
+        got.run()
+        assert_collectors_identical(got.collector, want.collector)
+
+    def test_candidate_table_is_exact(self):
+        """Every table column equals its Route field exactly — geometry
+        from the memoised scalar haversine, base RTT in the prober's
+        operation order."""
+        from repro.geo.coords import RTT_MS_PER_KM, haversine_km
+        from repro.netsim.latency import PER_HOP_MS
+        from repro.netsim.mix import mix64_prefix
+
+        plan, _ = TestStreamedPlan._collector([], tiny_config())
+        checked = 0
+        for p in range(plan.n_pairs):
+            vp = plan.vps[p // plan.n_addr]
+            att = vp.attachment
+            sa = plan.collector.addresses[p % plan.n_addr]
+            assert plan.pair_closest[p] == min(
+                haversine_km(att.city.location, s.city.location)
+                for s in plan.prober.fabric.global_sites(sa.letter)
+            )
+            assert int(plan.pair_prefix[p]) == mix64_prefix(vp.vp_id, p % plan.n_addr)
+            for i, route in enumerate(plan.pair_routes[p]):
+                row = plan.cand_ptr[p] + i
+                assert plan.site_keys[plan.c_site[row]] == route.site.key
+                assert plan.hop_names[plan.c_hop[row]] == route.second_to_last_hop
+                assert plan.identity_keys[plan.c_ident[row]] == (
+                    sa.letter,
+                    route.site.identity(),
+                )
+                assert plan.c_base[row] == route.path_km * RTT_MS_PER_KM + (
+                    PER_HOP_MS * route.hop_count + vp.last_mile_ms + route.extra_ms
+                )
+                assert int(plan.c_skpfx[row]) == mix64_prefix(route.stable_key)
+                assert plan.c_direct[row] == route.direct_km
+                assert plan.c_direct[row] == haversine_km(
+                    att.city.location, route.site.city.location
+                )
+                assert plan.c_peer[row] == (route.via != "transit")
+                assert plan.c_transit[row] == (
+                    0 if route.transit is None else route.transit.asn
+                )
+                if route.via != "transit":
+                    assert route.path_km == haversine_km(
+                        att.city.location, route.entry_city.location
+                    )
+                checked += 1
+        assert checked == plan.cand_ptr[-1] > plan.n_pairs
