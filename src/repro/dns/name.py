@@ -67,7 +67,7 @@ class Name:
     §2.3.3, and :meth:`canonical_key` provides RFC 4034 §6.1 ordering.
     """
 
-    __slots__ = ("_labels", "_lowered_labels")
+    __slots__ = ("_labels", "_lowered_labels", "_hash")
 
     def __init__(self, labels: Iterable[bytes]) -> None:
         labels = tuple(labels)
@@ -84,6 +84,7 @@ class Name:
             raise NameError_(f"name exceeds 255 octets ({wire_len})")
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_lowered_labels", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_args) -> None:  # pragma: no cover - immutability
         raise AttributeError("Name is immutable")
@@ -223,12 +224,19 @@ class Name:
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Name):
             return NotImplemented
         return self._lowered() == other._lowered()
 
     def __hash__(self) -> int:
-        return hash(self._lowered())
+        # Memoised: zone grouping and lookups hash every owner name.
+        cached = self._hash
+        if cached is None:
+            cached = hash(self._lowered())
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __lt__(self, other: "Name") -> bool:
         return self.canonical_key() < other.canonical_key()

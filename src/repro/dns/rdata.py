@@ -500,7 +500,13 @@ class NSEC(Rdata):
         return self.next_name.to_wire() + _encode_type_bitmaps(self.types)
 
     def canonical_wire(self) -> bytes:
-        return self.next_name.canonical_wire() + _encode_type_bitmaps(self.types)
+        # Memoised: the same chain link is signed, sorted and digested in
+        # every zone version, and the bitmap encoding dominates.
+        cached = self.__dict__.get("_cw")
+        if cached is None:
+            cached = self.next_name.canonical_wire() + _encode_type_bitmaps(self.types)
+            object.__setattr__(self, "_cw", cached)
+        return cached
 
     def to_text(self) -> str:
         mnemonics = []

@@ -113,6 +113,13 @@ class RRset:
                     f"mixed RRset: {rec.key()} vs {first.key()}"
                 )
 
+    @classmethod
+    def from_group(cls, records: List[ResourceRecord]) -> "RRset":
+        """An RRset over records a grouping has already keyed alike."""
+        rrset = cls.__new__(cls)
+        rrset.records = records
+        return rrset
+
     @property
     def name(self) -> Name:
         return self.records[0].name
@@ -148,14 +155,21 @@ class RRset:
         )
 
 
-def group_rrsets(records: Iterable[ResourceRecord]) -> List[RRset]:
-    """Group records into RRsets, preserving first-seen order of keys."""
+def group_records(
+    records: Iterable[ResourceRecord],
+) -> "dict[Tuple[Name, int, int], List[ResourceRecord]]":
+    """Records bucketed by (owner, class, type), keys in first-seen order."""
     buckets: "dict[Tuple[Name, int, int], List[ResourceRecord]]" = {}
-    order: List[Tuple[Name, int, int]] = []
     for rec in records:
         key = rec.key()
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(rec)
-    return [RRset(buckets[key]) for key in order]
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [rec]
+        else:
+            bucket.append(rec)
+    return buckets
+
+
+def group_rrsets(records: Iterable[ResourceRecord]) -> List[RRset]:
+    """Group records into RRsets, preserving first-seen order of keys."""
+    return [RRset.from_group(bucket) for bucket in group_records(records).values()]

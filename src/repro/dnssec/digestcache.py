@@ -16,18 +16,31 @@ time from the cached per-signature facts.  The fingerprint is also what
 :meth:`repro.rss.server.RootServerDeployment.axfr_of` keys its transfer
 memo by, so AXFR serving and validation share one identity notion for
 "the same zone version".
+
+Consecutive versions share almost all of their content: publications of
+one signing week carry the same signed body, and only the SOA, the
+ZONEMD and their RRSIGs change.  So the cache also keeps a memo of
+per-RRset facts keyed on the RRset's *content*: the DNSKEY set (its
+records' canonical wires), the owner's labels as spelled, the member
+records' canonical wires and the covering RRSIG records' canonical
+wires.  A new version verifies only the RRsets whose content no earlier
+analysis saw (its SOA and ZONEMD, a new week's signatures, or a
+bit-flipped record); the ZONEMD digest stays a full hash over every
+record, as RFC 8976 requires.  The memo lives in the cache instance,
+not in a module global, so :meth:`ZoneValidationCache.clear` drops it
+with the analyses.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dns.constants import RRType
 from repro.dns.name import Name
 from repro.dns.rdata import DNSKEY, RRSIG
-from repro.dns.records import ResourceRecord, group_rrsets
+from repro.dns.records import ResourceRecord, RRset, group_records
 from repro.dnssec.keys import verify_bytes
 from repro.dnssec.validate import (
     ValidationError,
@@ -154,15 +167,54 @@ class ZoneAnalysis:
         return report
 
 
+#: Per-RRset fact memo: DNSKEY set (its records' canonical wires) ->
+#: RRset content (owner labels, member canonical wires, covering RRSIG
+#: canonical wires) -> fact.
+FactMemo = Dict[Tuple[bytes, ...], Dict[tuple, _RRsetFact]]
+
+
+def _rrset_fact(
+    rrset: RRset, rrsigs: Sequence[ResourceRecord], dnskeys: Dict[int, DNSKEY]
+) -> _RRsetFact:
+    """Check every covering RRSIG of *rrset* against the DNSKEY set."""
+    sig_facts = []
+    for rec in rrsigs:
+        rrsig = rec.rdata
+        known = rrsig.key_tag in dnskeys
+        digest_ok = known and verify_bytes(
+            dnskeys[rrsig.key_tag],
+            rrsig.signed_data_prefix() + rrset.canonical_wire(rrsig.original_ttl),
+            rrsig.signature,
+        )
+        sig_facts.append(
+            _SignatureFact(
+                key_tag=rrsig.key_tag,
+                inception=rrsig.inception,
+                expiration=rrsig.expiration,
+                known_key=known,
+                digest_ok=digest_ok,
+            )
+        )
+    return _RRsetFact(rrset.name, int(rrset.rrtype), tuple(sig_facts))
+
+
 def _analyse(
-    records: List[ResourceRecord], apex: Name, fingerprint: bytes
+    records: List[ResourceRecord],
+    apex: Name,
+    fingerprint: bytes,
+    facts: Optional[FactMemo] = None,
 ) -> ZoneAnalysis:
-    """Run the expensive, time-independent validation work once."""
-    rrsets = group_rrsets(records)
+    """Run the expensive, time-independent validation work once.
+
+    With a *facts* memo, an RRset whose content some earlier analysis
+    already checked reuses that fact instead of re-verifying.
+    """
+    # RRsets stay plain record lists unless a fact must be computed.
+    groups = group_records(records)
     # Covering signatures bucketed by (owner, type covered), each bucket
     # in record order: one pass instead of a rescan per RRset.  Name
     # hashes case-insensitively, exactly as ``Name.__eq__`` compares.
-    covering_index: Dict[Tuple[Name, int], List[RRSIG]] = {}
+    covering_index: Dict[Tuple[Name, int], List[ResourceRecord]] = {}
     inceptions: List[int] = []
     expirations: List[int] = []
     for rec in records:
@@ -170,68 +222,70 @@ def _analyse(
             rrsig = rec.rdata
             covering_index.setdefault(
                 (rec.name, int(rrsig.type_covered)), []
-            ).append(rrsig)
+            ).append(rec)
             inceptions.append(rrsig.inception)
             expirations.append(rrsig.expiration)
     envelope = (max(inceptions), min(expirations)) if inceptions else (0, 0)
 
+    dnskey_records = [
+        rec
+        for (name, _rrclass, rrtype), group in groups.items()
+        if rrtype == RRType.DNSKEY and name == apex
+        for rec in group
+    ]
     dnskeys: Dict[int, DNSKEY] = {}
-    for rrset in rrsets:
-        if rrset.name == apex and rrset.rrtype == RRType.DNSKEY:
-            for rec in rrset:
-                assert isinstance(rec.rdata, DNSKEY)
-                dnskeys[rec.rdata.key_tag()] = rec.rdata
+    for rec in dnskey_records:
+        assert isinstance(rec.rdata, DNSKEY)
+        dnskeys[rec.rdata.key_tag()] = rec.rdata
 
-    facts: List[_RRsetFact] = []
+    rrset_facts: List[_RRsetFact] = []
     if dnskeys:
-        for rrset in rrsets:
-            if rrset.rrtype == RRType.RRSIG:
+        keyset = tuple(rec.canonical_wire() for rec in dnskey_records)
+        memo = {} if facts is None else facts.setdefault(keyset, {})
+        for (name, _rrclass, rrtype), group in groups.items():
+            if rrtype == RRType.RRSIG:
                 continue
-            is_apex = rrset.name == apex
-            if not is_apex and rrset.rrtype in (RRType.NS, RRType.A, RRType.AAAA):
+            if rrtype in (RRType.NS, RRType.A, RRType.AAAA) and name != apex:
                 continue  # delegations and glue are unsigned by design
-            sig_facts = []
-            for rrsig in covering_index.get((rrset.name, int(rrset.rrtype)), ()):
-                known = rrsig.key_tag in dnskeys
-                digest_ok = known and verify_bytes(
-                    dnskeys[rrsig.key_tag],
-                    rrsig.signed_data_prefix()
-                    + rrset.canonical_wire(rrsig.original_ttl),
-                    rrsig.signature,
-                )
-                sig_facts.append(
-                    _SignatureFact(
-                        key_tag=rrsig.key_tag,
-                        inception=rrsig.inception,
-                        expiration=rrsig.expiration,
-                        known_key=known,
-                        digest_ok=digest_ok,
-                    )
-                )
-            facts.append(
-                _RRsetFact(rrset.name, int(rrset.rrtype), tuple(sig_facts))
+            rrsigs = covering_index.get((name, rrtype), ())
+            content = (
+                name.labels,
+                tuple(rec.canonical_wire() for rec in group),
+                tuple(rec.canonical_wire() for rec in rrsigs),
             )
+            fact = memo.get(content)
+            if fact is None:
+                fact = memo[content] = _rrset_fact(
+                    RRset.from_group(group), rrsigs, dnskeys
+                )
+            rrset_facts.append(fact)
 
     return ZoneAnalysis(
         fingerprint=fingerprint,
         apex=apex,
         has_dnskey=bool(dnskeys),
-        rrset_facts=tuple(facts),
+        rrset_facts=tuple(rrset_facts),
         zonemd=verify_zonemd(records, apex),
         rrsig_envelope=envelope,
     )
 
 
 class ZoneValidationCache:
-    """Fingerprint-keyed cache of :class:`ZoneAnalysis` objects."""
+    """Fingerprint-keyed cache of :class:`ZoneAnalysis` objects, plus the
+    content-keyed per-RRset facts they are assembled from."""
 
     def __init__(self) -> None:
         self._analyses: Dict[Tuple[bytes, Name], ZoneAnalysis] = {}
+        self._facts: FactMemo = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._analyses)
+
+    def fact_count(self) -> int:
+        """Distinct RRset contents checked so far."""
+        return sum(len(memo) for memo in self._facts.values())
 
     def analyse(
         self,
@@ -247,7 +301,7 @@ class ZoneValidationCache:
         analysis = self._analyses.get(key)
         if analysis is None:
             self.misses += 1
-            analysis = _analyse(records, apex, fingerprint)
+            analysis = _analyse(records, apex, fingerprint, self._facts)
             self._analyses[key] = analysis
         else:
             self.hits += 1
@@ -259,6 +313,7 @@ class ZoneValidationCache:
 
     def clear(self) -> None:
         self._analyses.clear()
+        self._facts.clear()
         self.hits = 0
         self.misses = 0
 

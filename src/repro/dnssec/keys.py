@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.dns.constants import (
     DNSKEY_FLAG_SEP,
@@ -28,8 +29,9 @@ class ZoneKey:
     dnskey: DNSKEY
     is_ksk: bool
 
-    @property
+    @cached_property
     def key_tag(self) -> int:
+        # Cached: every RRSIG a batch signs carries it.
         return self.dnskey.key_tag()
 
 

@@ -67,6 +67,48 @@ def sign_rrset(
     )
 
 
+def authoritative_rrsets(
+    records: Iterable[ResourceRecord],
+    apex: Name,
+    sign_delegations: bool = False,
+) -> List[RRset]:
+    """The RRsets of a zone that signing covers, in first-seen order.
+
+    Delegation NS RRsets below the apex and glue are NOT signed (RFC 4035
+    §2.2) — which is precisely why ZONEMD adds value (§7 of the paper:
+    the digest also covers delegations and glue).
+    """
+    out: List[RRset] = []
+    for rrset in group_rrsets(records):
+        if rrset.rrtype == RRType.RRSIG:
+            continue
+        if not sign_delegations and rrset.name != apex:
+            # Non-apex data in the root zone is delegation NS + glue:
+            # not authoritative, not signed.
+            if rrset.rrtype in (RRType.NS, RRType.A, RRType.AAAA):
+                continue
+        out.append(rrset)
+    return out
+
+
+def sign_rrsets(
+    rrsets: Iterable[RRset],
+    zsk: KeyPair,
+    ksk: KeyPair,
+    apex: Name,
+    inception: int,
+    expiration: int,
+) -> List[ResourceRecord]:
+    """One RRSIG per RRset: the DNSKEY RRset by the KSK, the rest by the ZSK."""
+    return [
+        sign_rrset(
+            rrset, ksk if rrset.rrtype == RRType.DNSKEY else zsk, apex,
+            inception, expiration,
+        )
+        for rrset in rrsets
+    ]
+
+
 def sign_zone_records(
     records: Iterable[ResourceRecord],
     zsk: KeyPair,
@@ -78,25 +120,11 @@ def sign_zone_records(
 ) -> List[ResourceRecord]:
     """Sign all authoritative RRsets of a zone; returns records + RRSIGs.
 
-    Mirrors real root-zone signing:
-
-    * the DNSKEY RRset is signed by the KSK,
-    * every other *authoritative* RRset by the ZSK,
-    * delegation NS RRsets below the apex and glue are NOT signed
-      (RFC 4035 §2.2) — which is precisely why ZONEMD adds value (§7 of
-      the paper: the digest also covers delegations and glue).
+    Mirrors real root-zone signing (see :func:`authoritative_rrsets` and
+    :func:`sign_rrsets`).
     """
     records = list(records)
-    out: List[ResourceRecord] = list(records)
-    for rrset in group_rrsets(records):
-        if rrset.rrtype == RRType.RRSIG:
-            continue
-        is_apex = rrset.name == apex
-        if not is_apex and not sign_delegations:
-            # Non-apex data in the root zone is delegation NS + glue:
-            # not authoritative, not signed.
-            if rrset.rrtype in (RRType.NS, RRType.A, RRType.AAAA):
-                continue
-        key = ksk if rrset.rrtype == RRType.DNSKEY else zsk
-        out.append(sign_rrset(rrset, key, apex, inception, expiration))
-    return out
+    return records + sign_rrsets(
+        authoritative_rrsets(records, apex, sign_delegations),
+        zsk, ksk, apex, inception, expiration,
+    )

@@ -53,13 +53,13 @@ def _digest_input_records(
     included: List[ResourceRecord] = []
     seen = set()
     for rec in records:
-        if rec.name == apex and rec.rrtype == RRType.ZONEMD:
+        if rec.rrtype == RRType.ZONEMD and rec.name == apex:
             continue  # §3.3.1: exclude apex ZONEMD RRset
         if (
-            rec.name == apex
-            and rec.rrtype == RRType.RRSIG
+            rec.rrtype == RRType.RRSIG
             and isinstance(rec.rdata, RRSIG)
             and rec.rdata.type_covered == int(RRType.ZONEMD)
+            and rec.name == apex
         ):
             continue  # exclude RRSIGs covering the apex ZONEMD
         wire = rec.canonical_wire()
@@ -123,7 +123,7 @@ def find_zonemd(
 ) -> Optional[ZONEMD]:
     """The apex ZONEMD rdata, or None."""
     for rec in records:
-        if rec.name == apex and rec.rrtype == RRType.ZONEMD:
+        if rec.rrtype == RRType.ZONEMD and rec.name == apex:
             assert isinstance(rec.rdata, ZONEMD)
             return rec.rdata
     return None
@@ -131,7 +131,7 @@ def find_zonemd(
 
 def _soa_serial(records: Iterable[ResourceRecord], apex: Name) -> Optional[int]:
     for rec in records:
-        if rec.name == apex and rec.rrtype == RRType.SOA:
+        if rec.rrtype == RRType.SOA and rec.name == apex:
             assert isinstance(rec.rdata, SOA)
             return rec.rdata.serial
     return None

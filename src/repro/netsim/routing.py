@@ -16,6 +16,7 @@ tractable.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -79,7 +80,7 @@ class RouteSelector:
         self._candidate_cache: Dict[Tuple[int, str, str, int], List[Route]] = {}
         self._km_cache: Dict[Tuple[str, str], float] = {}
         self._site_hash_cache: Dict[str, int] = {}
-        self._transit_site_cache: Dict[Tuple[int, str, str], List[Tuple[float, Site]]] = {}
+        self._transit_exit_cache: Dict[Tuple[int, str, str], List[Tuple[float, Site]]] = {}
         # (asn, letter) -> per-site (site, hub, tail_km, diversity_km):
         # everything in the ranking that does not depend on the entry PoP.
         self._transit_geometry_cache: Dict[
@@ -149,14 +150,14 @@ class RouteSelector:
             )
         return routes
 
-    def _transit_site_ranking(
+    def _transit_exits(
         self, transit: TransitProvider, entry: City, letter: str
     ) -> List[Tuple[float, Site]]:
-        """Global sites of *letter* ranked by haul cost from *entry* over
-        *transit*'s backbone (hot-potato-ish: entry -> nearest hub to the
-        site -> site)."""
+        """The two global sites of *letter* with the lowest haul cost from
+        *entry* over *transit*'s backbone (hot-potato-ish: entry -> nearest
+        hub to the site -> site): the best exit and one alternate."""
         key = (transit.asn, entry.iata, letter)
-        if key not in self._transit_site_cache:
+        if key not in self._transit_exit_cache:
             geom_key = (transit.asn, letter)
             geometry = self._transit_geometry_cache.get(geom_key)
             if geometry is None:
@@ -181,17 +182,18 @@ class RouteSelector:
                     haul = self.distance_km(entry, hub)
                     hauls[hub.iata] = haul
                 ranked.append((haul + tail + diversity, site))
-            ranked.sort(key=lambda pair: (pair[0], pair[1].key))
-            self._transit_site_cache[key] = ranked
-        return self._transit_site_cache[key]
+            # site.key is unique, so the order is total.
+            self._transit_exit_cache[key] = heapq.nsmallest(
+                2, ranked, key=lambda pair: (pair[0], pair[1].key)
+            )
+        return self._transit_exit_cache[key]
 
     def _transit_routes(self, att: Attachment, letter: str, family: int) -> List[Route]:
         routes: List[Route] = []
         for transit in att.transits(family):
             entry = transit.nearest_pop(att.city)
             access_km = self.distance_km(att.city, entry)
-            ranked = self._transit_site_ranking(transit, entry, letter)
-            for haul_km, site in ranked[:2]:  # best exit + one alternate
+            for haul_km, site in self._transit_exits(transit, entry, letter):
                 facility = self.fabric.facility_of(site)
                 hub = transit.nearest_pop(site.city)
                 long_haul = self.distance_km(entry, hub) > HAUL_HOP_THRESHOLD_KM

@@ -10,12 +10,13 @@ first-class concept here: a site can be frozen at an old publication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.util.timeutil import DAY, HOUR, Timestamp
 from repro.zone.zone import Zone
 
 if TYPE_CHECKING:  # avoid a runtime cycle: rootzone -> rss -> distribution
+    from repro.zone.ixfr import IxfrJournal
     from repro.zone.rootzone import RootZoneBuilder
 
 #: Daily publication times (seconds into the UTC day): the real root zone
@@ -49,6 +50,8 @@ class ZoneDistributor:
         self._cache: Dict[Tuple[Timestamp, int], Zone] = {}
         #: site_key -> publication the site is frozen at (stale fault).
         self._frozen: Dict[str, Tuple[Timestamp, int]] = {}
+        #: IXFR journal, created by the first :meth:`ixfr_respond`.
+        self._journal: Optional["IxfrJournal"] = None
 
     # -- schedule ---------------------------------------------------------------
 
@@ -140,7 +143,7 @@ class ZoneDistributor:
         from repro.zone.ixfr import IxfrJournal, IxfrServer
         from repro.zone.serial import serial_compare
 
-        journal: "IxfrJournal" = getattr(self, "_journal", None)  # type: ignore[assignment]
+        journal = self._journal
         if journal is None:
             journal = IxfrJournal(max_versions=256)
             self._journal = journal

@@ -18,7 +18,8 @@ Reproduces the structure of the real root zone:
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, List, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.dnssec.trustanchor import KskRolloverSchedule
@@ -34,7 +35,7 @@ from repro.dns.rdata import A, AAAA, NS, SOA, ZONEMD as ZonemdRdata
 from repro.dns.records import ResourceRecord, RRset
 from repro.dnssec.keys import KeyPair, generate_keypair
 from repro.dnssec.nsec import build_nsec_chain
-from repro.dnssec.sign import sign_rrset, sign_zone_records
+from repro.dnssec.sign import authoritative_rrsets, sign_rrset, sign_rrsets
 from repro.dnssec.zonemd import make_zonemd_record
 from repro.rss.operators import B_ROOT_CHANGE_TS, ROOT_SERVERS
 from repro.util.timeutil import DAY, parse_ts
@@ -112,8 +113,10 @@ class RootZoneBuilder:
             if ksk_rollover is not None
             else None
         )
-        #: (week_start, b_phase, zonemd_alg, ksk_phase) -> static body.
-        self._static_cache: dict = {}
+        #: Phase -> (unsigned body, its authoritative RRsets), built once.
+        self._phase_bodies: Dict[tuple, Tuple[List[ResourceRecord], List[RRset]]] = {}
+        #: (week_start, phase) -> signed static body.
+        self._static_cache: Dict[tuple, List[ResourceRecord]] = {}
 
     # -- static structure -----------------------------------------------------
 
@@ -124,8 +127,10 @@ class RootZoneBuilder:
         v6 = f"2001:db8:{digest[2]:x}{digest[3]:02x}:{ns_index:x}::53"
         return {4: v4, 6: v6}
 
-    def _delegation_records(self) -> List[ResourceRecord]:
-        """NS + glue for every TLD (unsigned by design, like the real root)."""
+    @cached_property
+    def _delegations(self) -> List[ResourceRecord]:
+        """NS + glue for every TLD (unsigned by design, like the real root);
+        the same in every phase."""
         records: List[ResourceRecord] = []
         for tld in self.tlds:
             tld_name = Name.from_text(f"{tld}.")
@@ -223,23 +228,29 @@ class RootZoneBuilder:
         assert self.ksk_next is not None
         return self.ksk_next
 
-    def _static_body(self, publication_ts: int, zonemd_alg: Optional[int]) -> List[ResourceRecord]:
-        """Everything except the SOA/ZONEMD RRsets and their RRSIGs.
+    def _phase(self, publication_ts: int) -> tuple:
+        """(b.root phase, ZONEMD algorithm, KSK-rollover phase): what the
+        unsigned body depends on."""
+        return (
+            publication_ts >= B_ROOT_CHANGE_TS,
+            self.zonemd_algorithm_at(publication_ts),
+            self._ksk_phase(publication_ts),
+        )
 
-        Cached per (signing batch, b.root phase, ZONEMD phase, rollover
-        phase): the real root's body changes rarely, and its signatures
-        in weekly batches.
-        """
-        week_start = publication_ts - publication_ts % SIGNING_BATCH
-        b_phase = publication_ts >= B_ROOT_CHANGE_TS
-        cache_key = (week_start, b_phase, zonemd_alg, self._ksk_phase(publication_ts))
-        cached = self._static_cache.get(cache_key)
-        if cached is not None:
-            return cached
-
+    def _phase_body(self, publication_ts: int) -> Tuple[List[ResourceRecord], List[RRset]]:
+        """The unsigned body of *publication_ts*'s phase and the RRsets
+        signing covers: apex NS, delegations and glue, root-server glue,
+        DNSKEY set and NSEC chain.  Built once per phase, so every weekly
+        batch signs the same RRset objects and their memoised canonical
+        wires."""
+        phase = self._phase(publication_ts)
+        body = self._phase_bodies.get(phase)
+        if body is not None:
+            return body
+        zonemd_alg = phase[1]
         records: List[ResourceRecord] = []
         records.extend(self._root_ns_records())
-        records.extend(self._delegation_records())
+        records.extend(self._delegations)
         records.extend(self._root_server_glue(publication_ts))
         for dnskey in self._dnskey_rdatas(publication_ts):
             records.append(
@@ -261,10 +272,25 @@ class RootZoneBuilder:
                 )
             )
         records.extend(build_nsec_chain(records + placeholders, ROOT_NAME))
+        body = (records, authoritative_rrsets(records, ROOT_NAME))
+        self._phase_bodies[phase] = body
+        return body
 
+    def _static_body(self, publication_ts: int) -> List[ResourceRecord]:
+        """Everything except the SOA/ZONEMD RRsets and their RRSIGs.
+
+        Cached per (signing batch, phase): the real root's body changes
+        rarely, and its signatures in weekly batches.
+        """
+        week_start = publication_ts - publication_ts % SIGNING_BATCH
+        cache_key = (week_start, self._phase(publication_ts))
+        cached = self._static_cache.get(cache_key)
+        if cached is not None:
+            return cached
+        records, rrsets = self._phase_body(publication_ts)
         inception, expiration = self.signature_window(publication_ts)
-        signed = sign_zone_records(
-            records, self.zsk, self.active_ksk(publication_ts), ROOT_NAME,
+        signed = records + sign_rrsets(
+            rrsets, self.zsk, self.active_ksk(publication_ts), ROOT_NAME,
             inception, expiration,
         )
         self._static_cache[cache_key] = signed
@@ -285,7 +311,7 @@ class RootZoneBuilder:
     def build(self, publication_ts: int, edition: int = 0) -> Zone:
         """Build the zone copy published at *publication_ts*."""
         zonemd_alg = self.zonemd_algorithm_at(publication_ts)
-        static = self._static_body(publication_ts, zonemd_alg)
+        static = self._static_body(publication_ts)
         inception, expiration = self.signature_window(publication_ts)
 
         soa = self._soa_record(publication_ts, edition)

@@ -222,3 +222,106 @@ class TestComplexity:
         _analyse(records, ROOT_NAME, zone_fingerprint(zone))
         monkeypatch.undo()
         assert calls < 10 * len(records), f"{calls / len(records):.1f} per record"
+
+
+class TestFactMemo:
+    """Per-RRset facts are keyed on content and shared across versions."""
+
+    @pytest.fixture(scope="class")
+    def week_pair(self):
+        """Two publications of one signing week: same signed body, new
+        SOA and ZONEMD (and their RRSIGs)."""
+        builder = RootZoneBuilder(seed=77)
+        day = TS - TS % DAY
+        first = builder.build(day + 4 * 3600, 0)
+        second = builder.build(day + 16 * 3600, 1)
+        assert first.serial != second.serial
+        assert builder.signature_window(day) == builder.signature_window(day + DAY - 1)
+        return first, second
+
+    @staticmethod
+    def _count_verifications(monkeypatch):
+        import repro.dnssec.digestcache as digestcache
+
+        calls = []
+        verify = digestcache.verify_bytes
+
+        def counting(*args):
+            calls.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(digestcache, "verify_bytes", counting)
+        return calls
+
+    @staticmethod
+    def _doctored(first, second, kind):
+        """*second* with one bit flipped in a record it shares with *first*."""
+        for vp_id in range(64):
+            event = BitflipEvent(vp_id=vp_id, start_ts=TS - 1, end_ts=TS + 1, kind=kind)
+            doctored, report = flip_bit_in_zone(second, event, TS)
+            index = report.record_index
+            if second.records[index] is first.records[index]:
+                return doctored
+        raise AssertionError(f"no {kind} flip landed in the shared body")
+
+    def test_new_version_verifies_only_changed_rrsets(self, week_pair, monkeypatch):
+        first, second = week_pair
+        cache = ZoneValidationCache()
+        cache.analyse_zone(first, ROOT_NAME)
+        calls = self._count_verifications(monkeypatch)
+        cache.analyse_zone(second, ROOT_NAME)
+        # The SOA and ZONEMD RRsets; every body RRset reuses its fact.
+        assert len(calls) == 2
+
+    def test_warm_analysis_equals_a_memo_free_one(self, week_pair):
+        first, second = week_pair
+        cache = ZoneValidationCache()
+        cache.analyse_zone(first, ROOT_NAME)
+        warm = cache.analyse_zone(second, ROOT_NAME)
+        cold = _analyse(list(second.records), ROOT_NAME, zone_fingerprint(second))
+        assert warm == cold
+
+    def test_owner_case_is_part_of_the_content(self, week_pair):
+        """Canonical wires fold case; a fact's owner keeps its spelling.
+        (The case change rides on *second*, whose fingerprint differs.)"""
+        first, second = week_pair
+        records = list(second.records)
+        i = next(
+            k for k, rec in enumerate(records)
+            if rec.rrtype == RRType.NSEC and not rec.name.is_root()
+        )
+        upper = Name(label.upper() for label in records[i].name.labels)
+        records[i] = dataclasses.replace(records[i], name=upper)
+        cache = ZoneValidationCache()
+        cache.analyse_zone(first, ROOT_NAME)
+        warm = cache.analyse(records, ROOT_NAME)
+        cold = _analyse(records, ROOT_NAME, records_fingerprint(records))
+        assert [f.name.labels for f in warm.rrset_facts] == [
+            f.name.labels for f in cold.rrset_facts
+        ]
+
+    @pytest.mark.parametrize("kind", ["rrsig", "label"])
+    def test_doctored_shared_record_is_reverified(self, week_pair, kind):
+        first, second = week_pair
+        doctored = self._doctored(first, second, kind)
+        cache = ZoneValidationCache()
+        for zone in (first, second):
+            cache.analyse_zone(zone, ROOT_NAME)
+        analysis = cache.analyse_zone(doctored, ROOT_NAME)
+        now = sum(analysis.rrsig_envelope) // 2
+        report = analysis.report_at(now)
+        assert_same_report(report, validate_zone(doctored.records, ROOT_NAME, now=now))
+        clean = cache.analyse_zone(second, ROOT_NAME).report_at(now)
+        assert clean.valid and not report.valid
+
+    def test_clear_drops_every_fact(self, week_pair, monkeypatch):
+        first, _second = week_pair
+        cache = ZoneValidationCache()
+        calls = self._count_verifications(monkeypatch)
+        cache.analyse_zone(first, ROOT_NAME)
+        cold = len(calls)
+        assert cold > 0 and cache.fact_count() > 0
+        cache.clear()
+        assert cache.fact_count() == 0 and len(cache) == 0
+        cache.analyse_zone(first, ROOT_NAME)
+        assert len(calls) == 2 * cold

@@ -10,9 +10,11 @@ from repro.dns.constants import (
 from repro.dns.name import Name, ROOT_NAME
 from repro.dns.rdata import A, AAAA, SOA, ZONEMD
 from repro.dnssec.nsec import verify_nsec_chain
+from repro.dnssec.trustanchor import KskRolloverSchedule
 from repro.dnssec.validate import validate_zone
 from repro.rss.operators import B_ROOT_CHANGE_TS, root_server
 from repro.util.timeutil import DAY, parse_ts
+from repro.zone.distribution import ZoneDistributor
 from repro.zone.rootzone import (
     DEFAULT_TLDS,
     RootZoneBuilder,
@@ -161,3 +163,85 @@ class TestBuilderValidation:
         zone = builder.build(DEC_TS)
         tlds = {d.to_text() for d in zone.delegations()}
         assert tlds == {"alpha.", "beta."}
+
+
+#: The KSK-rollover schedule of ``tests/dnssec/test_trustanchor.py``.
+ROLLOVER = KskRolloverSchedule(
+    publish_ts=parse_ts("2023-08-01"),
+    swap_ts=parse_ts("2023-10-01"),
+    revoke_ts=parse_ts("2023-11-15"),
+    remove_ts=parse_ts("2024-01-01"),
+)
+PHASE_EDGES = {
+    "zonemd-placeholder": ZONEMD_PLACEHOLDER_DATE,
+    "zonemd-validatable": ZONEMD_VALIDATABLE_DATE,
+    "b-root-change": B_ROOT_CHANGE_TS,
+    "ksk-publish": ROLLOVER.publish_ts,
+    "ksk-swap": ROLLOVER.swap_ts,
+    "ksk-revoke": ROLLOVER.revoke_ts,
+    "ksk-remove": ROLLOVER.remove_ts,
+}
+#: The last publication before and the first one at or after each edge.
+EDGE_PUBLICATIONS = {
+    f"{label}-{side}": publication
+    for label, edge in PHASE_EDGES.items()
+    for side, publication in (
+        ("before", ZoneDistributor.latest_publication(edge - 1)),
+        ("after", ZoneDistributor.publications_between(edge, edge + DAY)[0]),
+    )
+}
+ROLLOVER_TLDS = ["com", "org", "world", "ruhr"]
+
+
+def _rolling_builder() -> RootZoneBuilder:
+    return RootZoneBuilder(seed=5, tlds=ROLLOVER_TLDS, ksk_rollover=ROLLOVER)
+
+
+def _wires(zone):
+    return [rec.canonical_wire() for rec in zone.records]
+
+
+class TestBuildOrder:
+    """Unsigned bodies are cached per phase and signed bodies per week, so
+    what a builder built before must not leak into what it builds next."""
+
+    @pytest.fixture(scope="class", params=["forward", "backward"])
+    def warm_zones(self, request):
+        builder = _rolling_builder()
+        edges = sorted(PHASE_EDGES.values())
+        weeks = list(range(edges[0] - 14 * DAY, edges[-1] + 14 * DAY, 7 * DAY))
+        publications = sorted(EDGE_PUBLICATIONS.values())
+        if request.param == "backward":
+            weeks.reverse()
+            publications.reverse()
+        for ts in weeks:
+            builder.build(ts)
+        return {pub: builder.build(*pub) for pub in publications}
+
+    @pytest.mark.parametrize("label", sorted(EDGE_PUBLICATIONS))
+    def test_warm_builder_matches_fresh_one(self, warm_zones, label):
+        publication = EDGE_PUBLICATIONS[label]
+        fresh = _rolling_builder().build(*publication)
+        assert _wires(warm_zones[publication]) == _wires(fresh)
+
+    def test_edges_change_the_phase(self):
+        builder = _rolling_builder()
+        for label, edge in PHASE_EDGES.items():
+            before = EDGE_PUBLICATIONS[f"{label}-before"][0]
+            after = EDGE_PUBLICATIONS[f"{label}-after"][0]
+            assert before < edge <= after
+            assert builder._phase(before) != builder._phase(after), label
+
+    def test_weeks_of_one_phase_share_the_unsigned_body(self, zone_builder):
+        a = zone_builder.build(DEC_TS)
+        b = zone_builder.build(DEC_TS + 7 * DAY)
+        assert zone_builder.signature_window(DEC_TS) != zone_builder.signature_window(
+            DEC_TS + 7 * DAY
+        )
+        delegation = next(
+            i for i, rec in enumerate(a.records)
+            if rec.rrtype == RRType.NS and not rec.name.is_root()
+        )
+        nsec = next(i for i, rec in enumerate(a.records) if rec.rrtype == RRType.NSEC)
+        for i in (delegation, nsec):
+            assert a.records[i] is b.records[i]
