@@ -9,7 +9,7 @@ from its file, and a script read from stdin has none.
 """
 import numpy as np
 
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 from repro.core.pipeline import last_spill_stats
 from repro.util.timeutil import parse_ts
 
@@ -26,8 +26,8 @@ def main() -> None:
         axfr_sample_every=2,
         clean_transfer_keep_one_in=20,
     )
-    serial = RootStudy(config).run().collector
-    mp = RootStudy(config.with_sharding(2, workers=2)).run().collector
+    serial = StudyPipeline(config).run_campaign()
+    mp = StudyPipeline(config.with_sharding(2, workers=2)).run_campaign()
 
     assert mp.summary() == serial.summary()
     assert mp.state_dict() == serial.state_dict()

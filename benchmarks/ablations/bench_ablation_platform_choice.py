@@ -15,7 +15,7 @@ def test_ablation_platform_choice(benchmark, results, study, analyze):
     vps = results.vps[:40]
 
     def build():
-        platform = AtlasPlatform(study.selector)
+        platform = AtlasPlatform(study.platform.selector)
         return platform.run(
             vps, results.collector.addresses, *window, interval_scale=48.0
         )

@@ -23,6 +23,7 @@ import os
 import platform
 import resource
 import sys
+import time
 from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple
 
@@ -112,14 +113,11 @@ def run_variant(
     if shards > 1 or workers > 1:
         variant = variant.with_sharding(shards, workers=workers)
     pipeline = StudyPipeline(variant)
+    started = time.perf_counter()
     pipeline.build_platform()
+    built = time.perf_counter()
     collector = pipeline.run_campaign()
-    seconds: Dict[str, float] = {}
-    for timing in pipeline.timings:
-        if not timing.reused:
-            seconds[timing.stage] = seconds.get(timing.stage, 0.0) + timing.seconds
-    build = seconds.get("build_world", 0.0) + seconds.get("build_platform", 0.0)
-    return collector, build, seconds.get("run_campaign", 0.0)
+    return collector, built - started, time.perf_counter() - built
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -63,10 +63,10 @@ def _env() -> Dict[str, str]:
 def build_dataset(scale: str, directory: str) -> Dict[str, object]:
     """Run the campaign and save it (passive tables included, so the
     passive analyses replay from disk like a real served dataset)."""
-    from repro.core import RootStudy
+    from repro.core import StudyPipeline
 
     started = time.perf_counter()
-    results = RootStudy(make_config(scale)).run()
+    results = StudyPipeline(make_config(scale)).run()
     campaign_s = time.perf_counter() - started
     started = time.perf_counter()
     results.save(directory)

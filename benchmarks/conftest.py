@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 from repro.passive.clients import ISP_PROFILE, build_client_population
 from repro.passive.isp import IspCapture
 from repro.passive.ixp import build_ixp_captures
@@ -47,9 +47,9 @@ def study():
         axfr_sample_every=2,
         clean_transfer_keep_one_in=200,
     )
-    root_study = RootStudy(config)
-    root_study.run()
-    return root_study
+    pipeline = StudyPipeline(config)
+    pipeline.run()
+    return pipeline
 
 
 @pytest.fixture(scope="session")

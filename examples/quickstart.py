@@ -16,15 +16,17 @@ from repro.analysis import (
     ZonemdAudit,
 )
 from repro.analysis.report import render_table1, render_table2
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 
 
 def main() -> None:
     config = StudyConfig.quick()
     print(f"Building study (seed={config.seed}, ring_scale={config.ring_scale}) ...")
-    study = RootStudy(config)
-    print(f"  {len(study.vps)} vantage points, {len(study.catalog)} root sites, "
-          f"{study.schedule.round_count()} measurement rounds")
+    study = StudyPipeline(config)
+    world = study.build_world()
+    platform = study.build_platform()
+    print(f"  {len(platform.vps)} vantage points, {len(world.catalog)} root sites, "
+          f"{platform.schedule.round_count()} measurement rounds")
 
     print("Running campaign (this takes a minute) ...")
     results = study.run()

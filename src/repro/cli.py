@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from repro.util.timeutil import format_ts, parse_ts
@@ -156,7 +157,15 @@ def zonecheck_main(argv: Optional[List[str]] = None) -> int:
 # --- rootsim-study ------------------------------------------------------------------
 
 
-def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+#: ``--preset`` name -> the :class:`~repro.core.config.StudyConfig`
+#: classmethod that builds it.
+PRESETS = {"quick": "quick", "standard": "standard", "paper": "paper_scale"}
+
+
+def add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`config_from_args` reads: ``--preset``,
+    ``--scenario``, ``--overlay`` and ``--seed``."""
+    parser.add_argument("--preset", choices=tuple(PRESETS), default="quick")
     parser.add_argument(
         "--scenario", metavar="NAME",
         help="run a registered scenario (see repro.scenarios; e.g. "
@@ -168,6 +177,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         help="fold a registered overlay onto --scenario (repeatable, "
              "applied in order)",
     )
+    parser.add_argument("--seed", type=int, default=2024)
 
 
 def _compose_scenario(parser: argparse.ArgumentParser, args):
@@ -187,11 +197,7 @@ def study_main(argv: Optional[List[str]] = None) -> int:
         prog="rootsim-study",
         description="run a simulated root measurement campaign",
     )
-    parser.add_argument(
-        "--preset", choices=("quick", "standard", "paper"), default="quick"
-    )
-    _add_scenario_arguments(parser)
-    parser.add_argument("--seed", type=int, default=2024)
+    add_config_arguments(parser)
     parser.add_argument(
         "--save", "--export", dest="save", metavar="DIR",
         help="persist the measurement dataset to DIR "
@@ -217,8 +223,7 @@ def study_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="cProfile the campaign stage; prints the hot functions and "
-             "stores the full profile in the pipeline's artifact store",
+        help="cProfile the campaign stage and print its hot functions",
     )
     parser.add_argument(
         "--checkpoint", metavar="DIR",
@@ -242,7 +247,7 @@ def study_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.analysis import registry
-    from repro.core import RootStudy, StudyConfig
+    from repro.core import StudyPipeline
 
     if args.resume and args.checkpoint:
         parser.error("--checkpoint and --resume are mutually exclusive")
@@ -251,31 +256,31 @@ def study_main(argv: Optional[List[str]] = None) -> int:
             parser.error("--profile is not available in streaming mode")
         return _streaming_study_main(args, parser)
 
-    if args.scenario:
-        config = _compose_scenario(parser, args).study_config(seed=args.seed)
-        label = f"scenario={args.scenario}"
-        if args.overlay:
-            label += f"+{'+'.join(args.overlay)}"
-    elif args.overlay:
-        parser.error("--overlay requires --scenario")
-    else:
-        config = {
-            "quick": StudyConfig.quick,
-            "standard": StudyConfig.standard,
-            "paper": StudyConfig.paper_scale,
-        }[args.preset](seed=args.seed)
-        label = f"preset={args.preset}"
-    config = _with_sharding_flags(parser, args, config)
-    if args.engine is not None:
-        config = config.with_engine(args.engine)
-
+    config, label = _study_config(parser, args)
     print(f"building study: {label} seed={args.seed}")
-    study = RootStudy(config, profile=args.profile)
-    print(f"  {len(study.vps)} VPs, {len(study.catalog)} sites, "
-          f"{study.schedule.round_count()} rounds")
+    pipeline = StudyPipeline(config)
+    timings = []
+
+    def timed(stage, call):
+        started = time.perf_counter()
+        out = call()
+        timings.append((stage, time.perf_counter() - started))
+        return out
+
+    world = timed("build_world", pipeline.build_world)
+    platform = timed("build_platform", pipeline.build_platform)
+    print(f"  {len(platform.vps)} VPs, {len(world.catalog)} sites, "
+          f"{platform.schedule.round_count()} rounds")
     if config.shards > 1:
         print(f"  sharding: {config.shards} shards, {config.workers} worker(s)")
-    results = study.run()
+    if args.profile:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        timed("run_campaign", lambda: profiler.runcall(pipeline.run_campaign))
+    else:
+        timed("run_campaign", pipeline.run_campaign)
+    results = pipeline.results()
     summary = results.summary()
     print(f"  {summary['queries']:,} queries, {summary['transfers']:,} transfers")
 
@@ -294,11 +299,12 @@ def study_main(argv: Optional[List[str]] = None) -> int:
     print(f"coverage: {total} identifiers observed, {unmapped} unmapped")
 
     if args.timings or args.profile:
-        for timing in study.timings:
-            suffix = " (cached)" if timing.reused else ""
-            print(f"timing  {timing.stage:<14s} {timing.seconds:8.2f}s{suffix}")
+        for stage, seconds in timings:
+            print(f"timing  {stage:<14s} {seconds:8.2f}s")
     if args.profile:
-        print(study.pipeline.store.get("campaign_profile_top"))
+        import pstats
+
+        pstats.Stats(profiler).strip_dirs().sort_stats("cumulative").print_stats(30)
 
     if args.save:
         path = results.save(args.save)
@@ -306,17 +312,37 @@ def study_main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _with_sharding_flags(parser, args, config):
-    """*config* with ``--shards``/``--workers`` applied.  Workers only
-    ever run shards, so ``--workers`` without ``--shards`` is an error
-    rather than a silently serial run."""
+def config_from_args(parser: argparse.ArgumentParser, args):
+    """``(config, label)`` from the flags of :func:`add_config_arguments`
+    (exits on error)."""
+    from repro.core import StudyConfig
+
+    if args.scenario:
+        config = _compose_scenario(parser, args).study_config(seed=args.seed)
+        label = "scenario=" + "+".join([args.scenario, *args.overlay])
+    elif args.overlay:
+        parser.error("--overlay requires --scenario")
+    else:
+        config = getattr(StudyConfig, PRESETS[args.preset])(seed=args.seed)
+        label = f"preset={args.preset}"
+    return config, label
+
+
+def _study_config(parser: argparse.ArgumentParser, args):
+    """:func:`config_from_args` with ``rootsim-study``'s ``--shards``,
+    ``--workers`` and ``--engine`` applied.  Workers only ever run
+    shards, so ``--workers`` without ``--shards`` is an error rather
+    than a silently serial run."""
+    config, label = config_from_args(parser, args)
     if args.shards < 1 or args.workers < 1:
         parser.error("--shards and --workers must be >= 1")
     if args.workers > 1 and args.shards == 1:
         parser.error("--workers requires --shards > 1")
     if args.shards > 1:
         config = config.with_sharding(args.shards, workers=args.workers)
-    return config
+    if args.engine is not None:
+        config = config.with_engine(args.engine)
+    return config, label
 
 
 def _streaming_study_main(args, parser) -> int:
@@ -325,7 +351,6 @@ def _streaming_study_main(args, parser) -> int:
     Runs the campaign through :func:`run_streaming_campaign` so progress
     survives a crash; ``--save`` finalizes the sealed chunks into an
     ordinary dataset directory, byte-identical to a batch save."""
-    from repro.core import StudyConfig
     from repro.core.streaming import (
         config_from_checkpoint,
         finalize_streaming_campaign,
@@ -352,23 +377,7 @@ def _streaming_study_main(args, parser) -> int:
                   f"seed={config.seed} engine={config.engine} "
                   f"shards={config.shards}")
         else:
-            if args.scenario:
-                config = _compose_scenario(parser, args).study_config(
-                    seed=args.seed
-                )
-                label = f"scenario={args.scenario}"
-            elif args.overlay:
-                parser.error("--overlay requires --scenario")
-            else:
-                config = {
-                    "quick": StudyConfig.quick,
-                    "standard": StudyConfig.standard,
-                    "paper": StudyConfig.paper_scale,
-                }[args.preset](seed=args.seed)
-                label = f"preset={args.preset}"
-            config = _with_sharding_flags(parser, args, config)
-            if args.engine is not None:
-                config = config.with_engine(args.engine)
+            config, label = _study_config(parser, args)
             print(f"streaming study: {label} seed={args.seed} "
                   f"-> {checkpoint_dir}")
 

@@ -1,14 +1,12 @@
 """Study orchestration: configuration presets, the staged pipeline
-(world construction → measurement platform → campaign execution →
-analysis), sharded/multiprocess campaign execution, and the results
-bundle the analysis layer consumes.
+(world construction → measurement platform → campaign execution),
+sharded/multiprocess campaign execution, and the results bundle the
+analysis layer consumes.
 """
 
 from repro.core.config import StudyConfig
 from repro.core.pipeline import (
-    ArtifactStore,
     PlatformArtifacts,
-    StageTiming,
     StudyPipeline,
     WorldArtifacts,
     build_platform,
@@ -16,16 +14,12 @@ from repro.core.pipeline import (
     clear_world_cache,
     shard_vp_lists,
 )
-from repro.core.study import RootStudy
 from repro.core.results import StudyResults
 
 __all__ = [
     "StudyConfig",
-    "RootStudy",
     "StudyResults",
     "StudyPipeline",
-    "ArtifactStore",
-    "StageTiming",
     "WorldArtifacts",
     "PlatformArtifacts",
     "build_world",

@@ -1,9 +1,7 @@
-"""The staged study pipeline: build_world → build_platform → run_campaign → analyze.
+"""The study pipeline: build_world → build_platform → run_campaign.
 
-:class:`~repro.core.study.RootStudy` used to derive the whole world in one
-monolithic constructor and run strictly serially through a single
-in-memory collector.  This module splits that flow into four explicit,
-individually timed stages over a typed artifact store:
+:class:`StudyPipeline` is the one study object; it runs the paper's §4
+method as three stages and keeps each one's output as a plain attribute:
 
 * **build_world** — sites, routing fabric, zone machinery, deployments.
   Worlds depend only on the seed and are checkpointed in a module-level
@@ -21,8 +19,9 @@ individually timed stages over a typed artifact store:
   several are recombined with
   :meth:`~repro.vantage.collector.CampaignCollector.merge`, which is
   guaranteed to reproduce the serial run byte-for-byte.
-* **analyze** — runs analyses by name through
-  :mod:`repro.analysis.registry`.
+
+Analyses then run on the :class:`~repro.core.results.StudyResults`
+bundle through :func:`repro.analysis.registry.run`.
 
 Sharding invariant: every shard probes a *disjoint VP subset* over the
 *full* schedule.  Catchment churn, sampling phase and fault state are all
@@ -35,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -60,83 +58,6 @@ from repro.vantage.ring import build_ring
 from repro.vantage.scheduler import MeasurementSchedule
 from repro.zone.distribution import ZoneDistributor
 from repro.zone.rootzone import RootZoneBuilder
-
-
-# --- typed artifact store -----------------------------------------------------------
-
-
-class ArtifactStore:
-    """Typed name -> value store with stage provenance.
-
-    Every pipeline stage publishes its outputs here; later stages (and
-    external consumers like benchmarks) read them back by name.  ``get``
-    with an ``expected_type`` doubles as a lightweight schema check.
-    """
-
-    def __init__(self) -> None:
-        self._values: Dict[str, Any] = {}
-        self._producers: Dict[str, str] = {}
-
-    def put(
-        self,
-        name: str,
-        value: Any,
-        *,
-        stage: str,
-        expected_type: Optional[type] = None,
-    ) -> None:
-        if expected_type is not None and not isinstance(value, expected_type):
-            raise TypeError(
-                f"artifact {name!r} must be {expected_type.__name__}, "
-                f"got {type(value).__name__}"
-            )
-        self._values[name] = value
-        self._producers[name] = stage
-
-    def get(self, name: str, expected_type: Optional[type] = None) -> Any:
-        if name not in self._values:
-            raise KeyError(
-                f"artifact {name!r} not available; run its producing stage first"
-            )
-        value = self._values[name]
-        if expected_type is not None and not isinstance(value, expected_type):
-            raise TypeError(
-                f"artifact {name!r} is {type(value).__name__}, "
-                f"expected {expected_type.__name__}"
-            )
-        return value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
-    def names(self) -> List[str]:
-        return sorted(self._values)
-
-    def producer(self, name: str) -> str:
-        """The stage that published *name*."""
-        if name not in self._producers:
-            raise KeyError(f"artifact {name!r} not available")
-        return self._producers[name]
-
-
-@dataclass(frozen=True)
-class StageTiming:
-    """Wall time of one executed (or reused) pipeline stage."""
-
-    stage: str
-    seconds: float
-    reused: bool = False
-
-
-def render_profile(profiler, limit: int = 30) -> str:
-    """Human-readable top-*limit* cumulative view of a cProfile run."""
-    import io
-    import pstats
-
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.strip_dirs().sort_stats("cumulative").print_stats(limit)
-    return stream.getvalue()
 
 
 # --- stage outputs ------------------------------------------------------------------
@@ -608,8 +529,8 @@ class CampaignShards:
 def run_campaign(
     config: StudyConfig, world: WorldArtifacts, platform: PlatformArtifacts
 ) -> CampaignCollector:
-    """Execute the campaign over ``[0, n_rounds)`` and leave the
-    campaign collector on the platform.
+    """Execute the campaign over ``[0, n_rounds)``; returns the campaign
+    collector.
 
     One shard's collector is used as is; several are merged, which
     reproduces the serial run byte-for-byte.  The merge copies every row
@@ -627,141 +548,42 @@ def run_campaign(
             collector = CampaignCollector.merge(collectors)
     world.distributor.reset_faults()
     platform.prober.reset()
-    platform.collector = collector
-    platform.prober.collector = collector
     return collector
 
 
-# --- stage 4: analyze ---------------------------------------------------------------
-
-
-def analyze(
-    results: StudyResults, names: Optional[Sequence[str]] = None, **inputs: Any
-) -> Dict[str, Any]:
-    """Run analyses by registry name against a results bundle.
-
-    With ``names=None`` every registered analysis whose requirements the
-    bundle satisfies is run.  Extra inputs (e.g. a passive-capture
-    ``aggregate``) are forwarded to the registry.
-    """
-    from repro.analysis import registry
-
-    if names is None:
-        names = registry.runnable(results, **inputs)
-    return {name: registry.run(name, results, **inputs) for name in names}
-
-
-# --- the pipeline object ------------------------------------------------------------
+# --- the study object ---------------------------------------------------------------
 
 
 class StudyPipeline:
-    """Composable staged execution with artifact checkpointing and timing.
+    """One study: build the world, then the platform, then run the campaign.
 
-    Stages are idempotent: a second call reuses the stored artifacts (and
-    records a zero-cost :class:`StageTiming` with ``reused=True``), so
-    callers can drive stages in any mix — ``run()`` end-to-end, or
-    stage-by-stage with inspection in between.
+    Each stage runs once and keeps its output as a plain attribute
+    (``world``, ``platform``, ``collector``); a second call returns it, so
+    callers can drive the stages one by one or call :meth:`run`.
     """
 
-    def __init__(
-        self, config: Optional[StudyConfig] = None, profile: bool = False
-    ) -> None:
+    def __init__(self, config: Optional[StudyConfig] = None) -> None:
         self.config = config or StudyConfig()
-        #: Record a cProfile of the campaign stage into the artifact
-        #: store (``campaign_profile`` / ``campaign_profile_top``).
-        self.profile = profile
-        self.store = ArtifactStore()
-        self.timings: List[StageTiming] = []
-        self._campaign_done = False
-
-    # -- internals ---------------------------------------------------------------
-
-    def _record(self, stage: str, started: float, reused: bool = False) -> None:
-        self.timings.append(
-            StageTiming(stage=stage, seconds=time.perf_counter() - started, reused=reused)
-        )
-        # Keep the per-stage timing log available as an artifact too, so
-        # benchmarks and the CLI read timings the same way as any other
-        # pipeline output.
-        self.store.put("stage_timings", self.timings, stage=stage)
-
-    # -- stages ------------------------------------------------------------------
+        self.world: Optional[WorldArtifacts] = None
+        self.platform: Optional[PlatformArtifacts] = None
+        self.collector: Optional[CampaignCollector] = None
 
     def build_world(self) -> WorldArtifacts:
-        started = time.perf_counter()
-        if "world" in self.store:
-            world = self.store.get("world", WorldArtifacts)
-            self._record("build_world", started, reused=True)
-            return world
-        reused = _world_cache_key(self.config) in _WORLD_CACHE
-        world = build_world(self.config)
-        self.store.put("world", world, stage="build_world", expected_type=WorldArtifacts)
-        self.store.put("catalog", world.catalog, stage="build_world")
-        self.store.put("fabric", world.fabric, stage="build_world")
-        self.store.put("distributor", world.distributor, stage="build_world")
-        self.store.put("deployments", world.deployments, stage="build_world")
-        self._record("build_world", started, reused=reused)
-        return world
+        if self.world is None:
+            self.world = build_world(self.config)
+        return self.world
 
     def build_platform(self) -> PlatformArtifacts:
-        started = time.perf_counter()
-        if "platform" in self.store:
-            platform = self.store.get("platform", PlatformArtifacts)
-            self._record("build_platform", started, reused=True)
-            return platform
-        world = self.build_world()
-        platform = build_platform(self.config, world)
-        self.store.put(
-            "platform", platform, stage="build_platform", expected_type=PlatformArtifacts
-        )
-        self.store.put("schedule", platform.schedule, stage="build_platform")
-        self.store.put("vps", platform.vps, stage="build_platform")
-        self.store.put("fault_plan", platform.fault_plan, stage="build_platform")
-        self._record("build_platform", started)
-        return platform
+        if self.platform is None:
+            self.platform = build_platform(self.config, self.build_world())
+        return self.platform
 
     def run_campaign(self) -> CampaignCollector:
-        started = time.perf_counter()
-        if self._campaign_done:
-            self._record("run_campaign", started, reused=True)
-            return self.store.get("collector", CampaignCollector)
-        world = self.build_world()
-        platform = self.build_platform()
-        if self.profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                collector = run_campaign(self.config, world, platform)
-            finally:
-                profiler.disable()
-            self.store.put("campaign_profile", profiler, stage="run_campaign")
-            self.store.put(
-                "campaign_profile_top", render_profile(profiler), stage="run_campaign"
+        if self.collector is None:
+            self.collector = run_campaign(
+                self.config, self.build_world(), self.build_platform()
             )
-        else:
-            collector = run_campaign(self.config, world, platform)
-        self.store.put(
-            "collector", collector, stage="run_campaign", expected_type=CampaignCollector
-        )
-        self._campaign_done = True
-        self._record("run_campaign", started)
-        return collector
-
-    def analyze(
-        self, names: Optional[Sequence[str]] = None, **inputs: Any
-    ) -> Dict[str, Any]:
-        started = time.perf_counter()
-        out = analyze(self.results(), names, **inputs)
-        self._record("analyze", started)
-        return out
-
-    # -- results -----------------------------------------------------------------
-
-    @property
-    def campaign_done(self) -> bool:
-        return self._campaign_done
+        return self.collector
 
     def run(self) -> StudyResults:
         """Run every stage through the campaign; returns the bundle."""
@@ -769,14 +591,13 @@ class StudyPipeline:
         return self.results()
 
     def results(self) -> StudyResults:
-        """The results bundle (only valid once the campaign has run)."""
-        if not self._campaign_done:
+        """A fresh results bundle (only valid once the campaign has run)."""
+        if self.collector is None:
             raise RuntimeError(
                 "results() called before the campaign ran; "
                 "call run() / run_campaign() first"
             )
-        world = self.store.get("world", WorldArtifacts)
-        platform = self.store.get("platform", PlatformArtifacts)
+        world, platform = self.world, self.platform
         return StudyResults(
             config=self.config,
             schedule=platform.schedule,
@@ -786,5 +607,5 @@ class StudyPipeline:
             deployments=world.deployments,
             distributor=world.distributor,
             fault_plan=platform.fault_plan,
-            collector=self.store.get("collector", CampaignCollector),
+            collector=self.collector,
         )

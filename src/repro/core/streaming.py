@@ -53,6 +53,7 @@ from repro.data.chunks import (
     read_passive_aggregate,
     write_passive_aggregate,
 )
+from repro.data.dataset import stability_columns
 from repro.data.schema import CheckpointError
 from repro.vantage.collector import CampaignCollector
 
@@ -95,18 +96,13 @@ def _stability_delta(
 ) -> Dict[str, np.ndarray]:
     """Per-pair (changes, rounds) accrued since the previous seal, as
     stability-schema columns sorted by (vp, addr)."""
-    rows = []
+    delta = {}
     for pair in sorted(now):
         changes, rounds = now[pair]
         p_changes, p_rounds = prev.get(pair, (0, 0))
         if changes != p_changes or rounds != p_rounds:
-            rows.append((pair[0], pair[1], changes - p_changes, rounds - p_rounds))
-    return {
-        "vp": np.array([r[0] for r in rows], dtype=np.int32),
-        "addr": np.array([r[1] for r in rows], dtype=np.int16),
-        "changes": np.array([r[2] for r in rows], dtype=np.int32),
-        "rounds": np.array([r[3] for r in rows], dtype=np.int32),
-    }
+            delta[pair] = (changes - p_changes, rounds - p_rounds)
+    return stability_columns(delta)
 
 
 def _identity_delta(

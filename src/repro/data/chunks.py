@@ -52,13 +52,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Table
+from repro.data.dataset import Dataset, Table, stability_columns
 from repro.data.io import (
     DatasetReader,
     MANIFEST_NAME,
@@ -116,6 +116,22 @@ class ChunkData:
             "transfer_observations": len(self.transfers),
             "stability_pairs": int(len(self.stability["vp"])),
         }
+
+
+def _campaign_summary(
+    state, totals: Dict[str, int], stability_pairs: int
+) -> Dict[str, int]:
+    """A dataset summary for the sealed rounds: counters from the
+    aggregate *state* collector, row totals from the checkpoint."""
+    return {
+        "rounds": state.rounds_processed,
+        "queries": state.queries_simulated,
+        "probe_samples": totals["probes"],
+        "traceroute_samples": totals["traceroutes"],
+        "transfers": state.transfer_total,
+        "transfer_observations": totals["transfer_observations"],
+        "stability_pairs": stability_pairs,
+    }
 
 
 # --- writer -------------------------------------------------------------------------
@@ -342,21 +358,7 @@ class ChunkedDatasetWriter:
                 schema, ckpt["totals"][name]
             )
 
-        stability = state_collector.change_counts()
-        n = len(stability)
-        columns = {
-            "vp": np.empty(n, dtype=np.int32),
-            "addr": np.empty(n, dtype=np.int16),
-            "changes": np.empty(n, dtype=np.int32),
-            "rounds": np.empty(n, dtype=np.int32),
-        }
-        for i, ((vp_id, addr_idx), (n_changes, n_rounds)) in enumerate(
-            stability.items()
-        ):
-            columns["vp"][i] = vp_id
-            columns["addr"][i] = addr_idx
-            columns["changes"][i] = n_changes
-            columns["rounds"][i] = n_rounds
+        columns = stability_columns(state_collector.change_counts())
         tables_manifest["stability"] = write_binary_table(
             out, "stability", BINARY_TABLES["stability"], columns
         )
@@ -382,18 +384,11 @@ class ChunkedDatasetWriter:
                 with open(chunk_dir / "transfers.jsonl", "rb") as source:
                     shutil.copyfileobj(source, sink)
 
-        summary = {
-            "rounds": state_collector.rounds_processed,
-            "queries": state_collector.queries_simulated,
-            "probe_samples": ckpt["totals"]["probes"],
-            "traceroute_samples": ckpt["totals"]["traceroutes"],
-            "transfers": state_collector.transfer_total,
-            "transfer_observations": ckpt["totals"]["transfer_observations"],
-            "stability_pairs": n,
-        }
         manifest = assemble_manifest(
             study=ckpt["study"],
-            summary=summary,
+            summary=_campaign_summary(
+                state_collector, ckpt["totals"], len(columns["vp"])
+            ),
             addresses=ckpt["addresses"],
             sites=list(state_collector.sites.values),
             hops=list(state_collector.hops.values),
@@ -571,36 +566,13 @@ class CheckpointReader:
                 )
                 tables[name] = Table(schema, stitched)
 
-        stability = state.change_counts()
-        n = len(stability)
-        columns = {
-            "vp": np.empty(n, dtype=np.int32),
-            "addr": np.empty(n, dtype=np.int16),
-            "changes": np.empty(n, dtype=np.int32),
-            "rounds": np.empty(n, dtype=np.int32),
-        }
-        for i, ((vp_id, addr_idx), (n_changes, n_rounds)) in enumerate(
-            stability.items()
-        ):
-            columns["vp"][i] = vp_id
-            columns["addr"][i] = addr_idx
-            columns["changes"][i] = n_changes
-            columns["rounds"][i] = n_rounds
-        tables["stability"] = Table(BINARY_TABLES["stability"], columns)
+        stability = stability_columns(state.change_counts())
+        tables["stability"] = Table(BINARY_TABLES["stability"], stability)
 
         transfers: List[Any] = []
         for chunk in chunk_sets:
             transfers.extend(chunk._transfer_source or [])
 
-        summary = {
-            "rounds": state.rounds_processed,
-            "queries": state.queries_simulated,
-            "probe_samples": ckpt["totals"]["probes"],
-            "traceroute_samples": ckpt["totals"]["traceroutes"],
-            "transfers": state.transfer_total,
-            "transfer_observations": ckpt["totals"]["transfer_observations"],
-            "stability_pairs": n,
-        }
         meta: Dict[str, Any] = {
             "checkpoint": {
                 "rounds_done": ckpt["rounds_done"],
@@ -617,7 +589,7 @@ class CheckpointReader:
             identities=state.identities,
             tables=tables,
             transfers=transfers,
-            summary=summary,
+            summary=_campaign_summary(state, ckpt["totals"], len(stability["vp"])),
             meta=meta,
         )
 

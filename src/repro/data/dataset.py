@@ -41,6 +41,21 @@ from repro.data.transfers import TransferRecord, seal_transfers
 from repro.rss.operators import ServiceAddress
 
 
+def stability_columns(
+    counts: Dict[Tuple[int, int], Tuple[int, int]],
+) -> Dict[str, np.ndarray]:
+    """The ``stability`` table's columns for a ``change_counts()`` dict:
+    one (vp, addr, changes, rounds) row per pair, in the dict's order."""
+    rows = [
+        (vp, addr, changes, rounds)
+        for (vp, addr), (changes, rounds) in counts.items()
+    ]
+    return {
+        spec.name: np.array([row[i] for row in rows], dtype=spec.np_dtype)
+        for i, spec in enumerate(BINARY_TABLES["stability"].columns)
+    }
+
+
 class Table:
     """One sealed binary table: schema plus equal-length numpy columns."""
 
@@ -123,20 +138,6 @@ class Dataset:
         """
         if hasattr(collector, "seal"):
             collector.seal()
-        stability = collector.change_counts()
-        n = len(stability)
-        vp = np.empty(n, dtype=np.int32)
-        addr = np.empty(n, dtype=np.int16)
-        changes = np.empty(n, dtype=np.int32)
-        rounds = np.empty(n, dtype=np.int32)
-        for i, ((vp_id, addr_idx), (n_changes, n_rounds)) in enumerate(
-            stability.items()
-        ):
-            vp[i] = vp_id
-            addr[i] = addr_idx
-            changes[i] = n_changes
-            rounds[i] = n_rounds
-
         tables = {
             "probes": Table(BINARY_TABLES["probes"], collector.probe_columns()),
             "traceroutes": Table(
@@ -144,7 +145,7 @@ class Dataset:
             ),
             "stability": Table(
                 BINARY_TABLES["stability"],
-                {"vp": vp, "addr": addr, "changes": changes, "rounds": rounds},
+                stability_columns(collector.change_counts()),
             ),
         }
         meta: Dict[str, Any] = {}

@@ -3,23 +3,15 @@
 Owns the facility inventory, assigns every root server site to a
 facility (the co-location ground truth), scopes local sites (IXP-scoped
 vs country-scoped), and hands out :class:`RouteSelector` instances.
-
-An AS-level :mod:`networkx` graph of the fabric is exposed for
-introspection and the ablation benchmarks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-import networkx as nx
-
-from repro.geo.cities import City
-from repro.netsim.attachment import Attachment
 from repro.netsim.churn import ChurnModel
-from repro.netsim.facilities import Facility, Ixp, IXP_CATALOG, build_facilities
-from repro.netsim.routing import LETTER_ASN, RouteSelector
-from repro.netsim.transit import TRANSIT_CATALOG
+from repro.netsim.facilities import Facility, build_facilities
+from repro.netsim.routing import RouteSelector
 from repro.rss.sites import Site, SiteCatalog
 from repro.util.rng import RngFactory
 
@@ -125,33 +117,6 @@ class NetworkFabric:
     def selector(self, seed: int, expected_rounds: int) -> RouteSelector:
         """A route selector with a fresh churn model."""
         return RouteSelector(self, ChurnModel(seed, expected_rounds))
-
-    # -- introspection ------------------------------------------------------------------
-
-    def as_graph(self, attachments: Optional[List[Attachment]] = None) -> nx.Graph:
-        """AS-level graph: transit ASes, letter origin ASes, IXPs as
-        pseudo-nodes, and (optionally) client attachments."""
-        graph = nx.Graph()
-        for transit in TRANSIT_CATALOG:
-            graph.add_node(f"AS{transit.asn}", kind="transit", name=transit.name)
-        for letter, asn in LETTER_ASN.items():
-            graph.add_node(f"AS{asn}", kind="root", letter=letter)
-        for ixp in IXP_CATALOG:
-            graph.add_node(ixp.ixp_id, kind="ixp", city=ixp.city.iata)
-            for letter in self.letters_at_ixp(ixp.ixp_id):
-                graph.add_edge(ixp.ixp_id, f"AS{LETTER_ASN[letter]}", kind="peering")
-        for transit in TRANSIT_CATALOG:
-            for letter, asn in LETTER_ASN.items():
-                graph.add_edge(f"AS{transit.asn}", f"AS{asn}", kind="transit")
-        for att in attachments or []:
-            node = f"AS{att.asn}"
-            graph.add_node(node, kind="edge", city=att.city.iata)
-            for family in (4, 6):
-                for transit in att.transits(family):
-                    graph.add_edge(node, f"AS{transit.asn}", kind="transit")
-                for ixp_id in att.ixp_memberships(family):
-                    graph.add_edge(node, ixp_id, kind="peering")
-        return graph
 
     def colocation_census(self) -> Dict[str, int]:
         """facility_id -> number of distinct letters hosted (ground truth

@@ -411,8 +411,9 @@ def _generate(
     return written
 
 
-def generate_all(study, out_dir: str, workers: int = 1) -> Dict[str, Path]:
-    """Write every artefact for a finished *study*; returns name -> path.
+def generate_all(results, out_dir: str, workers: int = 1) -> Dict[str, Path]:
+    """Write every artefact for a finished study's *results* bundle;
+    returns name -> path.
 
     Persists the study's dataset under ``out_dir/dataset`` first, exactly
     as ``rootsim-study --save`` does (passive captures for the study's
@@ -422,7 +423,6 @@ def generate_all(study, out_dir: str, workers: int = 1) -> Dict[str, Path]:
     """
     from repro.analysis import registry
 
-    results = study.results()
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
@@ -461,24 +461,14 @@ def generate_from_dataset(
 
 def report_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``rootsim-report``."""
+    from repro.cli import add_config_arguments, config_from_args
+
     parser = argparse.ArgumentParser(
         prog="rootsim-report",
         description="regenerate every paper table/figure into a directory",
     )
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument(
-        "--preset", choices=("quick", "standard", "paper"), default="quick"
-    )
-    parser.add_argument(
-        "--scenario", metavar="NAME",
-        help="run a registered scenario instead of --preset "
-             "(see repro.scenarios)",
-    )
-    parser.add_argument(
-        "--overlay", metavar="NAME", action="append", default=[],
-        help="fold a registered overlay onto --scenario (repeatable)",
-    )
-    parser.add_argument("--seed", type=int, default=2024)
+    add_config_arguments(parser)
     parser.add_argument(
         "--workers", type=int, default=1,
         help="generate artefact groups across N processes "
@@ -499,30 +489,12 @@ def report_main(argv: Optional[List[str]] = None) -> int:
             args.dataset, args.out, workers=args.workers
         )
     else:
-        from repro.core import RootStudy, StudyConfig
+        from repro.core import StudyPipeline
 
-        if args.scenario:
-            from repro.scenarios import MergeError, compose
-
-            try:
-                config = compose(args.scenario, args.overlay).study_config(
-                    seed=args.seed
-                )
-            except (KeyError, MergeError, ValueError) as exc:
-                parser.error(str(exc.args[0] if exc.args else exc))
-            print(f"running scenario {args.scenario} (seed {args.seed}) ...")
-        elif args.overlay:
-            parser.error("--overlay requires --scenario")
-        else:
-            config = {
-                "quick": StudyConfig.quick,
-                "standard": StudyConfig.standard,
-                "paper": StudyConfig.paper_scale,
-            }[args.preset](seed=args.seed)
-            print(f"running {args.preset} study (seed {args.seed}) ...")
-        study = RootStudy(config)
-        study.run()
-        written = generate_all(study, args.out, workers=args.workers)
+        config, label = config_from_args(parser, args)
+        print(f"running study: {label} seed={args.seed} ...")
+        results = StudyPipeline(config).run()
+        written = generate_all(results, args.out, workers=args.workers)
     print(f"wrote {len(written)} artefacts to {args.out}:")
     for name in sorted(written):
         print(f"  {name}.txt")

@@ -62,13 +62,12 @@ def run_scenario_smoke(
     """
     from repro.analysis import registry
     from repro.analysis.summaries import PASSIVE_ANALYSES, render_summary
-    from repro.core.study import RootStudy
+    from repro.core.pipeline import StudyPipeline
     from repro.data import load_dataset
 
     scenario = compose(name, overlays)
     config = smoke_config(scenario, seed=seed)
-    study = RootStudy(config)
-    results = study.run()
+    results = StudyPipeline(config).run()
 
     base = Path(out_dir) / name
     base.mkdir(parents=True, exist_ok=True)

@@ -48,9 +48,9 @@ def reference_cell(dataset, vps, address: str, continent: Continent) -> np.ndarr
 
 
 @pytest.fixture(scope="module")
-def reloaded(full_window_study, tmp_path_factory):
+def reloaded(full_window_pipeline, tmp_path_factory):
     directory = tmp_path_factory.mktemp("probe_cells")
-    return load_dataset(save_dataset(full_window_study.results().dataset, directory))
+    return load_dataset(save_dataset(full_window_pipeline.results().dataset, directory))
 
 
 @pytest.fixture(scope="module", params=["collector", "reloaded"])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 from repro.rss.sites import build_site_catalog
 from repro.util.rng import RngFactory
 from repro.util.timeutil import parse_ts
@@ -58,15 +58,22 @@ def mini_study_config() -> StudyConfig:
 
 
 @pytest.fixture(scope="session")
-def mini_study(mini_study_config):
+def mini_pipeline(mini_study_config):
     """A completed small campaign (shared read-only)."""
-    study = RootStudy(mini_study_config)
-    study.run()
-    return study
+    pipeline = StudyPipeline(mini_study_config)
+    pipeline.run()
+    return pipeline
 
 
 @pytest.fixture(scope="session")
-def full_window_study():
+def mini_study(mini_pipeline):
+    """The small campaign's results bundle (shared read-only; tests that
+    save or attach to a dataset take a fresh ``mini_pipeline.results()``)."""
+    return mini_pipeline.results()
+
+
+@pytest.fixture(scope="session")
+def full_window_pipeline():
     """A coarse campaign over the full 174-day window (faults included),
     used by analyses that need the whole timeline (ZONEMD roll-out,
     stability medians)."""
@@ -80,6 +87,12 @@ def full_window_study():
         axfr_sample_every=2,
         clean_transfer_keep_one_in=200,
     )
-    study = RootStudy(config)
-    study.run()
-    return study
+    pipeline = StudyPipeline(config)
+    pipeline.run()
+    return pipeline
+
+
+@pytest.fixture(scope="session")
+def full_window_study(full_window_pipeline):
+    """The full-window campaign's results bundle (shared read-only)."""
+    return full_window_pipeline.results()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 from repro.util.timeutil import parse_ts
 from repro.vantage.scheduler import CAMPAIGN_END, CAMPAIGN_START
 
@@ -66,15 +66,14 @@ class TestStudyConstruction:
             campaign_end=parse_ts("2023-08-03"),
             include_faults=False,
         )
-        study = RootStudy(config)
-        assert not study.fault_plan.bitflips
-        assert not study.fault_plan.stale_sites
+        fault_plan = StudyPipeline(config).build_platform().fault_plan
+        assert not fault_plan.bitflips
+        assert not fault_plan.stale_sites
 
     def test_results_accessors(self, mini_study):
-        results = mini_study.results()
-        vp = results.vp_by_id(0)
+        vp = mini_study.vp_by_id(0)
         assert vp.vp_id == 0
-        summary = results.summary()
+        summary = mini_study.summary()
         assert summary["vps"] == len(mini_study.vps)
         assert summary["sites"] == len(mini_study.catalog)
 
@@ -88,8 +87,8 @@ class TestDeterminism:
             campaign_start=parse_ts("2023-11-25"),
             campaign_end=parse_ts("2023-11-29"),
         )
-        a = RootStudy(config).run()
-        b = RootStudy(config).run()
+        a = StudyPipeline(config).run()
+        b = StudyPipeline(config).run()
         assert a.collector.change_counts() == b.collector.change_counts()
         assert a.collector.summary() == b.collector.summary()
 
@@ -100,8 +99,8 @@ class TestDeterminism:
             campaign_start=parse_ts("2023-11-25"),
             campaign_end=parse_ts("2023-11-29"),
         )
-        a = RootStudy(StudyConfig(seed=1, **base)).run()
-        b = RootStudy(StudyConfig(seed=2, **base)).run()
+        a = StudyPipeline(StudyConfig(seed=1, **base)).run()
+        b = StudyPipeline(StudyConfig(seed=2, **base)).run()
         assert a.collector.probe_columns()["rtt"].tolist() != (
             b.collector.probe_columns()["rtt"].tolist()
         )

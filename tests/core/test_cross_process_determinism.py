@@ -12,15 +12,14 @@ import subprocess
 import sys
 
 SCRIPT = """
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 from repro.util.timeutil import parse_ts
 
 config = StudyConfig(
     seed=31, ring_scale=0.02, ring_min_per_region=1, interval_scale=96.0,
     campaign_start=parse_ts("2023-11-25"), campaign_end=parse_ts("2023-11-28"),
 )
-study = RootStudy(config)
-study.run()
+study = StudyPipeline(config).run()
 counts = sorted(study.collector.change_counts().items())
 rtts = study.collector.probe_columns()["rtt"][:50].tolist()
 print(repr((counts[:40], [round(r, 4) for r in rtts])))

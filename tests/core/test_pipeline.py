@@ -1,4 +1,4 @@
-"""The staged pipeline: typed artifacts, checkpoint reuse, sharded and
+"""The staged pipeline: stage reuse, world checkpointing, sharded and
 multiprocess campaign execution, registry-driven analysis."""
 
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.analysis import registry
 from repro.analysis.stability import StabilityAnalysis
 from repro.core import (
-    ArtifactStore,
-    RootStudy,
     StudyConfig,
     StudyPipeline,
     build_world,
@@ -34,36 +32,10 @@ def tiny_config(**overrides) -> StudyConfig:
 
 
 @pytest.fixture(scope="module")
-def tiny_study() -> RootStudy:
-    study = RootStudy(tiny_config())
-    study.run()
-    return study
-
-
-class TestArtifactStore:
-    def test_put_get_with_provenance(self):
-        store = ArtifactStore()
-        store.put("x", 3, stage="some-stage", expected_type=int)
-        assert "x" in store
-        assert store.get("x") == 3
-        assert store.get("x", int) == 3
-        assert store.producer("x") == "some-stage"
-        assert store.names() == ["x"]
-
-    def test_type_mismatches_rejected(self):
-        store = ArtifactStore()
-        with pytest.raises(TypeError):
-            store.put("x", "not-an-int", stage="s", expected_type=int)
-        store.put("x", 3, stage="s")
-        with pytest.raises(TypeError):
-            store.get("x", str)
-
-    def test_missing_artifacts(self):
-        store = ArtifactStore()
-        with pytest.raises(KeyError, match="producing stage"):
-            store.get("absent")
-        with pytest.raises(KeyError):
-            store.producer("absent")
+def tiny_study() -> StudyPipeline:
+    pipeline = StudyPipeline(tiny_config())
+    pipeline.run()
+    return pipeline
 
 
 class TestWorldCheckpoint:
@@ -78,54 +50,51 @@ class TestWorldCheckpoint:
 
     def test_studies_share_one_world(self):
         clear_world_cache()
-        a = RootStudy(tiny_config())
-        b = RootStudy(tiny_config())
-        assert a.catalog is b.catalog
-        assert a.distributor is b.distributor
+        a = StudyPipeline(tiny_config())
+        b = StudyPipeline(tiny_config())
+        assert a.build_world() is b.build_world()
         # Platforms stay per-study: fresh collectors and churn state.
-        assert a.collector is not b.collector
-        assert a.selector is not b.selector
+        assert a.build_platform().collector is not b.build_platform().collector
+        assert a.platform.selector is not b.platform.selector
 
 
 class TestStages:
-    def test_stages_idempotent_and_timed(self):
+    def test_stages_idempotent(self):
         pipeline = StudyPipeline(tiny_config())
         world = pipeline.build_world()
         assert pipeline.build_world() is world
         platform = pipeline.build_platform()
         assert pipeline.build_platform() is platform
-        stages = [(t.stage, t.reused) for t in pipeline.timings]
-        assert ("build_world", True) in stages
-        assert ("build_platform", True) in stages
-        assert all(t.seconds >= 0 for t in pipeline.timings)
 
     def test_results_before_campaign_raises(self):
         pipeline = StudyPipeline(tiny_config())
         with pytest.raises(RuntimeError, match="before the campaign"):
             pipeline.results()
-        study = RootStudy(tiny_config())
+        pipeline.build_platform()
         with pytest.raises(RuntimeError, match="before the campaign"):
-            study.results()
+            pipeline.results()
 
-    def test_artifacts_published_with_provenance(self, tiny_study):
-        store = tiny_study.pipeline.store
-        for name in ("world", "catalog", "fabric", "distributor", "deployments"):
-            assert store.producer(name) == "build_world"
-        for name in ("platform", "schedule", "vps", "fault_plan"):
-            assert store.producer(name) == "build_platform"
-        assert store.producer("collector") == "run_campaign"
+    def test_stage_outputs_are_attributes(self, tiny_study):
+        results = tiny_study.results()
+        assert results.catalog is tiny_study.world.catalog
+        assert results.deployments is tiny_study.world.deployments
+        assert results.vps is tiny_study.platform.vps
+        assert results.schedule is tiny_study.platform.schedule
+        assert results.collector is tiny_study.collector
+        # run_campaign hands the collector back; the platform keeps its own.
+        assert tiny_study.platform.collector is not tiny_study.collector
 
     def test_run_idempotent(self, tiny_study):
-        before = tiny_study.collector.summary()
+        collector = tiny_study.collector
+        before = collector.summary()
         again = tiny_study.run()
+        assert again.collector is collector
         assert again.collector.summary() == before
-        reused = [t for t in tiny_study.timings if t.stage == "run_campaign" and t.reused]
-        assert reused
 
 
 class TestSharding:
     def test_shard_vp_lists_partitions(self, tiny_study):
-        vps = tiny_study.vps
+        vps = tiny_study.platform.vps
         shards = shard_vp_lists(vps, 3)
         assert len(shards) == 3
         flat = [vp.vp_id for shard in shards for vp in shard]
@@ -151,8 +120,7 @@ class TestSharding:
 
         from repro.core.pipeline import last_spill_stats
 
-        study = RootStudy(tiny_config().with_sharding(2, workers=2))
-        study.run()
+        study = StudyPipeline(tiny_config().with_sharding(2, workers=2)).run()
         assert study.collector.summary() == tiny_study.collector.summary()
         assert study.collector.change_counts() == (
             tiny_study.collector.change_counts()
@@ -197,16 +165,15 @@ class TestAnalyzeStage:
             registry.get("nope")
 
     def test_analyze_by_name(self, tiny_study):
-        out = tiny_study.analyze(["stability", "coverage"])
-        assert sorted(out) == ["coverage", "stability"]
-        assert isinstance(out["stability"], StabilityAnalysis)
+        results = tiny_study.results()
+        assert isinstance(registry.run("stability", results), StabilityAnalysis)
 
     def test_analyze_defaults_to_runnable(self, tiny_study):
-        out = tiny_study.analyze()
-        assert set(out) == set(registry.runnable(tiny_study.results()))
+        runnable = registry.runnable(tiny_study.results())
         # Passive-only analyses need an explicit aggregate.
-        assert "trafficshift" not in out
-        assert "stability" in out
+        assert "trafficshift" not in runnable
+        assert "stability" in runnable
+        assert "coverage" in runnable
 
     def test_missing_input_error_names_the_gap(self, tiny_study):
         with pytest.raises(KeyError, match="aggregate"):

@@ -14,9 +14,9 @@ EXPECTED_ARTEFACTS = {
 
 
 @pytest.fixture(scope="module")
-def generated(full_window_study, tmp_path_factory):
+def generated(full_window_pipeline, tmp_path_factory):
     out = tmp_path_factory.mktemp("report")
-    written = generate_all(full_window_study, str(out))
+    written = generate_all(full_window_pipeline.results(), str(out))
     return written
 
 
@@ -61,10 +61,10 @@ class TestGenerateAll:
 
 class TestParallelIdentity:
     def test_workers_output_byte_identical(
-        self, full_window_study, generated, tmp_path_factory
+        self, full_window_pipeline, generated, tmp_path_factory
     ):
         out = tmp_path_factory.mktemp("report_par")
-        parallel = generate_all(full_window_study, str(out), workers=2)
+        parallel = generate_all(full_window_pipeline.results(), str(out), workers=2)
         assert set(parallel) == set(generated)
         for name, path in generated.items():
             assert parallel[name].read_text() == path.read_text(), name

@@ -24,10 +24,10 @@ from repro.data.io import MANIFEST_NAME
 
 
 @pytest.fixture(scope="module")
-def saved(mini_study, tmp_path_factory):
+def saved(mini_pipeline, tmp_path_factory):
     """A pristine saved dataset directory (module-shared, read-only)."""
     directory = tmp_path_factory.mktemp("ds_io")
-    return save_dataset(mini_study.results().dataset, directory)
+    return save_dataset(mini_pipeline.results().dataset, directory)
 
 
 @pytest.fixture()

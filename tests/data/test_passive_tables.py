@@ -26,9 +26,9 @@ def live_captures(mini_study_config):
 
 
 @pytest.fixture(scope="module")
-def saved_dir(mini_study, tmp_path_factory):
+def saved_dir(mini_pipeline, tmp_path_factory):
     directory = tmp_path_factory.mktemp("ds_passive")
-    return mini_study.results().save(directory)
+    return mini_pipeline.results().save(directory)
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +50,8 @@ class TestOnDiskFormat:
             for column in manifest["tables"][table]["columns"]:
                 assert (saved_dir / column["file"]).exists()
 
-    def test_save_is_deterministic(self, mini_study, saved_dir, tmp_path_factory):
-        again = mini_study.results().save(tmp_path_factory.mktemp("ds_again"))
+    def test_save_is_deterministic(self, mini_pipeline, saved_dir, tmp_path_factory):
+        again = mini_pipeline.results().save(tmp_path_factory.mktemp("ds_again"))
         for table in PASSIVE_TABLES:
             for column in ("capture", "flows"):
                 a = (saved_dir / "tables" / table / f"{column}.bin").read_bytes()

@@ -20,7 +20,7 @@ from repro.analysis.summaries import (
     summary_names,
 )
 from repro.cli import analyze_main
-from repro.core import RootStudy
+from repro.core import StudyPipeline
 from repro.data import load_dataset
 
 ALL_ANALYSES = registry.names()
@@ -42,13 +42,13 @@ def _inputs(name, aggregate):
 
 
 @pytest.fixture(scope="module", params=["serial", "shards2", "shards4"])
-def sides(request, mini_study, mini_study_config, tmp_path_factory):
+def sides(request, mini_pipeline, mini_study_config, tmp_path_factory):
     """(live results, reloaded dataset) for a serial and two sharded runs."""
     if request.param == "serial":
-        results = mini_study.results()
+        results = mini_pipeline.results()
     else:
         shards = int(request.param[-1])
-        results = RootStudy(mini_study_config.with_sharding(shards)).run()
+        results = StudyPipeline(mini_study_config.with_sharding(shards)).run()
     directory = tmp_path_factory.mktemp(f"ds_{request.param}")
     results.save(directory)
     return results, load_dataset(directory)
@@ -72,9 +72,9 @@ def test_reloaded_transfers_carry_no_zone_content(sides):
 
 class TestAnalyzeCli:
     @pytest.fixture(scope="class")
-    def saved(self, mini_study, tmp_path_factory):
+    def saved(self, mini_pipeline, tmp_path_factory):
         directory = tmp_path_factory.mktemp("ds_cli")
-        return mini_study.results().save(directory)
+        return mini_pipeline.results().save(directory)
 
     @pytest.fixture(autouse=True)
     def _no_resimulation(self, monkeypatch):
@@ -101,7 +101,7 @@ class TestAnalyzeCli:
     def test_output_matches_in_process(self, saved, mini_study, name, capsys):
         assert analyze_main([str(saved), name]) == 0
         out = capsys.readouterr().out
-        live = render_summary(name, registry.run(name, mini_study.results()))
+        live = render_summary(name, registry.run(name, mini_study))
         assert out == live + "\n"
 
     def test_unknown_analysis_fails_cleanly(self, saved, capsys):

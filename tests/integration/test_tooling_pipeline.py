@@ -29,11 +29,11 @@ class TestExportedAnalysisEquivalence:
 
 
 class TestResolverOnStudyWorld:
-    def test_resolver_reuses_study_infrastructure(self, mini_study):
+    def test_resolver_reuses_study_infrastructure(self, mini_study, mini_pipeline):
         vp = mini_study.vps[0]
         client = RootNetworkClient(
             vp.attachment,
-            mini_study.selector,
+            mini_pipeline.platform.selector,
             mini_study.deployments,
             client_id=9999,
             last_mile_ms=vp.last_mile_ms,
@@ -44,10 +44,15 @@ class TestResolverOnStudyWorld:
         assert result.answers
         assert len(resolver.known_root_addresses()) == 13
 
-    def test_resolver_referral_matches_zone_delegation(self, mini_study):
+    def test_resolver_referral_matches_zone_delegation(
+        self, mini_study, mini_pipeline
+    ):
         vp = mini_study.vps[1]
         client = RootNetworkClient(
-            vp.attachment, mini_study.selector, mini_study.deployments, 9998
+            vp.attachment,
+            mini_pipeline.platform.selector,
+            mini_study.deployments,
+            9998,
         )
         resolver = SimResolver(client, fresh_hints())
         now = parse_ts("2023-12-01T12:00:00")

@@ -84,25 +84,3 @@ class TestSitePlacement:
     def test_letters_at_big_exchange(self, fabric):
         # The major exchanges host several letters (the paper's RQ1 core).
         assert len(fabric.letters_at_ixp("decix-fra")) >= 3
-
-
-class TestGraph:
-    def test_as_graph_nodes(self, fabric):
-        graph = fabric.as_graph()
-        assert "AS6939" in graph
-        assert any(n.startswith("AS645") for n in graph.nodes)
-        assert "decix-fra" in graph
-
-    def test_as_graph_with_attachments(self, fabric):
-        from repro.netsim.attachment import Attachment
-        from repro.geo.cities import city
-        from repro.netsim.transit import TRANSIT_CATALOG
-
-        att = Attachment(
-            asn=64999, city=city("FRA"),
-            transits_v4=(TRANSIT_CATALOG[0],), transits_v6=(TRANSIT_CATALOG[0],),
-            ixp_memberships_v4=("decix-fra",), ixp_memberships_v6=(),
-        )
-        graph = fabric.as_graph([att])
-        assert graph.has_edge("AS64999", "decix-fra")
-        assert graph.has_edge("AS64999", "AS6939")

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import analyze_main, study_main
-from repro.core import RootStudy
+from repro.core import StudyPipeline
 from repro.scenarios import Scenario, compose
 from repro.util.timeutil import parse_ts
 
@@ -51,7 +51,7 @@ class TestManifestStamp:
         self, tmp_path, tiny_scenario_configs
     ):
         scenario = compose("default", ["no-faults"])
-        results = RootStudy(scenario.study_config(seed=77)).run()
+        results = StudyPipeline(scenario.study_config(seed=77)).run()
         saved = results.save(str(tmp_path / "ds"))
 
         manifest = json.loads((saved / "MANIFEST.json").read_text())
@@ -63,7 +63,7 @@ class TestManifestStamp:
     def test_analyze_refuses_mismatched_scenario(
         self, tmp_path, tiny_scenario_configs, capsys
     ):
-        results = RootStudy(compose("default").study_config(seed=77)).run()
+        results = StudyPipeline(compose("default").study_config(seed=77)).run()
         saved = results.save(str(tmp_path / "ds"))
 
         code = analyze_main([str(saved), "--scenario", "froot-sea"])
@@ -75,7 +75,7 @@ class TestManifestStamp:
     def test_analyze_accepts_matching_scenario(
         self, tmp_path, tiny_scenario_configs, capsys
     ):
-        results = RootStudy(compose("default").study_config(seed=77)).run()
+        results = StudyPipeline(compose("default").study_config(seed=77)).run()
         saved = results.save(str(tmp_path / "ds"))
 
         code = analyze_main([str(saved), "--scenario", "default"])
@@ -88,7 +88,7 @@ class TestManifestStamp:
     ):
         from tests.streamutil import tiny_stream_config
 
-        results = RootStudy(tiny_stream_config()).run()
+        results = StudyPipeline(tiny_stream_config()).run()
         saved = results.save(str(tmp_path / "ds"))
 
         code = analyze_main([str(saved), "--scenario", "default"])

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 from repro.scenarios import compose
 from tests.streamutil import tiny_stream_config
 
@@ -83,13 +83,11 @@ class TestGoldenByteIdentity:
         assert config.without_scenario() == tiny_stream_config(
             engine=engine, shards=shards, workers=workers
         )
-        study = RootStudy(config)
-        study.run()
+        study = StudyPipeline(config).run()
         assert campaign_digest(study.collector) == GOLDEN_DIGEST
 
     def test_classic_config_still_matches(self):
         # The flat, scenario-free path must stay pinned too: this is
         # the half that proves the *facade* didn't drift.
-        study = RootStudy(tiny_stream_config())
-        study.run()
+        study = StudyPipeline(tiny_stream_config()).run()
         assert campaign_digest(study.collector) == GOLDEN_DIGEST

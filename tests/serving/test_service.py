@@ -20,9 +20,9 @@ from repro.serving.catalog import CatalogEntry
 
 
 @pytest.fixture(scope="module")
-def dataset_dir(mini_study, tmp_path_factory):
+def dataset_dir(mini_pipeline, tmp_path_factory):
     """The shared mini study saved with its passive tables."""
-    return mini_study.results().save(tmp_path_factory.mktemp("serve") / "mini")
+    return mini_pipeline.results().save(tmp_path_factory.mktemp("serve") / "mini")
 
 
 @pytest.fixture(scope="module")

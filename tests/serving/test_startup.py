@@ -34,8 +34,8 @@ def _first_line(proc: subprocess.Popen, timeout: float = 60.0) -> str:
     return proc.stdout.readline().decode().rstrip("\n")
 
 
-def test_startup_line_reports_a_live_port(mini_study, tmp_path):
-    dataset_dir = mini_study.results().save(str(tmp_path / "mini"), passive=False)
+def test_startup_line_reports_a_live_port(mini_pipeline, tmp_path):
+    dataset_dir = mini_pipeline.results().save(str(tmp_path / "mini"), passive=False)
     src = Path(repro.__file__).resolve().parent.parent
     proc = subprocess.Popen(
         [sys.executable, "-c", SERVE_CODE, str(dataset_dir), "--port", "0"],

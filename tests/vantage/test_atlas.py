@@ -7,8 +7,8 @@ from repro.vantage.atlas import BUILTIN_INTERVALS, AtlasPlatform
 
 
 @pytest.fixture(scope="module")
-def atlas_run(mini_study):
-    platform = AtlasPlatform(mini_study.selector)
+def atlas_run(mini_study, mini_pipeline):
+    platform = AtlasPlatform(mini_pipeline.platform.selector)
     return platform.run(
         mini_study.vps[:10],
         mini_study.collector.addresses,

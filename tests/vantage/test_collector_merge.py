@@ -11,7 +11,7 @@ dictionaries (including dict insertion order).
 import numpy as np
 import pytest
 
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 from repro.util.timeutil import parse_ts
 from repro.vantage.collector import CampaignCollector
 
@@ -36,8 +36,7 @@ def tiny_config(**overrides) -> StudyConfig:
 
 @pytest.fixture(scope="module")
 def serial_collector() -> CampaignCollector:
-    study = RootStudy(tiny_config())
-    study.run()
+    study = StudyPipeline(tiny_config()).run()
     return study.collector
 
 
@@ -76,13 +75,12 @@ def assert_collectors_identical(
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_run_equals_serial(serial_collector, shards):
-    study = RootStudy(tiny_config().with_sharding(shards))
-    study.run()
+    study = StudyPipeline(tiny_config().with_sharding(shards)).run()
     assert_collectors_identical(study.collector, serial_collector)
 
 
 def test_merge_of_explicit_split_equals_serial(serial_collector):
-    """Drive the shard path by hand (no RootStudy plumbing): split, run
+    """Drive the shard path by hand (no StudyPipeline plumbing): split, run
     the scalar scan, merge in scrambled shard order — merge is
     order-independent."""
     from repro.core.pipeline import CampaignShards, build_platform, build_world

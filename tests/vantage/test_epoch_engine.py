@@ -9,7 +9,7 @@ engine's fast path against the full-fidelity wire prober.
 import numpy as np
 import pytest
 
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 from repro.util.timeutil import parse_ts
 
 from tests.vantage.test_collector_merge import (
@@ -36,9 +36,7 @@ def fault_window_config() -> StudyConfig:
 
 @pytest.fixture(scope="module")
 def scalar_collector():
-    study = RootStudy(tiny_config(engine="scalar"))
-    study.run()
-    return study.collector
+    return StudyPipeline(tiny_config(engine="scalar")).run_campaign()
 
 
 class TestGoldenEquivalence:
@@ -47,20 +45,17 @@ class TestGoldenEquivalence:
         assert tiny_config(engine="scalar").engine == "scalar"
 
     def test_serial_epoch_matches_scalar(self, scalar_collector):
-        study = RootStudy(tiny_config())
-        study.run()
+        study = StudyPipeline(tiny_config()).run()
         assert_collectors_identical(study.collector, scalar_collector)
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_sharded_epoch_matches_scalar(self, scalar_collector, shards):
-        study = RootStudy(tiny_config().with_sharding(shards))
-        study.run()
+        study = StudyPipeline(tiny_config().with_sharding(shards)).run()
         assert_collectors_identical(study.collector, scalar_collector)
 
     def test_epoch_matches_scalar_under_faults(self):
         config = fault_window_config()
-        scalar = RootStudy(config.with_engine("scalar"))
-        scalar.run()
+        scalar = StudyPipeline(config.with_engine("scalar")).run()
         # The window must exercise the slow transfer path, or this proves
         # nothing: stale zones, bitflips and clock skew all present.
         faults = {o.fault for o in scalar.collector.transfers}
@@ -69,8 +64,7 @@ class TestGoldenEquivalence:
             o.observed_ts != o.true_ts for o in scalar.collector.transfers
         )
 
-        epoch = RootStudy(config)
-        epoch.run()
+        epoch = StudyPipeline(config).run()
         assert_collectors_identical(epoch.collector, scalar.collector)
 
 
@@ -79,10 +73,14 @@ class TestFastPathVsFullFidelity:
     what each recorded observation actually observed."""
 
     @pytest.fixture(scope="class")
-    def study(self):
-        study = RootStudy(tiny_config())
-        study.run()
-        return study
+    def pipeline(self):
+        pipeline = StudyPipeline(tiny_config())
+        pipeline.run()
+        return pipeline
+
+    @pytest.fixture(scope="class")
+    def study(self, pipeline):
+        return pipeline.results()
 
     def _sites_by_key(self, study):
         return {
@@ -91,7 +89,7 @@ class TestFastPathVsFullFidelity:
             for site in study.catalog.of_letter(letter)
         }
 
-    def test_recorded_sites_match_chaos_identity(self, study):
+    def test_recorded_sites_match_chaos_identity(self, study, pipeline):
         collector = study.collector
         cols = collector.probe_columns()
         assert len(cols["vp"]) > 0
@@ -106,12 +104,12 @@ class TestFastPathVsFullFidelity:
             ts = int(cols["ts"][i])
             recorded_key = collector.sites.values[int(cols["site"][i])]
 
-            responses = study.prober.probe_full_fidelity(vp, sa, round_of[ts], ts)
+            responses = pipeline.platform.prober.probe_full_fidelity(vp, sa, round_of[ts], ts)
             answer = responses["CH TXT hostname.bind"].answers[0]
             wire_identity = b"".join(answer.rdata.strings).decode()
             assert wire_identity == sites_by_key[recorded_key].identity()
 
-    def test_recorded_transfers_match_served_serial(self, study):
+    def test_recorded_transfers_match_served_serial(self, study, pipeline):
         """A clean fast-path transfer observation records the serial the
         site actually serves at that instant (checked over the wire)."""
         collector = study.collector
@@ -123,7 +121,7 @@ class TestFastPathVsFullFidelity:
         assert clean, "tiny campaign must keep some clean transfers"
         for obs in clean:
             vp = vps_by_id[obs.vp_id]
-            responses = study.prober.probe_full_fidelity(
+            responses = pipeline.platform.prober.probe_full_fidelity(
                 vp, obs.address, round_of[obs.true_ts], obs.true_ts
             )
             zonemd = responses["ZONEMD ."].answers[0]
@@ -159,8 +157,7 @@ class TestStreamedPlan:
     def test_whole_range_matches_scalar(self):
         """One range over the whole campaign reproduces the scalar scan."""
         config = fault_window_config()
-        scalar = RootStudy(config.with_engine("scalar"))
-        scalar.run()
+        scalar = StudyPipeline(config.with_engine("scalar")).run()
         _, got = self._collector(None, config)
         assert_collectors_identical(got, scalar.collector)
 
@@ -212,11 +209,9 @@ class TestPairBatchedPlan:
         from repro.netsim import epochs
 
         config = fault_window_config().with_sharding(shards)
-        want = RootStudy(config)
-        want.run()
+        want = StudyPipeline(config).run()
         monkeypatch.setattr(epochs, "CELL_BUDGET", budget)
-        got = RootStudy(config)
-        got.run()
+        got = StudyPipeline(config).run()
         assert_collectors_identical(got.collector, want.collector)
 
     def test_candidate_table_is_exact(self):

@@ -49,7 +49,7 @@ class TestCollector:
 
 class TestCampaign:
     def test_summary_counts(self, mini_study):
-        summary = mini_study.results().summary()
+        summary = mini_study.summary()
         assert summary["rounds"] > 0
         assert summary["probe_samples"] > 0
         assert summary["transfers"] > 0
@@ -87,10 +87,10 @@ class TestCampaign:
 
 
 class TestFullFidelity:
-    def test_appendix_f_suite(self, mini_study):
+    def test_appendix_f_suite(self, mini_study, mini_pipeline):
         vp = mini_study.vps[0]
         sa = next(s for s in all_service_addresses() if s.letter == "k")
-        responses = mini_study.prober.probe_full_fidelity(
+        responses = mini_pipeline.platform.prober.probe_full_fidelity(
             vp, sa, round_no=0, ts=parse_ts("2023-11-25T12:00:00")
         )
         # 7 base queries + 13 letters x 3 record types
@@ -103,13 +103,15 @@ class TestFullFidelity:
         zonemd = responses["ZONEMD ."]
         assert zonemd.answer_rrs(RRType.ZONEMD)
 
-    def test_glue_answers_match_publication_time(self, mini_study):
+    def test_glue_answers_match_publication_time(
+        self, mini_study, mini_pipeline
+    ):
         vp = mini_study.vps[0]
         sa = next(s for s in all_service_addresses() if s.letter == "a")
-        before = mini_study.prober.probe_full_fidelity(
+        before = mini_pipeline.platform.prober.probe_full_fidelity(
             vp, sa, 0, parse_ts("2023-11-25T12:00:00")
         )
-        after = mini_study.prober.probe_full_fidelity(
+        after = mini_pipeline.platform.prober.probe_full_fidelity(
             vp, sa, 1, parse_ts("2023-12-01T12:00:00")
         )
         b_name = "A b.root-servers.net."

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import RootStudy, StudyConfig
+from repro.core import StudyConfig, StudyPipeline
 from repro.util.timeutil import parse_ts
 
 WINDOW = dict(
@@ -17,9 +17,7 @@ def run(seed: int, **overrides):
         seed=seed, ring_scale=0.02, ring_min_per_region=1,
         interval_scale=48.0, **WINDOW, **overrides,
     )
-    study = RootStudy(config)
-    study.run()
-    return study
+    return StudyPipeline(config).run()
 
 
 class TestSamplingDensity:
