@@ -21,10 +21,11 @@ is a per-process high-water mark):
 
 * ``passive-<clients>`` — 3 000 / 100 000 / 1 000 000 clients through a
   week-long daily ISP capture.  ``indexed`` uses the paper-scale path
-  (mixer-compiled ``ClientColumns``, blocked flow grid, columnar
-  per-client ledger); ``legacy`` uses the original
-  ``build_client_population`` + eager per-client dicts (skipped at 10⁶,
-  where per-client Python objects stop being realistic).  Cells report
+  (mixer-compiled ``ClientColumns``, blocked flow grid, Figure 8 read
+  off the aggregate's client table); ``legacy`` uses the original
+  ``build_client_population`` + eager per-client dicts, expanded here
+  from the client table (skipped at 10⁶, where per-client Python
+  objects stop being realistic).  Cells report
   total wall and the population/per-client *path* speedup — the capture
   kernel between those phases is the same vectorized engine either way.
 
@@ -185,14 +186,27 @@ def passive_child(clients: int, mode: str) -> int:
     captured = time.perf_counter()
 
     if mode == "indexed":
-        # Figure 8 read off the columnar ledger — no dicts, no strings.
+        # Figure 8 read off the client table — no dicts, no strings.
         per_client = sum(
             len(aggregate.mean_daily_flows_per_client(sa.address))
             for sa in capture.addresses
         )
     else:
-        # The pre-ledger behaviour: eager per-client dicts.
-        per_client = len(aggregate.per_client_flows)
+        # The pre-columnar behaviour: eager (address, prefix) dicts of
+        # per-client flows and active days, one string key per entry.
+        table = aggregate.client_table
+        addresses = aggregate.addresses
+        prefixes = aggregate.prefixes.tolist()
+        per_client_flows = {}
+        per_client_days = {}
+        for addr, prefix, flows, days in zip(
+            table["addr"].tolist(), table["prefix"].tolist(),
+            table["flows"].tolist(), table["days"].tolist(),
+        ):
+            key = (addresses[addr], prefixes[prefix])
+            per_client_flows[key] = flows
+            per_client_days[key] = days
+        per_client = len(per_client_flows)
     finished = time.perf_counter()
 
     print(json.dumps({
@@ -207,7 +221,7 @@ def passive_child(clients: int, mode: str) -> int:
             (built - started) + (finished - captured), 2
         ),
         "wall_seconds": round(finished - started, 2),
-        "flow_cells": len(aggregate.flows),
+        "flow_cells": len(aggregate.flow_table["bucket"]),
         "per_client_series": per_client,
         **_usage(),
     }))

@@ -15,7 +15,6 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.base import RegisteredAnalysis
 from repro.passive.querymix import (
-    CATEGORIES,
     QueryMixSpec,
     QueryMixSynthesis,
     synthesize_querymix,
@@ -65,14 +64,4 @@ class QueryMixAnalysis(RegisteredAnalysis):
                 "amplification": amplification,
             }
             for burst, amplification in self.synthesis.burst_amplification()
-        ]
-
-    def daily_series(self) -> List[Tuple[int, Dict[str, float]]]:
-        """Per-bucket category counts, in time order (figure data)."""
-        return [
-            (
-                bucket.bucket,
-                {category: getattr(bucket, category) for category in CATEGORIES},
-            )
-            for bucket in self.synthesis.buckets
         ]

@@ -37,12 +37,6 @@ class StabilitySeries:
     def ecdf(self) -> Ecdf:
         return Ecdf(self.changes_per_vp)
 
-    def fraction_with_at_most(self, n: int) -> float:
-        """Fraction of VPs that saw <= n changes."""
-        if not self.changes_per_vp:
-            raise ValueError(f"no observations for {self.address.address}")
-        return sum(1 for c in self.changes_per_vp if c <= n) / len(self.changes_per_vp)
-
 
 class StabilityAnalysis(RegisteredAnalysis):
     """Figure 3 over a campaign's change counters."""

@@ -7,8 +7,8 @@ method as three stages and keeps each one's output as a plain attribute:
   Worlds depend only on the seed and are checkpointed in a module-level
   cache, so the CLI tools, benchmarks and repeated studies stop
   re-deriving identical worlds.
-* **build_platform** — schedule, route selector, VP ring, fault plan,
-  collector and prober (the full measurement platform).
+* **build_platform** — schedule, route selector, VP ring, fault plan
+  and prober (the full measurement platform).
 * **run_campaign** — executes the campaign.  The VP ring is
   partitioned into ``config.shards`` disjoint shards and
   :class:`CampaignShards` — the one campaign driver, which the streamed
@@ -84,7 +84,6 @@ class PlatformArtifacts:
     selector: RouteSelector
     vps: List[VantagePoint]
     fault_plan: FaultPlan
-    collector: CampaignCollector
     prober: Prober
 
 
@@ -165,8 +164,8 @@ def _popular_d_sites(
 
 
 def build_platform(config: StudyConfig, world: WorldArtifacts) -> PlatformArtifacts:
-    """Build the measurement platform: schedule, selector, ring, faults,
-    collector and prober."""
+    """Build the measurement platform: schedule, selector, ring, faults
+    and prober."""
     rng_factory = RngFactory(config.seed)
     schedule = MeasurementSchedule(
         start=config.campaign_start,
@@ -188,13 +187,12 @@ def build_platform(config: StudyConfig, world: WorldArtifacts) -> PlatformArtifa
     else:
         fault_plan = FaultPlan()
 
-    collector = CampaignCollector()
     prober = Prober(
         fabric=world.fabric,
         selector=selector,
         deployments=world.deployments,
         fault_plan=fault_plan,
-        collector=collector,
+        collector=CampaignCollector(),
         sampling=SamplingPolicy(
             rtt_every=config.rtt_sample_every,
             traceroute_every=config.traceroute_sample_every,
@@ -208,7 +206,6 @@ def build_platform(config: StudyConfig, world: WorldArtifacts) -> PlatformArtifa
         selector=selector,
         vps=ring,
         fault_plan=fault_plan,
-        collector=collector,
         prober=prober,
     )
 

@@ -58,8 +58,9 @@ class StudyResults:
         With *passive* (the default), the standard passive captures for
         this study's seed (:func:`repro.passive.recipes.standard_captures`)
         ride along as passive tables, so Figures 7–13 later replay from
-        disk with zero re-simulation.  An already-attached passive store
-        is kept as-is.
+        disk with zero re-simulation.  They go to a view of the dataset,
+        never onto :attr:`dataset` itself, so each save writes what its
+        own *passive* asks for.
         """
         from repro.data import save_dataset
 
@@ -68,7 +69,7 @@ class StudyResults:
             from repro.data.passive import PassiveStore
             from repro.passive.recipes import standard_captures
 
-            dataset.attach_passive(
+            dataset = dataset.with_passive(
                 PassiveStore.from_aggregates(
                     standard_captures(
                         self.config.seed, traffic=self.config.traffic_spec()

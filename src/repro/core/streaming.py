@@ -46,13 +46,7 @@ import numpy as np
 
 from repro.core.config import StudyConfig
 from repro.core.pipeline import CampaignShards, build_platform, build_world
-from repro.data.chunks import (
-    CheckpointReader,
-    ChunkData,
-    ChunkedDatasetWriter,
-    read_passive_aggregate,
-    write_passive_aggregate,
-)
+from repro.data.chunks import CheckpointReader, ChunkData, ChunkedDatasetWriter
 from repro.data.dataset import stability_columns
 from repro.data.schema import CheckpointError
 from repro.vantage.collector import CampaignCollector
@@ -262,8 +256,9 @@ def finalize_streaming_campaign(
 
     Byte-identical to ``StudyResults.save`` for the equivalent batch run.
     Passive captures are built one at a time and cached under the
-    checkpoint directory (``passive/<name>.json``), so a crash during
-    this phase resumes without recomputing finished captures.
+    checkpoint directory (``passive/<name>/``, the capture's two tables
+    in the dataset's column format), so a crash during this phase
+    resumes without recomputing finished captures.
     """
     writer = ChunkedDatasetWriter(checkpoint_dir)
     ckpt = writer.resume()
@@ -285,12 +280,11 @@ def finalize_streaming_campaign(
         traffic = study_config.traffic_spec()
         aggregates = {}
         for name in STANDARD_CAPTURES:
-            if name in ckpt.get("passive_done", []):
-                aggregates[name] = read_passive_aggregate(writer.path, name)
-            else:
-                aggregates[name] = build_capture(name, study_config.seed, traffic)
-                write_passive_aggregate(writer.path, name, aggregates[name])
-                writer.note_passive_done(name)
+            if name not in ckpt.get("passive_done", []):
+                writer.cache_passive(
+                    name, build_capture(name, study_config.seed, traffic)
+                )
+            aggregates[name] = writer.cached_passive(name)
         passive_store = PassiveStore.from_aggregates(aggregates)
 
     return writer.finalize(out_dir, state_collector=state, passive_store=passive_store)

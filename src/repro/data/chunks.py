@@ -11,7 +11,10 @@ A streamed campaign (DESIGN.md §11) writes its measurement output into a
         identities.json        #   DatasetReader — stability/identities
         transfers.jsonl        #   hold per-chunk *deltas*
       chunks/000001/
-      passive/<capture>.json   # finalize-phase per-capture cache
+      passive/<capture>/       # finalize-phase per-capture cache:
+        MANIFEST.json          #   bucket_seconds, address and prefix
+        tables/<t>/<col>.bin   #   tables; the capture's passive_flows /
+                               #   passive_clients rows
 
 ``CHECKPOINT.json`` carries the campaign cursor (rounds done, sealed
 chunk list) plus the aggregate collector state (interner contents with
@@ -63,11 +66,13 @@ from repro.data.io import (
     DatasetReader,
     MANIFEST_NAME,
     assemble_manifest,
+    read_binary_table,
     table_manifest_entry,
     write_binary_table,
 )
 from repro.data.schema import (
     BINARY_TABLES,
+    PASSIVE_TABLES,
     SCHEMA_VERSION,
     CheckpointError,
     DatasetError,
@@ -289,6 +294,74 @@ class ChunkedDatasetWriter:
         ckpt["shard_states"] = shard_states
         self._write_checkpoint()
         return chunk_dir
+
+    def cache_passive(self, name: str, aggregate) -> None:
+        """Cache one finalize-phase passive capture, then record it done.
+
+        The capture's two tables are written in the dataset's own column
+        format under ``passive/<name>.tmp/`` and committed by an atomic
+        directory rename to ``passive/<name>/`` before the checkpoint
+        marks the capture done, so a crash at any point leaves either a
+        complete cache or none (and resume recomputes just that one).
+        """
+        from repro.data.passive import PassiveStore
+
+        root = self.path / "passive"
+        staging, target = root / f"{name}.tmp", root / name
+        for stale in (staging, target):
+            if stale.exists():  # debris of a crash before note_passive_done
+                shutil.rmtree(stale)
+        staging.mkdir(parents=True)
+        addresses = list(aggregate.addresses)
+        tables, _captures, prefixes = PassiveStore.from_aggregates(
+            {name: aggregate}
+        ).to_tables({address: i for i, address in enumerate(addresses)})
+        manifest = {
+            "bucket_seconds": aggregate.bucket_seconds,
+            "addresses": addresses,
+            "prefixes": prefixes,
+            "tables": {
+                table_name: write_binary_table(
+                    staging, table_name, table.schema, table.columns()
+                )
+                for table_name, table in tables.items()
+            },
+        }
+        (staging / MANIFEST_NAME).write_text(json.dumps(manifest))
+        os.rename(staging, target)
+        self.note_passive_done(name)
+
+    def cached_passive(self, name: str):
+        """Reload a capture committed by :meth:`cache_passive` (zero-copy);
+        :class:`CheckpointError` when it is missing or damaged."""
+        from repro.data.passive import PassiveStore
+
+        directory = self.path / "passive" / name
+        try:
+            manifest = json.loads((directory / MANIFEST_NAME).read_text())
+            tables = {
+                table_name: read_binary_table(
+                    directory, PASSIVE_TABLES[table_name], entry
+                )
+                for table_name, entry in manifest["tables"].items()
+            }
+            store = PassiveStore.from_tables(
+                tables,
+                captures=[name],
+                prefixes=manifest["prefixes"],
+                addresses=manifest["addresses"],
+                bucket_seconds={name: int(manifest["bucket_seconds"])},
+            )
+        except FileNotFoundError as exc:
+            raise CheckpointError(
+                f"checkpoint marks passive capture {name!r} done but its "
+                f"cache at {directory} is missing"
+            ) from exc
+        except (DatasetError, KeyError, ValueError) as exc:
+            raise CheckpointError(
+                f"passive cache at {directory} is damaged: {exc}"
+            ) from exc
+        return store.aggregate(name)
 
     def note_passive_done(self, capture: str) -> None:
         """Record one finalize-phase passive capture as cached."""
@@ -592,69 +665,3 @@ class CheckpointReader:
             summary=_campaign_summary(state, ckpt["totals"], len(stability["vp"])),
             meta=meta,
         )
-
-
-# --- passive finalize cache ---------------------------------------------------------
-
-
-def write_passive_aggregate(directory: Union[str, Path], name: str, aggregate) -> Path:
-    """Cache one computed passive capture under ``<ckpt>/passive/``.
-
-    Written via temp-file + atomic replace: a crash mid-write leaves no
-    partial cache, so resume recomputes exactly the missing captures.
-    """
-    root = Path(directory) / "passive"
-    root.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "bucket_seconds": aggregate.bucket_seconds,
-        "flows": [
-            [bucket, address, aggregate.flows[(bucket, address)],
-             aggregate.client_count(bucket, address)]
-            for bucket, address in sorted(aggregate.flows)
-        ],
-        "clients": [
-            [address, prefix, aggregate.per_client_flows[(address, prefix)],
-             aggregate.per_client_days[(address, prefix)]]
-            for address, prefix in sorted(aggregate.per_client_flows)
-        ],
-    }
-    target = root / f"{name}.json"
-    tmp = root / f"{name}.json.tmp"
-    tmp.write_text(json.dumps(payload))
-    os.replace(tmp, target)
-    return target
-
-
-def read_passive_aggregate(directory: Union[str, Path], name: str):
-    """Reload a capture cached by :func:`write_passive_aggregate`."""
-    from repro.passive.traces import FlowAggregate
-
-    path = Path(directory) / "passive" / f"{name}.json"
-    try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise CheckpointError(
-            f"checkpoint marks passive capture {name!r} done but its cache "
-            f"{path} is missing"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupt passive cache at {path}: {exc}") from exc
-    return FlowAggregate.from_parts(
-        int(payload["bucket_seconds"]),
-        flows={
-            (int(bucket), address): float(flow)
-            for bucket, address, flow, _clients in payload["flows"]
-        },
-        client_counts={
-            (int(bucket), address): int(clients)
-            for bucket, address, _flow, clients in payload["flows"]
-        },
-        per_client_flows={
-            (address, prefix): float(flow)
-            for address, prefix, flow, _days in payload["clients"]
-        },
-        per_client_days={
-            (address, prefix): int(days)
-            for address, prefix, _flow, days in payload["clients"]
-        },
-    )

@@ -27,6 +27,7 @@ without touching the world-building or campaign stages.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -252,6 +253,17 @@ class Dataset:
     def attach_passive(self, store) -> None:
         """Attach the passive-capture store this dataset travels with."""
         self._passive = store
+
+    def with_passive(self, store) -> "Dataset":
+        """A view of this dataset carrying *store* as its passive
+        captures; every table is shared and this dataset's own passive
+        store is unchanged.  Transfers are sealed first, so the view and
+        this dataset share one sealed list instead of sealing twice."""
+        if self.has_table("transfers"):
+            self.transfers
+        view = copy.copy(self)
+        view._passive = store
+        return view
 
     # -- study-derived inputs ----------------------------------------------------------
 

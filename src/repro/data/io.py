@@ -253,7 +253,7 @@ class DatasetReader:
                 tables,
                 captures=manifest["interners"].get("captures", []),
                 prefixes=manifest["interners"].get("prefixes", []),
-                addresses=addresses,
+                addresses=[sa.address for sa in addresses],
                 bucket_seconds={
                     capture["name"]: int(capture["bucket_seconds"])
                     for capture in passive_entry.get("captures", [])

@@ -6,17 +6,15 @@ dataset ("isp", "ixp-eu", "ixp-na" — see
 
 * **live** — built from :class:`~repro.passive.traces.FlowAggregate`
   objects (at export time, or by ``rootsim-report`` workers), ready to
-  flatten into the ``passive_flows`` / ``passive_clients`` tables;
+  write as the ``passive_flows`` / ``passive_clients`` tables;
 * **reloaded** — backed by the memory-mapped tables of a saved dataset,
-  decoding each aggregate lazily on first access, with zero
-  re-simulation.
+  each aggregate a zero-copy slice of them, with no re-simulation.
 
-Row order is canonical (captures by name; flow rows by ``(bucket,
-addr)``; client rows by ``(addr, prefix)``), so the same aggregates
-always serialise to byte-identical column files.  Reloaded aggregates
-are *counts-only*: the per-bucket distinct-client sets are not
-persisted (only their counts), which every analysis and report consumer
-is fine with — the sets exist only inside a live capture.
+An aggregate's two column tables already are its rows of the dataset
+tables, so writing is concatenation (captures by name) plus one code
+remap, of prefixes into the dataset's "prefixes" interner
+(first-occurrence order), and reloading is slicing.  The same
+aggregates always serialise to byte-identical column files.
 """
 
 from __future__ import annotations
@@ -25,10 +23,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.data.columnar import stitch_columns
 from repro.data.dataset import Table
 from repro.data.schema import PASSIVE_TABLES, DatasetError
-from repro.passive.traces import FlowAggregate
-from repro.rss.operators import ServiceAddress
+from repro.passive.traces import (
+    CLIENT_DTYPES,
+    FLOW_DTYPES,
+    FlowAggregate,
+    union_keys,
+)
 
 
 class PassiveStore:
@@ -40,7 +43,7 @@ class PassiveStore:
         # Reloaded state (None for live stores).
         self._tables: Optional[Dict[str, Table]] = None
         self._captures: List[str] = []
-        self._prefixes: List[str] = []
+        self._prefixes: np.ndarray = np.empty(0, dtype=str)
         self._addresses: List[str] = []
 
     # -- construction ------------------------------------------------------------
@@ -64,10 +67,11 @@ class PassiveStore:
         tables: Dict[str, Table],
         captures: Sequence[str],
         prefixes: Sequence[str],
-        addresses: Sequence[ServiceAddress],
+        addresses: Sequence[str],
         bucket_seconds: Dict[str, int],
     ) -> "PassiveStore":
-        """A lazy store over a reloaded dataset's passive tables."""
+        """A lazy store over a reloaded dataset's passive tables
+        (*addresses* is the dataset's service-address list)."""
         missing = [name for name in PASSIVE_TABLES if name not in tables]
         if missing:
             raise DatasetError(
@@ -76,8 +80,8 @@ class PassiveStore:
         store = cls()
         store._tables = {name: tables[name] for name in PASSIVE_TABLES}
         store._captures = list(captures)
-        store._prefixes = list(prefixes)
-        store._addresses = [sa.address for sa in addresses]
+        store._prefixes = np.asarray(prefixes, dtype=str)
+        store._addresses = list(addresses)
         store._bucket_seconds = dict(bucket_seconds)
         unknown = [name for name in captures if name not in bucket_seconds]
         if unknown:
@@ -100,7 +104,7 @@ class PassiveStore:
         return self._bucket_seconds[name]
 
     def aggregate(self, name: str) -> FlowAggregate:
-        """The named aggregate (decoded from the tables on first use)."""
+        """The named aggregate (sliced from the tables on first use)."""
         if name not in self._aggregates:
             self._check_name(name)
             self._aggregates[name] = self._decode(name)
@@ -114,44 +118,24 @@ class PassiveStore:
             )
 
     def _decode(self, name: str) -> FlowAggregate:
+        """One capture's rows: a contiguous slice of each table (rows are
+        grouped by capture index)."""
         assert self._tables is not None
         capture_idx = self._captures.index(name)
 
-        flows_table = self._tables["passive_flows"]
-        rows = flows_table.column("capture") == capture_idx
-        buckets = flows_table.column("bucket")[rows]
-        addrs = flows_table.column("addr")[rows]
-        flow_values = flows_table.column("flows")[rows]
-        counts = flows_table.column("clients")[rows]
-        flows: Dict[Tuple[int, str], float] = {}
-        client_counts: Dict[Tuple[int, str], int] = {}
-        for i in range(len(buckets)):
-            key = (int(buckets[i]), self._addresses[int(addrs[i])])
-            flows[key] = float(flow_values[i])
-            client_counts[key] = int(counts[i])
-
-        clients_table = self._tables["passive_clients"]
-        rows = clients_table.column("capture") == capture_idx
-        addrs = clients_table.column("addr")[rows]
-        prefix_ids = clients_table.column("prefix")[rows]
-        client_flows = clients_table.column("flows")[rows]
-        days = clients_table.column("days")[rows]
-        per_client_flows: Dict[Tuple[str, str], float] = {}
-        per_client_days: Dict[Tuple[str, str], int] = {}
-        for i in range(len(addrs)):
-            ckey = (
-                self._addresses[int(addrs[i])],
-                self._prefixes[int(prefix_ids[i])],
+        def rows(table: str, columns: Sequence[str]) -> Dict[str, np.ndarray]:
+            source = self._tables[table]
+            lo, hi = np.searchsorted(
+                source.column("capture"), [capture_idx, capture_idx + 1]
             )
-            per_client_flows[ckey] = float(client_flows[i])
-            per_client_days[ckey] = int(days[i])
+            return {column: source.column(column)[lo:hi] for column in columns}
 
-        return FlowAggregate.from_parts(
+        return FlowAggregate.from_columns(
             self._bucket_seconds[name],
-            flows=flows,
-            client_counts=client_counts,
-            per_client_flows=per_client_flows,
-            per_client_days=per_client_days,
+            addresses=self._addresses,
+            prefixes=self._prefixes,
+            flow_table=rows("passive_flows", FLOW_DTYPES),
+            client_table=rows("passive_clients", CLIENT_DTYPES),
         )
 
     # -- write side --------------------------------------------------------------
@@ -168,69 +152,57 @@ class PassiveStore:
     def to_tables(
         self, addr_index: Dict[str, int]
     ) -> Tuple[Dict[str, Table], List[str], List[str]]:
-        """Flatten every aggregate into the two passive tables.
+        """Concatenate every aggregate into the two passive tables.
 
-        Returns ``(tables, captures_interner, prefixes_interner)``; row
-        order is canonical so the output is deterministic.
+        Returns ``(tables, captures_interner, prefixes_interner)``.  Rows
+        are captures by name, then each aggregate's own (sorted) rows;
+        the prefixes interner lists prefixes in first-occurrence order
+        over the client rows.  Every aggregate must code addresses as
+        *addr_index* does (both come from the service-address catalog).
         """
         names = self.names()
-        prefix_index: Dict[str, int] = {}
-
-        flow_rows: List[Tuple[int, int, int, float, int]] = []
-        client_rows: List[Tuple[int, int, int, float, int]] = []
-        for capture_idx, name in enumerate(names):
-            aggregate = self.aggregate(name)
-            for bucket, address in sorted(
-                aggregate.flows, key=lambda key: (key[0], addr_index[key[1]])
-            ):
-                flow_rows.append(
-                    (
-                        capture_idx,
-                        bucket,
-                        addr_index[address],
-                        aggregate.flows[(bucket, address)],
-                        aggregate.client_count(bucket, address),
-                    )
+        aggregates = [self.aggregate(name) for name in names]
+        union, remaps = union_keys([agg.prefixes for agg in aggregates])
+        flow_parts: List[Dict[str, np.ndarray]] = []
+        client_parts: List[Dict[str, np.ndarray]] = []
+        for capture_idx, (name, aggregate) in enumerate(zip(names, aggregates)):
+            if aggregate.addresses != list(addr_index):
+                raise DatasetError(
+                    f"passive capture {name!r} codes service addresses "
+                    f"differently from the dataset"
                 )
-            for address, prefix in sorted(
-                aggregate.per_client_flows,
-                key=lambda key: (addr_index[key[0]], key[1]),
-            ):
-                if prefix not in prefix_index:
-                    prefix_index[prefix] = len(prefix_index)
-                client_rows.append(
-                    (
-                        capture_idx,
-                        addr_index[address],
-                        prefix_index[prefix],
-                        aggregate.per_client_flows[(address, prefix)],
-                        aggregate.per_client_days[(address, prefix)],
-                    )
-                )
+            flows, clients = aggregate.flow_table, aggregate.client_table
+            flow_parts.append(
+                {"capture": np.full(len(flows["bucket"]), capture_idx, np.int16)}
+                | flows
+            )
+            client_parts.append(
+                {"capture": np.full(len(clients["addr"]), capture_idx, np.int16)}
+                | clients
+                | {"prefix": remaps[capture_idx][clients["prefix"]]}
+            )
 
-        def column(rows: list, idx: int, dtype: str) -> np.ndarray:
-            return np.array([row[idx] for row in rows], dtype=dtype)
+        tables: Dict[str, Table] = {}
+        for name, parts in (
+            ("passive_flows", flow_parts),
+            ("passive_clients", client_parts),
+        ):
+            schema = PASSIVE_TABLES[name]
+            tables[name] = Table(
+                schema,
+                stitch_columns(
+                    schema.column_names(),
+                    parts,
+                    empty_dtypes={spec.name: spec.np_dtype for spec in schema.columns},
+                ),
+            )
 
-        tables = {
-            "passive_flows": Table(
-                PASSIVE_TABLES["passive_flows"],
-                {
-                    "capture": column(flow_rows, 0, "int16"),
-                    "bucket": column(flow_rows, 1, "int64"),
-                    "addr": column(flow_rows, 2, "int16"),
-                    "flows": column(flow_rows, 3, "float64"),
-                    "clients": column(flow_rows, 4, "int32"),
-                },
-            ),
-            "passive_clients": Table(
-                PASSIVE_TABLES["passive_clients"],
-                {
-                    "capture": column(client_rows, 0, "int16"),
-                    "addr": column(client_rows, 1, "int16"),
-                    "prefix": column(client_rows, 2, "int32"),
-                    "flows": column(client_rows, 3, "float64"),
-                    "days": column(client_rows, 4, "int32"),
-                },
-            ),
-        }
-        return tables, names, list(prefix_index)
+        # Interner codes in first-occurrence order over the client rows.
+        clients = tables["passive_clients"].columns()
+        seen, first = np.unique(clients["prefix"], return_index=True)
+        interned = seen[np.argsort(first)]
+        lookup = np.zeros(len(union), dtype=np.int32)
+        lookup[interned] = np.arange(len(interned), dtype=np.int32)
+        clients["prefix"] = lookup[clients["prefix"]]
+        tables["passive_clients"] = Table(PASSIVE_TABLES["passive_clients"], clients)
+        return tables, names, union[interned].tolist()

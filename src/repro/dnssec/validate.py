@@ -60,9 +60,6 @@ class ValidationReport:
     def valid(self) -> bool:
         return not self.issues
 
-    def errors_of(self, error: ValidationError) -> List[ValidationIssue]:
-        return [i for i in self.issues if i.error is error]
-
 
 def _classify_signature(
     rrsig: RRSIG,

@@ -51,7 +51,3 @@ class Attachment:
         if family == 6:
             return self.ixp_memberships_v6
         raise ValueError(f"family must be 4 or 6, got {family}")
-
-    def has_ipv6(self) -> bool:
-        """Whether the network has IPv6 connectivity at all."""
-        return bool(self.transits_v6)

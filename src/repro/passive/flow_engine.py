@@ -16,13 +16,16 @@ This module evaluates the identical model as numpy kernels over a
   b.root renumbering cutover and per-behaviour letter weights are
   ``np.where`` selections over the grid,
 * per-``(bucket, address)`` flow totals and per-client totals reduce
-  with ``np.cumsum`` (strictly left-to-right, exactly the dict
-  accumulation order of the triple loop; ``np.sum`` would pairwise-
-  group and drift in the last bits).
+  with ``np.cumsum`` (strictly left-to-right, exactly the accumulation
+  order of the triple loop; ``np.sum`` would pairwise-group and drift
+  in the last bits).
 
-The result is **byte-identical** to the triple loop: same dict keys,
-same float bit patterns, same distinct-client sets (materialised lazily
-from the boolean keep-masks).  The loop itself is test-only
+The kernel emits the aggregate's two sorted column tables directly
+(:class:`~repro.passive.traces.FlowAggregate`): flow rows by (bucket,
+address), client rows by (address, prefix rank), with ranks from one
+sort of the population's prefix strings.  The result is
+**byte-identical** to the triple loop: same rows, same float bit
+patterns, same distinct-client counts.  The loop itself is test-only
 (``tests/passive/scalar_capture.py``); ``tests/passive/test_flow_engine.py``
 pins the equivalence for the ISP and all 14 IXP captures, with and
 without dips, across the renumbering boundary.
@@ -35,17 +38,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.data.columnar import stitch_columns
 from repro.netsim.mix import mix64_array, mix64_prefix, mix_str
 from repro.passive.clients import ClientBehavior, ClientNetwork
-from repro.passive.traces import ClientMembership, FlowAggregate, PerClientLedger
+from repro.passive.traces import CLIENT_DTYPES, ClientMembership, FlowAggregate
 from repro.util.timeutil import DAY, HOUR, Timestamp
 
 _TWO64 = float(1 << 64)
-
-#: Above this many (address, bucket, client) cells the keep-masks are
-#: not retained (the client *sets* would be impractical anyway); the
-#: aggregate still carries exact distinct-client counts.
-MAX_MEMBERSHIP_CELLS = 1 << 27
 
 #: Client-axis block width of the capture grid.  Every (bucket x client)
 #: intermediate is bounded by ``n_buckets x FLOW_CLIENT_BLOCK`` cells, so
@@ -126,6 +125,46 @@ def capture_vectorized(
     bytes — ``tests/passive/test_flow_engine.py`` pins a tiny width
     against the default and the scalar oracle.
     """
+    return _capture(capture, start, end, bucket_seconds, client_block, False)[0]
+
+
+def capture_with_membership(
+    capture,
+    start: Timestamp,
+    end: Timestamp,
+    bucket_seconds: int,
+    client_block: Optional[int] = None,
+) -> Tuple[FlowAggregate, ClientMembership]:
+    """:func:`capture_vectorized` plus the capture's kept cells, which a
+    regional merge (:func:`~repro.passive.traces.merge_captures`) needs
+    to count distinct clients across exchanges."""
+    return _capture(capture, start, end, bucket_seconds, client_block, True)
+
+
+def _prefix_codes(
+    prefixes: Dict[int, Tuple[Optional[str], ...]],
+) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+    """The population's sorted prefix table (one sort of every prefix
+    string) and per family each client's code in it (-1: no prefix)."""
+    n = len(prefixes[4])
+    values = np.concatenate(
+        [np.array([p or "" for p in prefixes[f]], dtype=str) for f in (4, 6)]
+    )
+    table, codes = np.unique(values, return_inverse=True)
+    if len(table) and table[0] == "":
+        table, codes = table[1:], codes - 1
+    v4, v6 = np.split(codes.astype(np.int32), [n])
+    return table, {4: v4, 6: v6}
+
+
+def _capture(
+    capture,
+    start: Timestamp,
+    end: Timestamp,
+    bucket_seconds: int,
+    client_block: Optional[int],
+    keep_cells: bool,
+) -> Tuple[FlowAggregate, Optional[ClientMembership]]:
     from repro.passive.isp import (
         TESTER_FRACTION,
         TESTER_TRAFFIC_SHARE,
@@ -175,22 +214,15 @@ def capture_vectorized(
             per_bucket_weight, dtype=np.float64
         ).reshape(-1, 1)
 
-    keep_membership = len(addresses) * n_buckets * n <= MAX_MEMBERSHIP_CELLS
-    families = {sa.address: sa.family for sa in addresses}
+    prefix_table, client_codes = _prefix_codes(columns.prefixes)
 
     # Cross-block accumulators, per address: the running left-to-right
-    # flow total and kept-client count per bucket, the per-client totals
-    # of every block (client-ascending), and the membership mask blocks.
-    addr_bucket_totals = {
-        sa.address: np.zeros(n_buckets, dtype=np.float64) for sa in addresses
-    }
-    addr_bucket_counts = {
-        sa.address: np.zeros(n_buckets, dtype=np.int64) for sa in addresses
-    }
-    addr_client_entries: Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {
-        sa.address: [] for sa in addresses
-    }
-    kept_blocks: Dict[str, List[np.ndarray]] = {sa.address: [] for sa in addresses}
+    # flow total and kept-client count per bucket, the per-client rows
+    # of every block, and the kept cells if asked.
+    bucket_totals = np.zeros((n_buckets, len(addresses)), dtype=np.float64)
+    bucket_counts = np.zeros((n_buckets, len(addresses)), dtype=np.int64)
+    client_rows: List[List[Dict[str, np.ndarray]]] = [[] for _ in addresses]
+    cell_parts: List[Dict[str, np.ndarray]] = []
 
     for c_lo in range(0, n, block):
         c_hi = min(c_lo + block, n)
@@ -227,7 +259,7 @@ def capture_vectorized(
             family: mix64_array(state_cb, np.uint64(family)) for family in (4, 6)
         }
 
-        for sa in addresses:
+        for a, sa in enumerate(addresses):
             family = sa.family
             amount = (flows * weight_cols[sa.address]) * family_share[
                 family
@@ -260,86 +292,62 @@ def capture_vectorized(
             # cumsum reduces strictly left-to-right; seeding it with the
             # previous blocks' running total continues that exact chain,
             # so the final bits match the unblocked grid (and the oracle).
-            carried = np.cumsum(
-                np.concatenate(
-                    [addr_bucket_totals[sa.address].reshape(-1, 1), contributions],
-                    axis=1,
-                ),
+            bucket_totals[:, a] = np.cumsum(
+                np.concatenate([bucket_totals[:, a : a + 1], contributions], axis=1),
                 axis=1,
             )[:, -1]
-            addr_bucket_totals[sa.address] = carried
-            addr_bucket_counts[sa.address] += np.count_nonzero(kept, axis=1)
+            bucket_counts[:, a] += np.count_nonzero(kept, axis=1)
 
             client_totals = np.cumsum(contributions, axis=0)[-1, :]
             client_days = np.count_nonzero(kept, axis=0)
             nz = np.flatnonzero(client_days)
-            if nz.size:
-                addr_client_entries[sa.address].append(
-                    (nz + c_lo, client_totals[nz], client_days[nz])
-                )
-            if keep_membership:
-                kept_blocks[sa.address].append(kept)
-
-    flows_out: Dict[Tuple[Timestamp, str], float] = {}
-    client_counts: Dict[Tuple[Timestamp, str], int] = {}
-    for sa in addresses:
-        totals = addr_bucket_totals[sa.address]
-        counts = addr_bucket_counts[sa.address]
-        for b_idx, bucket in enumerate(buckets):
-            if counts[b_idx]:
-                key = (bucket, sa.address)
-                flows_out[key] = float(totals[b_idx])
-                client_counts[key] = int(counts[b_idx])
-
-    # Per-client totals stay columnar: address-major, client-minor.
-    addr_idx_parts: List[np.ndarray] = []
-    client_idx_parts: List[np.ndarray] = []
-    flow_parts: List[np.ndarray] = []
-    day_parts: List[np.ndarray] = []
-    for a_idx, sa in enumerate(addresses):
-        for clients_part, totals_part, days_part in addr_client_entries[sa.address]:
-            addr_idx_parts.append(
-                np.full(len(clients_part), a_idx, dtype=np.int32)
+            client_rows[a].append(
+                {
+                    "prefix": client_codes[family][nz + c_lo],
+                    "flows": client_totals[nz],
+                    "days": client_days[nz],
+                }
             )
-            client_idx_parts.append(clients_part.astype(np.int64))
-            flow_parts.append(totals_part)
-            day_parts.append(days_part.astype(np.int64))
+            if keep_cells:
+                b_idx, c_idx = np.nonzero(kept)
+                cell_parts.append(
+                    {
+                        "bucket": bucket_i64[b_idx, 0],
+                        "addr": np.full(len(b_idx), a, dtype=np.int16),
+                        "prefix": client_codes[family][c_idx + c_lo],
+                    }
+                )
 
-    def _cat(parts: List[np.ndarray], dtype) -> np.ndarray:
-        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+    # Flow table: row-major over (bucket, address), so already sorted.
+    b_idx, a_idx = np.nonzero(bucket_counts)
+    flow_table = {
+        "bucket": bucket_i64[b_idx, 0],
+        "addr": a_idx,
+        "flows": bucket_totals[b_idx, a_idx],
+        "clients": bucket_counts[b_idx, a_idx],
+    }
 
-    ledger = PerClientLedger(
-        addresses=[sa.address for sa in addresses],
-        families=families,
-        prefixes=columns.prefixes,
-        addr_idx=_cat(addr_idx_parts, np.int32),
-        client_idx=_cat(client_idx_parts, np.int64),
-        flows=_cat(flow_parts, np.float64),
-        days=_cat(day_parts, np.int64),
-    )
-
-    membership = (
-        ClientMembership(
-            buckets=buckets,
-            prefixes=columns.prefixes,
-            families={
-                address: family
-                for address, family in families.items()
-                if kept_blocks[address]
-            },
-            kept={
-                address: np.concatenate(blocks, axis=1)
-                for address, blocks in kept_blocks.items()
-                if blocks
-            },
+    # Client table: address-major, then prefix rank (the table is sorted).
+    client_parts: List[Dict[str, np.ndarray]] = []
+    for a, rows in enumerate(client_rows):
+        part = stitch_columns(("prefix", "flows", "days"), rows)
+        order = np.argsort(part["prefix"])
+        client_parts.append(
+            {"addr": np.full(len(order), a)}
+            | {name: column[order] for name, column in part.items()}
         )
-        if keep_membership
-        else None
-    )
-    return FlowAggregate.from_parts(
+    aggregate = FlowAggregate.from_columns(
         bucket_seconds,
-        flows=flows_out,
-        client_counts=client_counts,
-        per_client=ledger,
-        membership=membership,
+        addresses=[sa.address for sa in addresses],
+        prefixes=prefix_table,
+        flow_table=flow_table,
+        client_table=stitch_columns(CLIENT_DTYPES, client_parts),
+    )
+    if not keep_cells:
+        return aggregate, None
+    return aggregate, ClientMembership(
+        **stitch_columns(
+            ("bucket", "addr", "prefix"), cell_parts,
+            empty_dtypes={"bucket": "int64", "addr": "int16", "prefix": "int32"},
+        )
     )

@@ -24,7 +24,7 @@ from repro.passive.clients import (
 )
 from repro.netsim.mix import mix_str
 from repro.passive.isp import IspCapture
-from repro.passive.traces import FlowAggregate, TrafficTimeSeries
+from repro.passive.traces import FlowAggregate, TrafficTimeSeries, merge_captures
 from repro.util.rng import RngFactory
 from repro.util.timeutil import DAY, Timestamp
 
@@ -96,9 +96,13 @@ def regional_aggregate(
     bucket_seconds: int = DAY,
 ) -> FlowAggregate:
     """Merged aggregate over all exchanges of one region (Fig. 9 view)."""
-    merged = FlowAggregate(bucket_seconds=bucket_seconds)
-    for capture in captures:
-        if capture.region is not region:
-            continue
-        merged.merge_from(capture.capture(start, end, bucket_seconds))
-    return merged
+    from repro.passive.flow_engine import capture_with_membership
+
+    return merge_captures(
+        bucket_seconds,
+        [
+            capture_with_membership(capture.engine, start, end, bucket_seconds)
+            for capture in captures
+            if capture.region is region
+        ],
+    )

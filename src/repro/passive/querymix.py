@@ -249,8 +249,11 @@ def synthesize_querymix(
     ``n_qnames``) by a Zipf law.
     """
     spec = spec or QueryMixSpec()
+    # Summed in flow-table order, (bucket, address), from 0.0: the same
+    # bits for a live aggregate and its reload.
+    table = aggregate.flow_table
     volume_per_bucket: Dict[Timestamp, float] = {}
-    for (bucket, _address), flows in aggregate.flows.items():
+    for bucket, flows in zip(table["bucket"].tolist(), table["flows"].tolist()):
         volume_per_bucket[bucket] = volume_per_bucket.get(bucket, 0.0) + flows
 
     base_fractions = {

@@ -66,7 +66,3 @@ class SimClock:
         if ts < self.now:
             raise ValueError(f"clock may not move backwards ({ts} < {self.now})")
         self.now = ts
-
-    def iso(self) -> str:
-        """Current time as an ISO-8601 string."""
-        return format_ts(self.now)

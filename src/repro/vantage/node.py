@@ -34,7 +34,3 @@ class VantagePoint:
     @property
     def continent(self) -> Continent:
         return self.attachment.continent
-
-    def observed_time(self, true_ts: int) -> int:
-        """The timestamp this VP writes into its records."""
-        return true_ts + self.clock_offset_s

@@ -177,23 +177,3 @@ def build_ring(rng_factory: RngFactory, config: RingConfig = RingConfig()) -> Li
             vp_id += 1
     return vps
 
-
-def with_clock_faults(
-    vps: List[VantagePoint], faulty: Dict[int, int]
-) -> List[VantagePoint]:
-    """Return a population with clock offsets applied to chosen VPs."""
-    out: List[VantagePoint] = []
-    for vp in vps:
-        if vp.vp_id in faulty:
-            out.append(
-                VantagePoint(
-                    vp_id=vp.vp_id,
-                    name=vp.name,
-                    attachment=vp.attachment,
-                    last_mile_ms=vp.last_mile_ms,
-                    clock_offset_s=faulty[vp.vp_id],
-                )
-            )
-        else:
-            out.append(vp)
-    return out

@@ -65,10 +65,6 @@ class AxfrServer:
         self.zone = zone
         self.allow_axfr = allow_axfr
 
-    def update_zone(self, zone: Zone) -> None:
-        """Swap in a newer zone copy (distribution tick)."""
-        self.zone = zone
-
     def stream(self, query: Message) -> Iterator[Message]:
         """Yield the AXFR response message sequence for *query*."""
         question = query.question

@@ -54,7 +54,10 @@ class TestWorldCheckpoint:
         b = StudyPipeline(tiny_config())
         assert a.build_world() is b.build_world()
         # Platforms stay per-study: fresh collectors and churn state.
-        assert a.build_platform().collector is not b.build_platform().collector
+        assert (
+            a.build_platform().prober.collector
+            is not b.build_platform().prober.collector
+        )
         assert a.platform.selector is not b.platform.selector
 
 
@@ -81,8 +84,8 @@ class TestStages:
         assert results.vps is tiny_study.platform.vps
         assert results.schedule is tiny_study.platform.schedule
         assert results.collector is tiny_study.collector
-        # run_campaign hands the collector back; the platform keeps its own.
-        assert tiny_study.platform.collector is not tiny_study.collector
+        # run_campaign hands the collector back; the prober keeps its own.
+        assert tiny_study.platform.prober.collector is not tiny_study.collector
 
     def test_run_idempotent(self, tiny_study):
         collector = tiny_study.collector

@@ -123,3 +123,69 @@ def test_config_from_checkpoint_roundtrips(tmp_path):
     ckpt = tmp_path / "ckpt"
     run_streaming_campaign(config, ckpt, checkpoint_every=3)
     assert config_from_checkpoint(ckpt) == config
+
+
+# --- finalize-phase passive cache -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sealed_checkpoint(tmp_path_factory):
+    """A fully sealed streamed run of the tiny study (copy before use:
+    finalize records its passive captures in the checkpoint)."""
+    ckpt = tmp_path_factory.mktemp("sealed") / "ckpt"
+    run_streaming_campaign(tiny_stream_config(), ckpt, checkpoint_every=2)
+    return ckpt
+
+
+def test_finalize_resumes_passive_cache_after_crash(
+    sealed_checkpoint, tmp_path, monkeypatch
+):
+    """A finalize that dies while building the second capture resumes
+    from the first one's cache and still matches the batch save."""
+    import shutil
+
+    import repro.passive.recipes as recipes
+    from repro.core.pipeline import StudyPipeline
+    from repro.data import CheckpointReader
+
+    from tests.streamutil import assert_trees_identical
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(sealed_checkpoint, ckpt)
+    real_build = recipes.build_capture
+    built = []
+
+    def build_once(name, seed, traffic=None):
+        if built:
+            raise _Abort
+        built.append(name)
+        return real_build(name, seed, traffic)
+
+    monkeypatch.setattr(recipes, "build_capture", build_once)
+    with pytest.raises(_Abort):
+        finalize_streaming_campaign(ckpt, tmp_path / "out")
+    assert CheckpointReader(ckpt).checkpoint()["passive_done"] == ["isp"]
+
+    rebuilt = []
+
+    def build_counted(name, seed, traffic=None):
+        rebuilt.append(name)
+        return real_build(name, seed, traffic)
+
+    monkeypatch.setattr(recipes, "build_capture", build_counted)
+    out = finalize_streaming_campaign(ckpt, tmp_path / "out")
+    assert rebuilt == ["ixp-eu", "ixp-na"]
+    batch = StudyPipeline(tiny_stream_config()).run().save(tmp_path / "batch")
+    assert_trees_identical(batch, out)
+
+
+def test_truncated_passive_cache_column_raises(sealed_checkpoint, tmp_path):
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(sealed_checkpoint, ckpt)
+    finalize_streaming_campaign(ckpt, tmp_path / "out")
+    column = ckpt / "passive" / "ixp-eu" / "tables" / "passive_clients" / "flows.bin"
+    column.write_bytes(column.read_bytes()[:-8])
+    with pytest.raises(CheckpointError, match="passive cache .* is damaged"):
+        finalize_streaming_campaign(ckpt, tmp_path / "again")

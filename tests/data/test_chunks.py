@@ -34,7 +34,6 @@ from repro.data import (
     ChunkedDatasetWriter,
     load_dataset,
 )
-from repro.data.chunks import read_passive_aggregate, write_passive_aggregate
 from repro.passive.recipes import build_capture
 
 from tests.streamutil import (
@@ -232,26 +231,44 @@ def test_resume_discards_unsealed_tail_chunk(checkpoint_dir, tmp_path):
     assert writer.rounds_done == 5
 
 
-# --- passive aggregate cache -------------------------------------------------------
+# --- passive capture cache --------------------------------------------------------
+
+
+def _passive_writer(tmp_path):
+    writer = ChunkedDatasetWriter(tmp_path)
+    writer.start(
+        study=None, addresses=[], engine="epoch", shards=1, n_rounds=1,
+        state={}, shard_states=[],
+    )
+    return writer
 
 
 def test_passive_aggregate_cache_roundtrip(tmp_path):
-    aggregate = build_capture("isp", TINY_STREAM_SEED)
-    write_passive_aggregate(tmp_path, "isp", aggregate)
-    reread = read_passive_aggregate(tmp_path, "isp")
-    # a second write from the reread aggregate is byte-identical, so the
-    # cache is a faithful codec
-    write_passive_aggregate(tmp_path, "isp2", reread)
+    """The cache is the capture's two tables in the dataset's column
+    format: recaching a reloaded capture writes the same bytes."""
+    writer = _passive_writer(tmp_path)
+    writer.cache_passive("isp", build_capture("isp", TINY_STREAM_SEED))
+    assert writer.checkpoint["passive_done"] == ["isp"]
+    reread = writer.cached_passive("isp")
+    writer.cache_passive("isp2", reread)
     cache = tmp_path / "passive"
-    assert (cache / "isp.json").read_bytes() == (
-        cache / "isp2.json"
-    ).read_bytes()
+    assert not list(cache.glob("*.tmp"))
+    first = {
+        path.relative_to(cache / "isp"): path.read_bytes()
+        for path in (cache / "isp").rglob("*.bin")
+    }
+    second = {
+        path.relative_to(cache / "isp2"): path.read_bytes()
+        for path in (cache / "isp2").rglob("*.bin")
+    }
+    assert first and first == second
 
 
 def test_passive_aggregate_cache_missing_and_corrupt(tmp_path):
-    with pytest.raises(CheckpointError, match="cache .* is missing"):
-        read_passive_aggregate(tmp_path, "isp")
-    (tmp_path / "passive").mkdir()
-    (tmp_path / "passive" / "isp.json").write_text("{not json")
-    with pytest.raises(CheckpointError, match="corrupt passive cache"):
-        read_passive_aggregate(tmp_path, "isp")
+    writer = _passive_writer(tmp_path)
+    with pytest.raises(CheckpointError, match="cache at .* is missing"):
+        writer.cached_passive("isp")
+    writer.cache_passive("isp", build_capture("isp", TINY_STREAM_SEED))
+    (tmp_path / "passive" / "isp" / "MANIFEST.json").write_text("{not json")
+    with pytest.raises(CheckpointError, match="passive cache .* is damaged"):
+        writer.cached_passive("isp")

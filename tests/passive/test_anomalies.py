@@ -57,8 +57,8 @@ class TestNoise:
         window = (parse_ts("2023-09-01"), parse_ts("2023-09-03"))
         clean = IspCapture(clients, seed=5, noise_fraction=0.0).capture(*window)
         noisy = IspCapture(clients, seed=5, noise_fraction=0.0175).capture(*window)
-        clean_total = sum(clean.flows.values())
-        noisy_total = sum(noisy.flows.values())
+        clean_total = clean.flow_table["flows"].sum()
+        noisy_total = noisy.flow_table["flows"].sum()
         assert noisy_total == pytest.approx(clean_total * 1.0175, rel=0.01)
 
     def test_noise_fraction_validated(self, clients):

@@ -10,6 +10,8 @@ from repro.passive.traces import FlowAggregate, TrafficTimeSeries
 from repro.rss.operators import all_service_addresses, root_server
 from repro.util.timeutil import DAY, HOUR, parse_ts
 
+from tests.passive.scalar_capture import ScalarAggregate, expand, to_columns
+
 PRE_DAY = parse_ts("2023-10-08")
 POST_START = parse_ts("2024-02-05")
 POST_END = parse_ts("2024-02-19")  # two weeks are enough for tests
@@ -38,25 +40,41 @@ def b_subnets():
     return {"v4new": b.ipv4, "v4old": b.old_ipv4, "v6new": b.ipv6, "v6old": b.old_ipv6}
 
 
+def columnar(scalar: ScalarAggregate, addresses) -> FlowAggregate:
+    aggregate, _cells = to_columns(scalar, addresses)
+    return aggregate
+
+
 class TestFlowAggregate:
     def test_add_and_series(self):
-        agg = FlowAggregate(bucket_seconds=DAY)
-        agg.add_flows(100, "1.2.3.4", 5.0, "203.0.0.0/24")
-        agg.add_flows(100 + DAY, "1.2.3.4", 3.0, "203.0.0.0/24")
-        series = agg.series("1.2.3.4")
-        assert [v for _ts, v in series] == [5.0, 3.0]
+        scalar = ScalarAggregate(bucket_seconds=DAY)
+        scalar.add_flows(0, "1.2.3.4", 5.0, "203.0.0.0/24")
+        scalar.add_flows(DAY, "1.2.3.4", 3.0, "203.0.0.0/24")
+        agg = columnar(scalar, ["1.2.3.4", "5.6.7.8"])
+        assert agg.series("1.2.3.4") == [(0, 5.0), (DAY, 3.0)]
+        assert agg.series("5.6.7.8") == [(0, 0.0), (DAY, 0.0)]
+        assert agg.series("9.9.9.9") == [(0, 0.0), (DAY, 0.0)]
+        assert agg.mean_daily_flows_per_client("1.2.3.4") == [4.0]
 
-    def test_zero_flows_ignored(self):
-        agg = FlowAggregate(bucket_seconds=DAY)
-        agg.add_flows(100, "1.2.3.4", 0.0, "x")
-        assert not agg.flows
+    def test_zero_flows_ignored(self, isp):
+        """Cells without a kept flow leave no row in either table."""
+        agg = isp.capture(PRE_DAY, PRE_DAY + DAY)
+        assert (agg.flow_table["flows"] >= 1.0).all()
+        assert (agg.flow_table["clients"] >= 1).all()
+        assert (agg.client_table["days"] >= 1).all()
+        empty = FlowAggregate(DAY)
+        assert empty.buckets() == [] and empty.series("1.2.3.4") == []
 
     def test_unique_clients(self):
-        agg = FlowAggregate(bucket_seconds=DAY)
-        agg.add_flows(100, "a", 1.0, "p1")
-        agg.add_flows(200, "a", 1.0, "p2")
-        agg.add_flows(200, "a", 1.0, "p2")
-        assert agg.unique_clients("a")[0][1] == 2
+        scalar = ScalarAggregate(bucket_seconds=DAY)
+        scalar.add_flows(0, "a", 1.0, "p1")
+        scalar.add_flows(DAY, "a", 1.0, "p2")
+        scalar.add_flows(DAY, "a", 1.0, "p2")
+        scalar.add_flows(DAY, "a", 1.0, "p3")
+        agg = columnar(scalar, ["a"])
+        assert agg.unique_clients("a") == [(0, 1), (DAY, 2)]
+        assert agg.client_count(DAY, "a") == 2
+        assert agg.client_count(2 * DAY, "a") == 0
 
 
 class TestIspCapture:
@@ -107,7 +125,7 @@ class TestIspCapture:
     def test_deterministic(self, isp):
         a = isp.capture(PRE_DAY, PRE_DAY + DAY)
         b = isp.capture(PRE_DAY, PRE_DAY + DAY)
-        assert a.flows == b.flows
+        assert expand(a) == expand(b)
 
 
 class TestIxpCaptures:

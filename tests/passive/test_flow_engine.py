@@ -3,9 +3,10 @@
 The scalar triple loop in :mod:`tests.passive.scalar_capture` is the
 reference semantics; :meth:`IspCapture.capture`
 (:mod:`repro.passive.flow_engine`) must reproduce it **byte-identically**
-— same dict keys, same float bit patterns, same distinct-client sets —
-for the ISP capture and all 14 IXP captures, with and without traffic
-dips, and across the b.root renumbering boundary.
+— same rows, same float bit patterns, same distinct-client counts and
+sets — for the ISP capture and all 14 IXP captures, with and without
+traffic dips, and across the b.root renumbering boundary; the columnar
+regional merge must reproduce the oracle's dict fold.
 """
 
 from __future__ import annotations
@@ -16,13 +17,20 @@ import pytest
 
 from repro.geo.continents import Continent
 from repro.passive.clients import ISP_PROFILE, build_client_population
+from repro.passive.flow_engine import capture_vectorized, capture_with_membership
 from repro.passive.isp import IspCapture
 from repro.passive.ixp import build_ixp_captures, regional_aggregate
-from repro.passive.traces import FlowAggregate
+from repro.passive.traces import FlowAggregate, merge_captures
 from repro.util.rng import RngFactory
 from repro.util.timeutil import DAY, HOUR, parse_ts
 
-from tests.passive.scalar_capture import scalar_capture
+from tests.passive.scalar_capture import (
+    ScalarAggregate,
+    expand,
+    membership_sets,
+    scalar_capture,
+    to_columns,
+)
 
 SEED = 42
 
@@ -38,17 +46,24 @@ POST_END = parse_ts("2024-02-19")
 SMALL_PROFILE = replace(ISP_PROFILE, name="isp-small", n_clients=250)
 
 
-def assert_identical(scalar: FlowAggregate, vectorized: FlowAggregate) -> None:
-    """Byte-identity: keys, float bit patterns, counts."""
+def assert_identical(scalar: ScalarAggregate, vectorized: FlowAggregate) -> None:
+    """Byte-identity: keys, float bit patterns, counts, row order."""
     assert scalar.bucket_seconds == vectorized.bucket_seconds
-    assert set(scalar.flows) == set(vectorized.flows)
+    tables = expand(vectorized)
+    assert set(scalar.flows) == set(tables["flows"])
     for key, value in scalar.flows.items():
-        assert value.hex() == vectorized.flows[key].hex(), key
-        assert scalar.client_count(*key) == vectorized.client_count(*key), key
-    assert set(scalar.per_client_flows) == set(vectorized.per_client_flows)
+        assert value.hex() == tables["flows"][key].hex(), key
+        assert len(scalar.clients[key]) == tables["counts"][key], key
+    assert set(scalar.per_client_flows) == set(tables["per_client_flows"])
     for key, value in scalar.per_client_flows.items():
-        assert value.hex() == vectorized.per_client_flows[key].hex(), key
-    assert scalar.per_client_days == vectorized.per_client_days
+        assert value.hex() == tables["per_client_flows"][key].hex(), key
+    assert scalar.per_client_days == tables["per_client_days"]
+    # Rows sorted by (bucket, address index) and (address index, prefix).
+    index = {address: i for i, address in enumerate(vectorized.addresses)}
+    flow_keys = list(tables["flows"])
+    assert flow_keys == sorted(flow_keys, key=lambda k: (k[0], index[k[1]]))
+    client_keys = list(tables["per_client_flows"])
+    assert client_keys == sorted(client_keys, key=lambda k: (index[k[0]], k[1]))
 
 
 @pytest.fixture(scope="module")
@@ -124,16 +139,23 @@ class TestIspEquivalence:
         )
 
     def test_client_sets_materialize_identically(self, small_clients):
-        """The lazy membership masks expand to the exact scalar sets."""
+        """The kept cells expand to the exact scalar prefix sets."""
         scalar, vectorized = engine_pair(small_clients)
         scalar_agg = scalar.capture(BOUNDARY_START, BOUNDARY_END)
-        vector_agg = vectorized.capture(BOUNDARY_START, BOUNDARY_END)
-        assert vector_agg.clients == scalar_agg.clients
+        vector_agg, cells = capture_with_membership(
+            vectorized, BOUNDARY_START, BOUNDARY_END, DAY
+        )
+        assert membership_sets(vector_agg, cells) == scalar_agg.clients
+        assert_identical(scalar_agg, vector_agg)
 
     def test_counts_match_set_sizes(self, small_clients):
         _scalar, vectorized = engine_pair(small_clients)
-        aggregate = vectorized.capture(POST_START, POST_END)
-        for key, prefixes in aggregate.clients.items():
+        aggregate, cells = capture_with_membership(
+            vectorized, POST_START, POST_END, DAY
+        )
+        sets = membership_sets(aggregate, cells)
+        assert len(sets) == len(aggregate.flow_table["bucket"])
+        for key, prefixes in sets.items():
             assert aggregate.client_count(*key) == len(prefixes)
 
 
@@ -142,28 +164,24 @@ class TestClientBlocking:
 
     @pytest.mark.parametrize("block", [1, 37, 100_000])
     def test_blocked_matches_scalar_and_default(self, small_clients, block):
-        from repro.passive.flow_engine import capture_vectorized
-
         scalar, vectorized = engine_pair(small_clients, sampling_rate=0.1)
         blocked = capture_vectorized(
             vectorized, POST_START, POST_END, DAY, client_block=block
         )
         assert_identical(scalar.capture(POST_START, POST_END), blocked)
         default = vectorized.capture(POST_START, POST_END)
-        assert blocked.flows == default.flows
+        assert expand(blocked) == expand(default)
 
     def test_blocked_membership_matches(self, small_clients):
-        from repro.passive.flow_engine import capture_vectorized
-
         scalar, vectorized = engine_pair(small_clients)
-        blocked = capture_vectorized(
+        blocked, cells = capture_with_membership(
             vectorized, BOUNDARY_START, BOUNDARY_END, DAY, client_block=41
         )
-        assert blocked.clients == scalar.capture(BOUNDARY_START, BOUNDARY_END).clients
+        assert membership_sets(blocked, cells) == (
+            scalar.capture(BOUNDARY_START, BOUNDARY_END).clients
+        )
 
     def test_rejects_bad_block(self, small_clients):
-        from repro.passive.flow_engine import capture_vectorized
-
         _scalar, vectorized = engine_pair(small_clients)
         with pytest.raises(ValueError, match="client_block"):
             capture_vectorized(
@@ -195,64 +213,52 @@ class TestIxpEquivalence:
             )
 
     def test_regional_merges_equivalent(self, capture_lists):
+        """The columnar merge equals the oracle's dict fold byte for
+        byte: flows add in exchange order, prefix sets union, active
+        days take the maximum."""
         scalar_caps, vector_caps = capture_lists
         for region in (Continent.EUROPE, Continent.NORTH_AMERICA):
+            fold = ScalarAggregate(DAY)
+            for scalar_cap in scalar_caps:
+                if scalar_cap.region is region:
+                    fold.merge_from(scalar_cap.capture(*self.WINDOW))
             assert_identical(
-                regional_aggregate(scalar_caps, region, *self.WINDOW),
-                regional_aggregate(vector_caps, region, *self.WINDOW),
+                fold, regional_aggregate(vector_caps, region, *self.WINDOW)
             )
 
 
-class TestCountsOnlyAggregates:
-    """Aggregates reloaded from a dataset carry counts, not sets."""
+class TestMergeCaptures:
+    """The columnar regional merge on hand-built exchanges."""
 
-    def test_clients_property_raises(self):
-        aggregate = FlowAggregate.from_parts(
-            DAY,
-            flows={(0, "a"): 2.0},
-            client_counts={(0, "a"): 2},
-            per_client_flows={("a", "p1"): 1.0, ("a", "p2"): 1.0},
-            per_client_days={("a", "p1"): 1, ("a", "p2"): 1},
-        )
-        assert aggregate.client_count(0, "a") == 2
-        assert aggregate.unique_clients("a") == [(0, 2)]
-        with pytest.raises(RuntimeError, match="counts"):
-            aggregate.clients
-
-
-class TestReadCaches:
-    """The memoized read views invalidate on every write."""
-
-    def test_buckets_cache_invalidates_on_add(self):
-        aggregate = FlowAggregate(bucket_seconds=DAY)
-        aggregate.add_flows(0, "a", 1.0, "p1")
-        assert aggregate.buckets() == [0]
-        aggregate.add_flows(DAY, "a", 2.0, "p1")
-        assert aggregate.buckets() == [0, DAY]
-        assert list(aggregate.buckets_array()) == [0, DAY]
-
-    def test_flow_arrays_invalidate_on_add(self):
-        aggregate = FlowAggregate(bucket_seconds=DAY)
-        aggregate.add_flows(0, "a", 1.0, "p1")
-        assert aggregate.flows_by_bucket("a").tolist() == [1.0]
-        aggregate.add_flows(0, "a", 2.0, "p2")
-        assert aggregate.flows_by_bucket("a").tolist() == [3.0]
-        assert aggregate.unique_clients("a") == [(0, 2)]
+    ADDRESSES = ["a", "b"]
 
     def test_merge_unions_client_sets(self):
-        left = FlowAggregate(bucket_seconds=DAY)
+        left = ScalarAggregate(DAY)
         left.add_flows(0, "a", 1.0, "p1")
-        right = FlowAggregate(bucket_seconds=DAY)
+        left.add_flows(DAY, "b", 1.0, "p1")
+        right = ScalarAggregate(DAY)
         right.add_flows(0, "a", 2.0, "p1")
         right.add_flows(0, "a", 2.0, "p2")
-        left.merge_from(right)
-        assert left.flows[(0, "a")] == 5.0
+        right.add_flows(DAY, "a", 1.0, "p1")
+        merged = merge_captures(
+            DAY, [to_columns(left, self.ADDRESSES), to_columns(right, self.ADDRESSES)]
+        )
+        tables = expand(merged)
+        assert tables["flows"][(0, "a")] == 5.0
         # p1 seen at both exchanges is one client, not two.
-        assert left.client_count(0, "a") == 2
-        assert left.per_client_days[("a", "p1")] == 1
+        assert merged.client_count(0, "a") == 2
+        assert tables["per_client_days"][("a", "p1")] == 2
+        fold = ScalarAggregate(DAY)
+        fold.merge_from(left)
+        fold.merge_from(right)
+        assert_identical(fold, merged)
 
     def test_merge_rejects_mismatched_buckets(self):
-        left = FlowAggregate(bucket_seconds=DAY)
-        right = FlowAggregate(bucket_seconds=HOUR)
+        hourly = to_columns(ScalarAggregate(HOUR), self.ADDRESSES)
         with pytest.raises(ValueError, match="bucket_seconds"):
-            left.merge_from(right)
+            merge_captures(DAY, [hourly])
+
+    def test_merge_of_nothing_is_empty(self):
+        merged = merge_captures(DAY, [])
+        assert merged.buckets() == []
+        assert merged.series("a") == []
