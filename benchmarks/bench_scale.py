@@ -114,7 +114,8 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
     started = time.perf_counter()
     prober = platform_artifacts.prober
     plan = EpochCampaignPlan(
-        prober, platform_artifacts.vps, platform_artifacts.schedule
+        prober, platform_artifacts.vps, platform_artifacts.schedule,
+        prober.collector,
     )
     held = []
     if mode == "materialized":

@@ -45,10 +45,40 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from bench_campaign_hotpath import make_config
 from benchutil import cpu_scaling_meta
+from repro.core.config import StudyConfig
+from repro.util.timeutil import parse_ts
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def make_config(scale: str) -> StudyConfig:
+    if scale == "bench":
+        # The bench-scale campaign: full timeline, ~89 VPs.
+        return StudyConfig(
+            seed=2024,
+            ring_scale=0.1,
+            ring_min_per_region=8,
+            interval_scale=48.0,
+            rtt_sample_every=1,
+            traceroute_sample_every=2,
+            axfr_sample_every=2,
+            clean_transfer_keep_one_in=200,
+        )
+    # "tiny": a dozen VPs over a month around the ZONEMD switch — a
+    # CI-friendly campaign that still exercises sampling, traceroutes
+    # and transfers.
+    return StudyConfig(
+        seed=77,
+        ring_scale=0.02,
+        interval_scale=96.0,
+        campaign_start=parse_ts("2023-11-15"),
+        campaign_end=parse_ts("2023-12-15"),
+        rtt_sample_every=1,
+        traceroute_sample_every=2,
+        axfr_sample_every=2,
+        clean_transfer_keep_one_in=20,
+    )
 
 
 def _env() -> Dict[str, str]:

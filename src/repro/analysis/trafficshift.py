@@ -87,10 +87,11 @@ class TrafficShiftAnalysis(RegisteredAnalysis):
         """Per-letter share of total root traffic over a window, old and
         new generations combined (Figures 12/13 stack heights)."""
         letters: Dict[str, float] = {}
-        all_addrs = [sa.address for sa in self.addresses]
+        shares = self.series.window_shares(
+            start, end, [sa.address for sa in self.addresses]
+        )
         for sa in self.addresses:
-            share = self.series.window_share(sa.address, start, end, all_addrs)
-            letters[sa.letter] = letters.get(sa.letter, 0.0) + share
+            letters[sa.letter] = letters.get(sa.letter, 0.0) + shares[sa.address]
         return letters
 
     def letter_share_series(self) -> Dict[str, List[Tuple[Timestamp, float]]]:

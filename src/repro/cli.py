@@ -216,12 +216,6 @@ def study_main(argv: Optional[List[str]] = None) -> int:
         "--timings", action="store_true", help="print per-stage wall times"
     )
     parser.add_argument(
-        "--engine", choices=("epoch", "scalar"), default=None,
-        help="campaign engine (default: the preset's engine, normally "
-             "'epoch'; 'scalar' walks every round and is byte-identical "
-             "but much slower)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="cProfile the campaign stage and print its hot functions",
     )
@@ -240,7 +234,7 @@ def study_main(argv: Optional[List[str]] = None) -> int:
         "--resume", metavar="DIR",
         help="resume a streamed campaign from its checkpoint directory; "
              "the study configuration comes from the checkpoint, so "
-             "--preset/--seed/--shards/--engine are ignored "
+             "--preset/--seed/--shards are ignored "
              "(--scenario, if given, is validated against the "
              "checkpoint's scenario fingerprint)",
     )
@@ -329,10 +323,10 @@ def config_from_args(parser: argparse.ArgumentParser, args):
 
 
 def _study_config(parser: argparse.ArgumentParser, args):
-    """:func:`config_from_args` with ``rootsim-study``'s ``--shards``,
-    ``--workers`` and ``--engine`` applied.  Workers only ever run
-    shards, so ``--workers`` without ``--shards`` is an error rather
-    than a silently serial run."""
+    """:func:`config_from_args` with ``rootsim-study``'s ``--shards``
+    and ``--workers`` applied.  Workers only ever run shards, so
+    ``--workers`` without ``--shards`` is an error rather than a
+    silently serial run."""
     config, label = config_from_args(parser, args)
     if args.shards < 1 or args.workers < 1:
         parser.error("--shards and --workers must be >= 1")
@@ -340,8 +334,6 @@ def _study_config(parser: argparse.ArgumentParser, args):
         parser.error("--workers requires --shards > 1")
     if args.shards > 1:
         config = config.with_sharding(args.shards, workers=args.workers)
-    if args.engine is not None:
-        config = config.with_engine(args.engine)
     return config, label
 
 
@@ -374,8 +366,7 @@ def _streaming_study_main(args, parser) -> int:
                         f"(fingerprint {expected}); refusing to resume"
                     )
             print(f"resuming streamed study from {checkpoint_dir}: "
-                  f"seed={config.seed} engine={config.engine} "
-                  f"shards={config.shards}")
+                  f"seed={config.seed} shards={config.shards}")
         else:
             config, label = _study_config(parser, args)
             print(f"streaming study: {label} seed={args.seed} "

@@ -54,10 +54,10 @@ class StudyConfig:
     #: Worker processes for sharded execution; 1 = run shards serially
     #: in-process, >1 = a ProcessPoolExecutor over the shards.
     workers: int = 1
-    #: Campaign execution engine: "epoch" compiles per-(VP, address)
-    #: route epochs and records columnar blocks (fast, the default);
-    #: "scalar" walks every (round, VP, address) cell.  Collector output
-    #: is byte-identical either way.
+    #: The campaign engine, recorded in every MANIFEST.json /
+    #: CHECKPOINT.json study fingerprint.  The epoch-compiled engine
+    #: (:mod:`repro.vantage.epoch_engine`) is the only one, so "epoch" is
+    #: the only accepted value.
     engine: str = "epoch"
     #: World-layer extras beyond the flat ring knobs (region_scale,
     #: site_scale, buildout, buildout_stage) — see
@@ -96,10 +96,9 @@ class StudyConfig:
             raise ValueError(
                 f"platform spec: workers must be >= 1: {self.workers}"
             )
-        if self.engine not in ("epoch", "scalar"):
+        if self.engine != "epoch":
             raise ValueError(
-                f"platform spec: engine must be 'epoch' or 'scalar': "
-                f"{self.engine!r}"
+                f"study config: engine must be 'epoch': {self.engine!r}"
             )
         for layer in ("world", "traffic", "faults", "scenario"):
             value = getattr(self, layer)
@@ -157,7 +156,6 @@ class StudyConfig:
             clean_transfer_keep_one_in=self.clean_transfer_keep_one_in,
             shards=self.shards,
             workers=self.workers,
-            engine=self.engine,
         )
 
     def traffic_spec(self):
@@ -278,10 +276,6 @@ class StudyConfig:
         """Same campaign, executed in *shards* partitions on *workers*
         processes (results are byte-identical to the serial run)."""
         return replace(self, shards=shards, workers=workers)
-
-    def with_engine(self, engine: str) -> "StudyConfig":
-        """Same study on a different campaign engine."""
-        return replace(self, engine=engine)
 
     def serial(self) -> "StudyConfig":
         """The single-shard, in-process equivalent of this config."""

@@ -10,13 +10,14 @@ method as three stages and keeps each one's output as a plain attribute:
 * **build_platform** — schedule, route selector, VP ring, fault plan
   and prober (the full measurement platform).
 * **run_campaign** — executes the campaign.  The VP ring is
-  partitioned into ``config.shards`` disjoint shards and
-  :class:`CampaignShards` — the one campaign driver, which the streamed
-  campaign (:mod:`repro.core.streaming`) advances chunk by chunk —
-  advances them over the single range ``[0, n_rounds)``, in-process or,
-  with ``config.workers > 1``, on a ``ProcessPoolExecutor`` with mmap
-  spill handoff.  One shard's collector is the campaign collector;
-  several are recombined with
+  partitioned into ``config.shards`` disjoint shards, each one compiled
+  :class:`~repro.vantage.epoch_engine.EpochCampaignPlan` (the only
+  campaign engine), and :class:`CampaignShards` — the one campaign
+  driver, which the streamed campaign (:mod:`repro.core.streaming`)
+  advances chunk by chunk — advances them over the single range
+  ``[0, n_rounds)``, in-process or, with ``config.workers > 1``, on a
+  ``ProcessPoolExecutor`` with mmap spill handoff.  One shard's
+  collector is the campaign collector; several are recombined with
   :meth:`~repro.vantage.collector.CampaignCollector.merge`, which is
   guaranteed to reproduce the serial run byte-for-byte.
 
@@ -227,98 +228,16 @@ def shard_vp_lists(
     return [list(vps[i::shards]) for i in range(shards)]
 
 
-def _replay_churn(selector, vps, addresses, n_rounds: int) -> None:
-    """Advance the scalar churn state over the already-sealed rounds.
-
-    ``ChurnModel.select_index`` must be called once per (pair, round) in
-    round order; each draw is keyed by the round number, so replaying is
-    exact.  Only the flap-state machine runs — no routing, probing or
-    collection."""
-    churn = selector.churn
-    for vp in vps:
-        for sa in addresses:
-            n_candidates = len(selector.candidates(vp.attachment, sa.letter, sa.family))
-            for round_no in range(n_rounds):
-                churn.select_index(
-                    vp.vp_id, sa.address, sa.letter, sa.family, round_no, n_candidates
-                )
-
-
-def _resync_stale(world: WorldArtifacts, prober: Prober, ts_prev: Optional[int]) -> None:
-    """Put the distributor's freeze state where the scalar scan left it.
-
-    After processing round ``r`` the net freeze state is "frozen iff the
-    stale window is active at ``ts_r``" — so a full fault reset followed
-    by one event application at the previous round's timestamp restores
-    it exactly, whether we are resuming after a crash or interleaving
-    shards that each mutate the shared distributor."""
-    world.distributor.reset_faults()
-    prober.reset()
-    if ts_prev is not None:
-        prober._apply_stale_events(ts_prev)
-
-
-class _ShardRunner:
-    """Advances one shard's campaign over round ranges."""
-
-    def __init__(
-        self,
-        world: WorldArtifacts,
-        platform: PlatformArtifacts,
-        vps: List[VantagePoint],
-        engine: str,
-        collector: CampaignCollector,
-    ) -> None:
-        self.world = world
-        self.engine = engine
-        self.vps = vps
-        self.collector = collector
-        self.ts_list = platform.schedule.rounds()
-        self.prober = Prober(
-            fabric=world.fabric,
-            selector=platform.selector,
-            deployments=world.deployments,
-            fault_plan=platform.fault_plan,
-            collector=collector,
-            sampling=platform.prober.sampling,
-        )
-        self._plan: Optional[EpochCampaignPlan] = None
-        if engine == "epoch":
-            self._plan = EpochCampaignPlan(self.prober, vps, platform.schedule)
-
-    def replay_to(self, round_no: int) -> None:
-        """Reconstruct non-collector engine state for rounds ``[0, round_no)``."""
-        if self.engine != "epoch":
-            _replay_churn(
-                self.prober.selector, self.vps, self.collector.addresses, round_no
-            )
-
-    def advance(self, lo: int, hi: int) -> None:
-        """Execute rounds ``[lo, hi)`` into this shard's collector."""
-        if self._plan is not None:
-            self._plan.emit_range(lo, hi)
-            return
-        _resync_stale(
-            self.world, self.prober, self.ts_list[lo - 1] if lo > 0 else None
-        )
-        for round_no in range(lo, hi):
-            ts = self.ts_list[round_no]
-            self.prober._apply_stale_events(ts)
-            for vp in self.vps:
-                self.prober.run_round(vp, round_no, ts)
-            self.collector.rounds_processed += 1
-
-
 # --- multiprocess shard workers ------------------------------------------------------
 
 #: Per-worker-process state: the study config installed by the pool
-#: initializer, and a cache of live shard runners keyed by shard index.
+#: initializer, and a cache of live shard plans keyed by shard index.
 #: ProcessPoolExecutor does not pin tasks to workers, so a cache entry is
 #: only reused when its recorded position matches the requested ``lo`` —
-#: a reassigned shard rebuilds its runner from the shipped state dict
+#: a reassigned shard recompiles its plan over the shipped state dict
 #: (correct always, cheap in the common pinned case).
 _STREAM_CONFIG: Optional[StudyConfig] = None
-_STREAM_RUNNERS: Dict[int, Tuple[_ShardRunner, int]] = {}
+_STREAM_PLANS: Dict[int, Tuple[EpochCampaignPlan, int]] = {}
 
 
 def _init_stream_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
@@ -335,7 +254,7 @@ def _init_stream_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
 
     global _STREAM_CONFIG
     _STREAM_CONFIG = StudyConfig(**config_values)
-    _STREAM_RUNNERS.clear()
+    _STREAM_PLANS.clear()
     exit_when_orphaned(owner_pid)
 
 
@@ -346,44 +265,44 @@ def _advance_stream_shard(
     spill the range's rows.
 
     The shipped *state* is the shard's aggregate state after round
-    ``lo``; a cached runner already carrying that state (its position
-    matches ``lo``) advances directly, anything else rebuilds world,
-    platform and runner from the per-process seed-keyed world cache plus
-    the state dict.  Rows cross back to the parent through the spill —
-    only this path string and the shard index transit the pool pipe.
+    ``lo``; a cached plan already carrying that state (its position
+    matches ``lo``) advances directly, anything else recompiles the
+    shard's plan from the per-process seed-keyed world cache over a
+    collector restored from the state dict.  Rows cross back to the
+    parent through the spill — only this path string and the shard
+    index transit the pool pipe.
     """
     config = _STREAM_CONFIG
     if config is None:
         raise RuntimeError(
             "stream worker used before _init_stream_worker installed its config"
         )
-    cached = _STREAM_RUNNERS.get(shard_index)
+    cached = _STREAM_PLANS.get(shard_index)
     if cached is not None and cached[1] == lo:
-        runner = cached[0]
+        plan = cached[0]
     else:
         serial_config = config.serial()
         world = build_world(serial_config)
         platform = build_platform(serial_config, world)
-        world.distributor.reset_faults()
-        platform.prober.reset()
         shard_vps = shard_vp_lists(platform.vps, config.shards)[shard_index]
         collector = CampaignCollector()
         collector.restore_state_dict(state)
-        runner = _ShardRunner(world, platform, shard_vps, config.engine, collector)
-        runner.replay_to(lo)
+        plan = EpochCampaignPlan(
+            platform.prober, shard_vps, platform.schedule, collector
+        )
 
-    runner.advance(lo, hi)
+    plan.emit_range(lo, hi)
 
     from repro.data.spill import write_shard_spill
 
     spill_dir = write_shard_spill(
         Path(spill_root) / f"rounds-{lo:05d}-shard-{shard_index:03d}",
-        runner.collector,
+        plan.collector,
     )
     # Drain so the next advance appends only its own range's rows; the
     # aggregates stay cumulative, exactly like the in-process path.
-    runner.collector.drain_rows()
-    _STREAM_RUNNERS[shard_index] = (runner, hi)
+    plan.collector.drain_rows()
+    _STREAM_PLANS[shard_index] = (plan, hi)
     return {"shard": shard_index, "spill_dir": str(spill_dir)}
 
 
@@ -409,10 +328,14 @@ class CampaignShards:
     ``shards > 1`` the shards advance on a process pool (pinned start
     method: forkserver preferred, spawn fallback, never fork) and each
     range's rows come home as per-shard mmap spills; otherwise every
-    shard is a :class:`_ShardRunner` in this process.
+    shard is an :class:`~repro.vantage.epoch_engine.EpochCampaignPlan`
+    in this process.
 
-    *collectors* (one per shard, fresh by default) carry the aggregate
-    state after round *start* — the streamed campaign's resume point.
+    *collectors* (one per shard, fresh by default) carry each shard's
+    aggregate state up to the round the first :meth:`advance` starts
+    from — the streamed campaign's resume point.  Plans are compiled
+    from the seed alone and hold no other campaign state, so nothing is
+    replayed to resume.
     """
 
     def __init__(
@@ -421,15 +344,13 @@ class CampaignShards:
         world: WorldArtifacts,
         platform: PlatformArtifacts,
         collectors: Optional[List[CampaignCollector]] = None,
-        *,
-        start: int = 0,
     ) -> None:
         shard_vps = shard_vp_lists(platform.vps, config.shards)
         if collectors is None:
             collectors = [CampaignCollector() for _ in shard_vps]
         self.collectors = collectors
         self._states: Optional[List[Dict]] = None
-        self._runners: List[_ShardRunner] = []
+        self._plans: List[EpochCampaignPlan] = []
         self._pool: Optional[ProcessPoolExecutor] = None
         self._spill_root: Optional[Path] = None
         self._spill_dirs: List[str] = []
@@ -445,12 +366,10 @@ class CampaignShards:
                 initargs=(asdict(config), os.getpid()),
             )
         else:
-            self._runners = [
-                _ShardRunner(world, platform, vps, config.engine, collector)
+            self._plans = [
+                EpochCampaignPlan(platform.prober, vps, platform.schedule, collector)
                 for vps, collector in zip(shard_vps, collectors)
             ]
-            for runner in self._runners:
-                runner.replay_to(start)
 
     def advance(self, lo: int, hi: int) -> List[CampaignCollector]:
         """Execute rounds ``[lo, hi)`` on every shard; returns the
@@ -464,8 +383,8 @@ class CampaignShards:
         states = self._states
         self._states = None
         if self._pool is None:
-            for runner in self._runners:
-                runner.advance(lo, hi)
+            for plan in self._plans:
+                plan.emit_range(lo, hi)
             return self.collectors
 
         global _LAST_SPILL_STATS
@@ -536,16 +455,11 @@ def run_campaign(
     spills are deleted once it returns.
     """
     world.distributor.reset_faults()
-    platform.prober.reset()
     with CampaignShards(config, world, platform) as shards:
         collectors = shards.advance(0, platform.expected_rounds)
         if len(collectors) == 1:
-            collector = collectors[0]
-        else:
-            collector = CampaignCollector.merge(collectors)
-    world.distributor.reset_faults()
-    platform.prober.reset()
-    return collector
+            return collectors[0]
+        return CampaignCollector.merge(collectors)
 
 
 # --- the study object ---------------------------------------------------------------

@@ -12,20 +12,11 @@ the campaign, and a killed run resumes from the last sealed chunk —
 producing a finalized dataset byte-identical to an uninterrupted batch
 run (DESIGN.md §11).
 
-Why resume is exact, engine by engine:
-
-* **epoch** — :class:`~repro.vantage.epoch_engine.EpochCampaignPlan` is
-  compiled from the seed alone and ``emit_range`` is pure over the
-  restored collector aggregates; no process state survives a crash that
-  the checkpoint does not carry.
-* **scalar** — two pieces of live state exist outside the collector and
-  are reconstructed on every advance: the churn flap state (advanced one
-  ``select_index`` call per (pair, round) — replayed for the sealed
-  rounds, every draw being a counter-based mix keyed by the round
-  number) and the distributor's stale-site freeze state (the net state
-  after round ``r`` is "frozen iff the window is active at ``ts_r``", so
-  one ``_apply_stale_events(ts_{lo-1})`` after a fault reset restores
-  it).
+Resume is exact because
+:class:`~repro.vantage.epoch_engine.EpochCampaignPlan` is compiled from
+the seed alone and ``emit_range`` is pure over the restored collector
+aggregates: no process state survives a crash that the checkpoint does
+not carry.
 
 Every shard advances the same round range over its disjoint VP subset,
 and :meth:`CampaignCollector.merge` folds the shard collectors — whose
@@ -144,7 +135,6 @@ def run_streaming_campaign(
     world = build_world(config)
     platform = build_platform(config, world)
     world.distributor.reset_faults()
-    platform.prober.reset()
     n_rounds = platform.expected_rounds
     study = _config_fingerprint(config)
 
@@ -178,7 +168,6 @@ def run_streaming_campaign(
         writer.start(
             study=study,
             addresses=[sa.address for sa in global_state.addresses],
-            engine=config.engine,
             shards=config.shards,
             n_rounds=n_rounds,
             state=global_state.state_dict(),
@@ -192,9 +181,7 @@ def run_streaming_campaign(
     prev_total = global_state.transfer_total
     prev_clean = global_state.transfer_clean
 
-    with CampaignShards(
-        config, world, platform, shard_collectors, start=rounds_done
-    ) as shards:
+    with CampaignShards(config, world, platform, shard_collectors) as shards:
         lo = rounds_done
         while lo < n_rounds:
             hi = min(lo + checkpoint_every, n_rounds)

@@ -163,7 +163,6 @@ class ChunkedDatasetWriter:
         *,
         study: Optional[dict],
         addresses: List[str],
-        engine: str,
         shards: int,
         n_rounds: int,
         state: dict,
@@ -185,7 +184,6 @@ class ChunkedDatasetWriter:
             "schema_version": SCHEMA_VERSION,
             "study": study,
             "addresses": list(addresses),
-            "engine": engine,
             "shards": shards,
             "n_rounds": n_rounds,
             "rounds_done": 0,
@@ -514,7 +512,6 @@ class CheckpointReader:
             )
         for key in (
             "addresses",
-            "engine",
             "shards",
             "n_rounds",
             "rounds_done",

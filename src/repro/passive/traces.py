@@ -288,20 +288,29 @@ class TrafficTimeSeries:
             out[address] = list(zip(buckets, shares.tolist()))
         return out
 
+    def window_shares(
+        self, start: Timestamp, end: Timestamp, subset: Optional[List[str]] = None
+    ) -> Dict[str, float]:
+        """Share of every subset address within [start, end) against the
+        subset, summing each address's window once.  The total adds the
+        window sums in subset order with plain float ``+=``
+        (``sum()`` may compensate and change the last bits)."""
+        addresses = self._subset(subset)
+        buckets = self.aggregate.buckets_array()
+        if buckets.size == 0:
+            return dict.fromkeys(addresses, 0.0)
+        mask = (buckets >= start) & (buckets < end)
+        sums = [float(self._flows_of(addr)[mask].sum()) for addr in addresses]
+        total = 0.0
+        for window_sum in sums:
+            total += window_sum
+        return {
+            addr: window_sum / total if total > 0 else 0.0
+            for addr, window_sum in zip(addresses, sums)
+        }
+
     def window_share(
         self, address: str, start: Timestamp, end: Timestamp, subset: Optional[List[str]] = None
     ) -> float:
         """Share of *address* within [start, end) against the subset."""
-        addresses = self._subset(subset)
-        buckets = self.aggregate.buckets_array()
-        if buckets.size == 0:
-            return 0.0
-        mask = (buckets >= start) & (buckets < end)
-        total = 0.0
-        mine = 0.0
-        for addr in addresses:
-            window_sum = float(self._flows_of(addr)[mask].sum())
-            total += window_sum
-            if addr == address:
-                mine = window_sum
-        return mine / total if total > 0 else 0.0
+        return self.window_shares(start, end, subset).get(address, 0.0)

@@ -12,9 +12,9 @@ Identity: every composed scenario has a content :meth:`fingerprint` —
 a truncated SHA-256 over the canonical JSON of its *normalised* layers
 (specs round-tripped through ``to_dict`` so equivalent spellings hash
 identically).  The fingerprint deliberately excludes the seed and the
-execution knobs (shards / workers / engine): the same scenario run
-sharded or serial, on either engine, produces byte-identical data, so
-those must not change what the data claims to be.  The identity dict
+execution knobs (shards / workers): the same scenario run sharded or
+serial produces byte-identical data, so those must not change what the
+data claims to be.  The identity dict
 (``{"name", "version", "fingerprint", "overlays"}``) is stamped into
 the :class:`~repro.core.config.StudyConfig` a scenario builds and flows
 from there into ``MANIFEST.json`` and ``CHECKPOINT.json``.
@@ -46,7 +46,7 @@ _WORLD_FLAT = ("ring_scale", "ring_min_per_region")
 
 #: Execution knobs callers may override per run without changing what
 #: scenario the data belongs to (excluded from the fingerprint).
-EXECUTION_KNOBS = ("shards", "workers", "engine")
+EXECUTION_KNOBS = ("shards", "workers")
 
 
 def _spec_for(layer: str, doc: Mapping[str, Any]):
@@ -171,7 +171,7 @@ class Scenario:
         :class:`StudyConfig`, stamped with this scenario's identity.
 
         ``execution`` may override the per-run knobs (``shards``,
-        ``workers``, ``engine``) without touching the fingerprint.
+        ``workers``) without touching the fingerprint.
         """
         reject_unknown_keys(
             f"scenario {self.name!r} execution overrides",
@@ -211,7 +211,6 @@ class Scenario:
             include_faults=fault_spec.include_faults,
             shards=platform_spec.shards,
             workers=platform_spec.workers,
-            engine=platform_spec.engine,
             world=world_extra or None,
             traffic=traffic_extra or None,
             faults=fault_extra or None,

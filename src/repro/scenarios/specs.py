@@ -7,8 +7,8 @@ four layers, each a frozen dataclass with strict ``to_dict`` /
 * :class:`WorldSpec` — what world exists: VP ring scale and regional
   mix, per-letter site scaling, and staged site build-out timelines;
 * :class:`PlatformSpec` — how the platform measures it: campaign
-  window, probing cadences, and the execution knobs (shards, workers,
-  engine);
+  window, probing cadences, and the execution knobs (shards,
+  workers);
 * :class:`TrafficSpec` — what the passive layer observes: population
   profile overrides per capture point plus an optional query-mix
   composition (:class:`~repro.passive.querymix.QueryMixSpec`);
@@ -294,7 +294,6 @@ class PlatformSpec:
     clean_transfer_keep_one_in: int = 2000
     shards: int = 1
     workers: int = 1
-    engine: str = "epoch"
 
     def __post_init__(self) -> None:
         for attr in ("campaign_start", "campaign_end"):
@@ -322,11 +321,6 @@ class PlatformSpec:
                 raise ValueError(
                     f"platform spec: {attr} must be >= 1: {getattr(self, attr)}"
                 )
-        if self.engine not in ("epoch", "scalar"):
-            raise ValueError(
-                f"platform spec: engine must be 'epoch' or 'scalar': "
-                f"{self.engine!r}"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

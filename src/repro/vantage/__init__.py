@@ -10,12 +10,7 @@ the simulated root server system.
 from repro.vantage.node import VantagePoint
 from repro.vantage.ring import RingConfig, build_ring, REGION_PLAN
 from repro.vantage.scheduler import MeasurementSchedule, CAMPAIGN_START, CAMPAIGN_END
-from repro.vantage.collector import (
-    CampaignCollector,
-    ProbeSample,
-    TransferObservation,
-    TracerouteSample,
-)
+from repro.vantage.collector import CampaignCollector, TransferObservation
 from repro.vantage.probes import Prober, SamplingPolicy
 from repro.vantage.export import export_dataset, load_dataset
 from repro.vantage.atlas import AtlasPlatform
@@ -33,8 +28,6 @@ __all__ = [
     "CAMPAIGN_START",
     "CAMPAIGN_END",
     "CampaignCollector",
-    "ProbeSample",
     "TransferObservation",
-    "TracerouteSample",
     "Prober",
 ]

@@ -17,20 +17,19 @@ object would not fit in memory.  The collector therefore keeps:
 Row storage is columnar from the start: preallocated, doubling numpy
 buffers (:class:`_ColumnTable`) with batch-append APIs
 (:meth:`CampaignCollector.add_probe_block`,
-:meth:`CampaignCollector.add_traceroute_block`) fed by the epoch-compiled
-campaign engine, while the scalar ``add_probe_sample`` /
-``add_traceroute`` calls remain as thin single-row wrappers so the
-scalar prober and :meth:`CampaignCollector.merge` produce byte-identical
-tables.  ``probe_columns()`` / ``traceroute_columns()`` are memoised per
-buffer version instead of re-materialising the full arrays on every
-analysis.
+:meth:`CampaignCollector.add_traceroute_block`) fed by the
+epoch-compiled campaign engine, while the single-row
+``add_probe_sample`` / ``add_traceroute`` calls remain as thin wrappers
+over the same buffers (the scalar test oracle records through them).
+``probe_columns()`` / ``traceroute_columns()`` are memoised per buffer
+version instead of re-materialising the full arrays on every analysis.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,36 +44,10 @@ _NO_ORDER_KEY: Tuple[float, ...] = (float("inf"),)
 class CollectorSealedError(RuntimeError):
     """An ingest call arrived after the collector's buffers were sealed.
 
-    :meth:`CampaignCollector.to_dataset` /
-    :meth:`repro.data.Dataset.from_collector` share the collector's
+    :meth:`repro.data.Dataset.from_collector` shares the collector's
     column buffers with the dataset (zero-copy).  An append after that
     point could silently reallocate or mutate arrays the dataset now
     owns, so it raises instead of losing data."""
-
-
-@dataclass(frozen=True)
-class ProbeSample:
-    """One sampled probe row (reader-side view)."""
-
-    vp_id: int
-    ts: int
-    address: ServiceAddress
-    site_key: str
-    rtt_ms: float
-    direct_km: float
-    closest_global_km: float
-    via_peer: bool
-    transit_asn: int = 0  # upstream ASN, 0 = peer/local path
-
-
-@dataclass(frozen=True)
-class TracerouteSample:
-    """One sampled traceroute observation (reader-side view)."""
-
-    vp_id: int
-    ts: int
-    address: ServiceAddress
-    second_to_last_hop: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -545,41 +518,6 @@ class CampaignCollector:
             self._trace_cols_version = self._traceroutes.version
         return self._trace_cols_cache
 
-    def probe_samples(self) -> List[ProbeSample]:
-        """Sampled probe rows as objects (small datasets / tests only)."""
-        t = self._probes
-        return [
-            ProbeSample(
-                vp_id=int(t.column("vp")[i]),
-                ts=int(t.column("ts")[i]),
-                address=self.addresses[int(t.column("addr")[i])],
-                site_key=self.sites[int(t.column("site")[i])],
-                rtt_ms=float(t.column("rtt")[i]),
-                direct_km=float(t.column("direct_km")[i]),
-                closest_global_km=float(t.column("closest_km")[i]),
-                via_peer=bool(t.column("peer")[i]),
-                transit_asn=int(t.column("transit")[i]),
-            )
-            for i in range(len(t))
-        ]
-
-    def traceroute_samples(self) -> List[TracerouteSample]:
-        """Sampled traceroute rows as objects (small datasets / tests)."""
-        t = self._traceroutes
-        return [
-            TracerouteSample(
-                vp_id=int(t.column("vp")[i]),
-                ts=int(t.column("ts")[i]),
-                address=self.addresses[int(t.column("addr")[i])],
-                second_to_last_hop=(
-                    None
-                    if t.column("hop")[i] < 0
-                    else self.hops[int(t.column("hop")[i])]
-                ),
-            )
-            for i in range(len(t))
-        ]
-
     def summary(self) -> Dict[str, int]:
         """Dataset-size fingerprint (the paper's §4.1 counts analogue)."""
         return {
@@ -727,15 +665,6 @@ class CampaignCollector:
         self._trace_cols_cache = None
         self._trace_cols_version = -1
         return probes, traceroutes, transfers
-
-    def to_dataset(self, config=None):
-        """Seal this collector's buffers into a typed
-        :class:`repro.data.Dataset` (column arrays are shared, not
-        copied).  *config* — the study's config, when available —
-        becomes the dataset's study fingerprint."""
-        from repro.data import Dataset
-
-        return Dataset.from_collector(self, config)
 
     # -- shard merging ----------------------------------------------------------------
 

@@ -1,12 +1,12 @@
-"""The epoch-compiled campaign engine.
+"""The epoch-compiled campaign engine — the only campaign engine.
 
-The scalar scan (:meth:`~repro.vantage.probes.Prober.run_round` once
-per round and VP) walks every (round, VP, address) cell: tens of
-millions of ``RouteSelector.select`` calls, interner lookups and
-per-call hash mixes.  This engine exploits the structure of the
-workload instead, and lays every (VP, address) pair out as one
-structure of arrays so that a round range costs a fixed number of numpy
-passes, not a Python loop over pairs:
+Stated one cell at a time, a campaign walks every (round, VP, address)
+cell: tens of millions of ``RouteSelector.select`` calls, interner
+lookups and per-call hash mixes.  That scalar scan survives only as the
+test oracle ``tests/vantage/scalar_campaign.py``.  This engine exploits
+the structure of the workload instead, and lays every (VP, address) pair
+out as one structure of arrays so that a round range costs a fixed
+number of numpy passes, not a Python loop over pairs:
 
 * **Routes are piecewise constant.**  Each pair's campaign is compiled
   into a handful of ``(round_start, round_end, candidate)`` epochs
@@ -31,7 +31,7 @@ passes, not a Python loop over pairs:
   (round, VP, address) position of a value's first use; with cells (and
   epoch keys) in scan order that is the first index of each code, so
   only values not yet interned reach Python.
-* **Almost no transfer is recorded.**  The scalar path runs a full AXFR
+* **Almost no transfer is recorded.**  The scalar scan runs a full AXFR
   for every sampled transfer and then throws nearly all of them away
   (``clean_transfer_keep_one_in``).  Faults and clock skew are pure
   functions of (VP, site, timestamp), so clean/faulty *counts* are
@@ -51,11 +51,11 @@ concatenation of range emissions is byte-identical to one
 whole-campaign emission — and a resumed run is byte-identical to an
 uninterrupted one.
 
-Output is **byte-identical** to the scalar prober — same summary, same
+Output is **byte-identical** to the scalar oracle — same summary, same
 interner contents in the same order, same identity dict insertion order,
 same columns, same transfer observations — which
-tests/vantage/test_epoch_engine.py asserts against the scalar path and
-the sharded merge path.
+tests/vantage/test_epoch_engine.py asserts against the oracle and the
+sharded merge path.
 
 Like the scalar scan (and the sharded merge, which sorts rows by
 ``(ts, vp_id)``), row ordering assumes the VP list is ascending in
@@ -74,7 +74,7 @@ from repro.netsim import epochs
 from repro.netsim.epochs import PairEpochs, RangeEpochs
 from repro.netsim.latency import JITTER, PER_HOP_MS
 from repro.netsim.mix import mix64_array, mix64_prefix, mix_float_array
-from repro.vantage.collector import TransferObservation
+from repro.vantage.collector import CampaignCollector, TransferObservation
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import (
     Prober,
@@ -117,7 +117,7 @@ class EpochCampaignPlan:
 
     Compilation is a pure function of the world and the schedule, so a
     resumed run recompiles the identical plan; :meth:`emit_range` then
-    appends rounds ``[lo, hi)`` into the prober's collector.  Emitting
+    appends rounds ``[lo, hi)`` into *collector*.  Emitting
     ``[0, n)`` in one call or in any ascending, contiguous sequence of
     sub-ranges produces byte-identical collector contents — the
     invariant the checkpoint/resume path and
@@ -136,9 +136,10 @@ class EpochCampaignPlan:
         prober: Prober,
         vps: List[VantagePoint],
         schedule: MeasurementSchedule,
+        collector: CampaignCollector,
     ) -> None:
         self.prober = prober
-        self.collector = prober.collector
+        self.collector = collector
         self.sampling = prober.sampling
         ts_list = schedule.rounds()
         self.n_rounds = len(ts_list)
@@ -574,8 +575,8 @@ class EpochCampaignPlan:
         frozen,
         clock_offset: int,
     ) -> TransferObservation:
-        """Serve + record one kept transfer of pair *p*, mirroring
-        ``Prober._do_transfer``."""
+        """Serve + record one kept transfer of pair *p*, mirroring the
+        oracle's per-cell transfer (``tests/vantage/scalar_campaign.py``)."""
         sa = self.collector.addresses[p % self.n_addr]
         deployment = self.prober.deployments[sa.letter]
         distributor = deployment.distributor

@@ -142,6 +142,14 @@ class TestStudyCli:
         assert "--workers requires --shards > 1" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_engine_flag_is_gone(self, capsys):
+        # The epoch engine is the only campaign engine; there is no
+        # selector left to pass.
+        with pytest.raises(SystemExit) as exit_info:
+            study_main(["--preset", "quick", "--engine", "epoch"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
     def test_resume_without_checkpoint_fails_cleanly(self, tmp_path, capsys):
         code = study_main(["--resume", str(tmp_path / "missing")])
         assert code == 2

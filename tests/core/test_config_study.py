@@ -33,6 +33,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             StudyConfig(campaign_start=10, campaign_end=5)
 
+    def test_engine_is_epoch_only(self):
+        # A recorded field (MANIFEST.json keeps "engine": "epoch"); the
+        # epoch engine is the only campaign engine.
+        assert StudyConfig().engine == "epoch"
+        with pytest.raises(ValueError, match="engine must be 'epoch'"):
+            StudyConfig(engine="scalar")
+
     def test_sampling_validation(self):
         from repro.vantage.probes import SamplingPolicy
 

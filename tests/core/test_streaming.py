@@ -2,8 +2,8 @@
 
 The crash-injection harness (tests/integration/test_crash_resume.py)
 kills real subprocesses; these tests exercise the same resume machinery
-in-process, where aborts are cheap enough to check every engine and the
-guard rails around a bad resume.
+in-process, where aborts are cheap enough to check one and two shards
+and the guard rails around a bad resume.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ class _Abort(Exception):
     """Raised from after_chunk to simulate dying at a chunk boundary."""
 
 
-@pytest.mark.parametrize(
-    "engine,shards", [("epoch", 1), ("scalar", 2)], ids=["epoch-1", "scalar-2"]
-)
-def test_abort_and_resume_is_byte_identical(engine, shards, tmp_path):
-    config = tiny_stream_config(engine=engine, shards=shards)
+@pytest.mark.parametrize("shards", [1, 2], ids=["epoch-1", "epoch-2"])
+def test_abort_and_resume_is_byte_identical(shards, tmp_path):
+    config = tiny_stream_config(shards=shards)
 
     clean_ckpt = tmp_path / "clean-ckpt"
     run = run_streaming_campaign(config, clean_ckpt, checkpoint_every=2)
@@ -119,7 +117,7 @@ def test_checkpoint_every_must_be_positive(tmp_path):
 
 
 def test_config_from_checkpoint_roundtrips(tmp_path):
-    config = tiny_stream_config(engine="epoch")
+    config = tiny_stream_config()
     ckpt = tmp_path / "ckpt"
     run_streaming_campaign(config, ckpt, checkpoint_every=3)
     assert config_from_checkpoint(ckpt) == config

@@ -127,7 +127,7 @@ def test_start_refuses_existing_checkpoint(checkpoint_dir):
     writer = ChunkedDatasetWriter(checkpoint_dir)
     with pytest.raises(CheckpointError, match="already"):
         writer.start(
-            study=None, addresses=[], engine="epoch", shards=1,
+            study=None, addresses=[], shards=1,
             n_rounds=1, state={}, shard_states=[{}],
         )
 
@@ -231,13 +231,26 @@ def test_resume_discards_unsealed_tail_chunk(checkpoint_dir, tmp_path):
     assert writer.rounds_done == 5
 
 
+def test_checkpoint_with_retired_engine_key_still_resumes(
+    checkpoint_dir, batch_dir, tmp_path
+):
+    """Checkpoints started before the campaign engine selector was
+    retired carry an ``engine`` key; the reader ignores extra keys."""
+    copy = _damaged_copy(checkpoint_dir, tmp_path)
+    _doctor(copy, engine="epoch")
+    assert ChunkedDatasetWriter(copy).resume()["rounds_done"] == 5
+    out = tmp_path / "finalized"
+    finalize_streaming_campaign(copy, out, passive=False)
+    assert_trees_identical(batch_dir, out)
+
+
 # --- passive capture cache --------------------------------------------------------
 
 
 def _passive_writer(tmp_path):
     writer = ChunkedDatasetWriter(tmp_path)
     writer.start(
-        study=None, addresses=[], engine="epoch", shards=1, n_rounds=1,
+        study=None, addresses=[], shards=1, n_rounds=1,
         state={}, shard_states=[],
     )
     return writer

@@ -3,10 +3,10 @@
 The acceptance invariant of the streaming layer, checked end-to-end with
 real process death: a campaign killed with SIGKILL immediately after a
 chunk seal, resumed in a *fresh* process, finalizes into a dataset
-directory byte-identical to an uninterrupted run — for both engines and
-for sharded rings.  The kill point is drawn from a seeded RNG so the
-suite stays deterministic while the boundary under test varies across
-the matrix.
+directory byte-identical to an uninterrupted run — serial, for sharded
+rings and with shards on a worker pool.  The kill point is drawn from a
+seeded RNG so the suite stays deterministic while the boundary under
+test varies across the matrix.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _run_child(
     return proc
 
 
-@pytest.mark.parametrize("engine", ["epoch", "scalar"])
+@pytest.mark.parametrize("engine", ["epoch"])
 @pytest.mark.parametrize("shards", [1, 2])
 def test_sigkill_at_chunk_boundary_resumes_byte_identical(
     engine, shards, tmp_path
@@ -98,7 +98,7 @@ def test_sigkill_at_chunk_boundary_resumes_byte_identical(
     assert_trees_identical(reference, out)
 
 
-@pytest.mark.parametrize("engine", ["epoch", "scalar"])
+@pytest.mark.parametrize("engine", ["epoch"])
 def test_sigkill_with_multiprocess_workers_resumes_byte_identical(
     engine, tmp_path
 ):

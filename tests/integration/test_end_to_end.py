@@ -75,6 +75,49 @@ class TestPassivePipeline:
         assert sum(shares.values()) == pytest.approx(1.0)
         assert 0.02 < shares["b"] < 0.10  # paper: ~4.5-4.9%
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ("2024-02-05", "2024-02-19"),
+            ("2024-02-05", "2024-02-08"),
+            ("2024-02-12T06:00:00", "2024-02-13"),
+            ("2024-03-01", "2024-03-02"),  # past the capture: all zero
+        ],
+    )
+    def test_letter_shares_equal_per_address_window_shares(self, shift, window):
+        """letter_shares sums each address's window once, yet every value
+        is exactly (==, not approx) what the per-address loop gives, so
+        Figure 12/13 bytes cannot move."""
+        analysis, aggregate = shift
+        start, end = (parse_ts(t) for t in window)
+        series = analysis.series
+        everything = [sa.address for sa in analysis.addresses]
+
+        def reference_share(address, subset):
+            # the per-address loop: re-sum the whole subset per call
+            buckets = aggregate.buckets_array()
+            mask = (buckets >= start) & (buckets < end)
+            total = mine = 0.0
+            for addr in subset:
+                window_sum = float(aggregate.flows_by_bucket(addr)[mask].sum())
+                total += window_sum
+                if addr == address:
+                    mine = window_sum
+            return mine / total if total > 0 else 0.0
+
+        want = {}
+        for sa in analysis.addresses:
+            share = reference_share(sa.address, everything)
+            assert series.window_share(sa.address, start, end, everything) == share
+            want[sa.letter] = want.get(sa.letter, 0.0) + share
+        got = analysis.letter_shares(start, end)
+        assert got == want
+        assert list(got) == list(want)
+        subset = list(analysis.b_addresses.values())
+        assert series.window_shares(start, end, subset) == {
+            address: reference_share(address, subset) for address in subset
+        }
+
     def test_priming_signal(self, shift):
         _analysis, aggregate = shift
         behavior = ClientBehaviorAnalysis(aggregate)

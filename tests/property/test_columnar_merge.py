@@ -179,8 +179,6 @@ class TestCampaignShardCounts:
         config = tiny_config().with_sharding(2)
         world = build_world(config)
         platform = build_platform(config, world)
-        world.distributor.reset_faults()
-        platform.prober.reset()
         with CampaignShards(config, world, platform) as shards:
             shard_collectors = shards.advance(0, platform.expected_rounds)
 

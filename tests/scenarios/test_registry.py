@@ -98,7 +98,7 @@ class TestFingerprint:
         sharded = Scenario(
             name=scenario.name,
             description=scenario.description,
-            platform={"shards": 4, "workers": 4, "engine": "scalar"},
+            platform={"shards": 4, "workers": 4},
             analyses=scenario.analyses,
         )
         assert sharded.fingerprint() == base
@@ -141,13 +141,19 @@ class TestStudyConfigBridge:
 
     def test_execution_overrides_apply_without_fingerprint_change(self):
         scenario = compose("default")
-        config = scenario.study_config(shards=2, workers=2, engine="scalar")
-        assert (config.shards, config.workers, config.engine) == (2, 2, "scalar")
+        config = scenario.study_config(shards=2, workers=2)
+        assert (config.shards, config.workers) == (2, 2)
         assert config.scenario_fingerprint == scenario.fingerprint()
 
     def test_unknown_execution_override_rejected(self):
         with pytest.raises(ValueError, match="execution overrides"):
             compose("default").study_config(shard=2)
+        # one campaign engine: "engine" is neither an override nor a
+        # platform-layer key
+        with pytest.raises(ValueError, match="unknown key 'engine'"):
+            compose("default").study_config(engine="epoch")
+        with pytest.raises(ValueError, match="platform spec: unknown key 'engine'"):
+            Scenario(name="x", platform={"engine": "epoch"}).fingerprint()
 
     def test_config_round_trips_through_json(self):
         config = compose("froot-sea", ["froot-sea-stage1"]).study_config()

@@ -37,7 +37,7 @@ SPEC_SAMPLES = [
         buildout_stage=1,
     ),
     PlatformSpec(),
-    PlatformSpec(interval_scale=1.0, rtt_sample_every=8, engine="scalar"),
+    PlatformSpec(interval_scale=1.0, rtt_sample_every=8, shards=2),
     TrafficSpec(),
     TrafficSpec(
         profiles={"isp": {"n_clients": 4000}},
@@ -151,8 +151,9 @@ class TestValidationNamesTheLayer:
             )
 
     def test_platform_engine(self):
-        with pytest.raises(ValueError, match="platform spec: engine"):
-            PlatformSpec(engine="warp")
+        # one campaign engine: "engine" is no longer a platform key
+        with pytest.raises(ValueError, match="platform spec: unknown key 'engine'"):
+            PlatformSpec.from_dict({"engine": "epoch"})
 
     def test_fault_flags_must_be_boolean(self):
         with pytest.raises(ValueError, match="fault spec: bitflips"):

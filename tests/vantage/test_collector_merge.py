@@ -79,21 +79,21 @@ def test_sharded_run_equals_serial(serial_collector, shards):
     assert_collectors_identical(study.collector, serial_collector)
 
 
-def test_merge_of_explicit_split_equals_serial(serial_collector):
-    """Drive the shard path by hand (no StudyPipeline plumbing): split, run
-    the scalar scan, merge in scrambled shard order — merge is
-    order-independent."""
+def test_merge_of_explicit_split_equals_serial():
+    """Drive the shard path by hand (no StudyPipeline plumbing): split,
+    advance every shard, merge in scrambled shard order — merge is
+    order-independent and reproduces the serial scalar oracle."""
     from repro.core.pipeline import CampaignShards, build_platform, build_world
+    from tests.vantage.scalar_campaign import run_scalar_campaign
 
-    config = tiny_config(engine="scalar").with_sharding(3)
+    config = tiny_config().with_sharding(3)
     world = build_world(config)
     platform = build_platform(config, world)
     with CampaignShards(config, world, platform) as shards:
         collectors = shards.advance(0, platform.expected_rounds)
-    world.distributor.reset_faults()
 
     merged = CampaignCollector.merge([collectors[2], collectors[0], collectors[1]])
-    assert_collectors_identical(merged, serial_collector)
+    assert_collectors_identical(merged, run_scalar_campaign(config))
 
 
 class TestMergeUnit:

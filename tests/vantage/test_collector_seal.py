@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data import Dataset
 from repro.vantage.collector import (
     CampaignCollector,
     CollectorSealedError,
@@ -67,7 +68,7 @@ def test_sealed_collector_rejects_every_ingest_path():
 
 def test_to_dataset_seals_the_collector():
     collector = _populated_collector()
-    dataset = collector.to_dataset()
+    dataset = Dataset.from_collector(collector)
     assert collector.sealed
     assert len(dataset.table("probes")) == 1
     with pytest.raises(CollectorSealedError):

@@ -1,9 +1,10 @@
-"""The epoch-compiled campaign engine reproduces the scalar prober exactly.
+"""The epoch-compiled campaign engine reproduces the scalar oracle exactly.
 
-Golden equivalence: same summary, same interner order, same columnar
-tables byte-for-byte, same transfer observations — serial and sharded,
-with and without active faults.  Plus a record-level cross-check of the
-engine's fast path against the full-fidelity wire prober.
+Golden equivalence against ``tests/vantage/scalar_campaign.py``: same
+summary, same interner order, same columnar tables byte-for-byte, same
+transfer observations — serial and sharded, with and without active
+faults.  Plus a record-level cross-check of the engine's fast path
+against the full-fidelity wire prober.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from repro.core import StudyConfig, StudyPipeline
 from repro.util.timeutil import parse_ts
 
+from tests.vantage.scalar_campaign import run_scalar_campaign
 from tests.vantage.test_collector_merge import (
     assert_collectors_identical,
     tiny_config,
@@ -36,13 +38,14 @@ def fault_window_config() -> StudyConfig:
 
 @pytest.fixture(scope="module")
 def scalar_collector():
-    return StudyPipeline(tiny_config(engine="scalar")).run_campaign()
+    return run_scalar_campaign(tiny_config())
 
 
 class TestGoldenEquivalence:
     def test_configs_default_to_epoch_engine(self):
         assert tiny_config().engine == "epoch"
-        assert tiny_config(engine="scalar").engine == "scalar"
+        with pytest.raises(ValueError, match="engine must be 'epoch'"):
+            tiny_config(engine="scalar")
 
     def test_serial_epoch_matches_scalar(self, scalar_collector):
         study = StudyPipeline(tiny_config()).run()
@@ -55,17 +58,15 @@ class TestGoldenEquivalence:
 
     def test_epoch_matches_scalar_under_faults(self):
         config = fault_window_config()
-        scalar = StudyPipeline(config.with_engine("scalar")).run()
+        scalar = run_scalar_campaign(config)
         # The window must exercise the slow transfer path, or this proves
         # nothing: stale zones, bitflips and clock skew all present.
-        faults = {o.fault for o in scalar.collector.transfers}
+        faults = {o.fault for o in scalar.transfers}
         assert {"stale", "bitflip"} <= faults
-        assert any(
-            o.observed_ts != o.true_ts for o in scalar.collector.transfers
-        )
+        assert any(o.observed_ts != o.true_ts for o in scalar.transfers)
 
         epoch = StudyPipeline(config).run()
-        assert_collectors_identical(epoch.collector, scalar.collector)
+        assert_collectors_identical(epoch.collector, scalar)
 
 
 class TestFastPathVsFullFidelity:
@@ -133,33 +134,35 @@ class TestFastPathVsFullFidelity:
 class TestStreamedPlan:
     """Range invariance: the plan emits any ascending split of the
     campaign byte-identically to the single range ``[0, n_rounds)``,
-    whose collector the scalar scan pins."""
+    whose collector the scalar oracle pins."""
 
     @staticmethod
     def _collector(ranges, config=None, state=None):
         from repro.core.pipeline import build_platform, build_world
+        from repro.vantage.collector import CampaignCollector
         from repro.vantage.epoch_engine import EpochCampaignPlan
 
         config = config or fault_window_config()
         world = build_world(config)
         platform = build_platform(config, world)
-        world.distributor.reset_faults()
-        platform.prober.reset()
+        collector = CampaignCollector()
         if state is not None:
-            platform.prober.collector.restore_state_dict(state)
-        plan = EpochCampaignPlan(platform.prober, platform.vps, platform.schedule)
+            collector.restore_state_dict(state)
+        plan = EpochCampaignPlan(
+            platform.prober, platform.vps, platform.schedule, collector
+        )
         if ranges is None:
             ranges = [(0, plan.n_rounds)]
         for lo, hi in ranges:
             plan.emit_range(lo, hi)
-        return plan, platform.prober.collector
+        return plan, collector
 
     def test_whole_range_matches_scalar(self):
-        """One range over the whole campaign reproduces the scalar scan."""
+        """One range over the whole campaign reproduces the scalar oracle."""
         config = fault_window_config()
-        scalar = StudyPipeline(config.with_engine("scalar")).run()
+        scalar = run_scalar_campaign(config)
         _, got = self._collector(None, config)
-        assert_collectors_identical(got, scalar.collector)
+        assert_collectors_identical(got, scalar)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunked_ranges_match_one_range(self, chunk):

@@ -34,17 +34,17 @@ class TestCollector:
         cols = collector.probe_columns()
         assert cols["vp"][0] == 3
         assert cols["rtt"][0] == pytest.approx(25.0)
-        samples = collector.probe_samples()
-        assert samples[0].site_key == "c-001"
-        assert samples[0].address.letter == "b"  # index 2 is b's second addr
+        assert collector.sites.values[cols["site"][0]] == "c-001"
+        # index 2 is b's second addr
+        assert collector.addresses[cols["addr"][0]].letter == "b"
 
     def test_traceroute_missing_hop(self):
         collector = CampaignCollector()
         collector.add_traceroute(1, 100, 0, None)
         collector.add_traceroute(1, 200, 0, "edge.fra-ix")
-        samples = collector.traceroute_samples()
-        assert samples[0].second_to_last_hop is None
-        assert samples[1].second_to_last_hop == "edge.fra-ix"
+        hops = collector.traceroute_columns()["hop"]
+        assert hops[0] == -1  # the unanswered hop
+        assert collector.hops.values[hops[1]] == "edge.fra-ix"
 
 
 class TestCampaign:
