@@ -100,6 +100,7 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
     from repro.core.config import StudyConfig
     from repro.core.pipeline import build_platform, build_world
     from repro.netsim.epochs import PairEpochStream
+    from repro.vantage.collector import CampaignCollector
     from repro.vantage.epoch_engine import EpochCampaignPlan
 
     config = replace(
@@ -113,9 +114,9 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
 
     started = time.perf_counter()
     prober = platform_artifacts.prober
+    collector = CampaignCollector()
     plan = EpochCampaignPlan(
-        prober, platform_artifacts.vps, platform_artifacts.schedule,
-        prober.collector,
+        prober, platform_artifacts.vps, platform_artifacts.schedule, collector
     )
     held = []
     if mode == "materialized":
@@ -128,7 +129,7 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
                 len(selector.candidates(vp.attachment, sa.letter, sa.family)),
             ).take(0, plan.n_rounds)
             for vp in platform_artifacts.vps
-            for sa in prober.collector.addresses
+            for sa in collector.addresses
         ]
     build_seconds = time.perf_counter() - started
     plan_kb = max(0, _vmrss_kb() - floor_kb)  # retained by the plan itself
@@ -137,7 +138,6 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
         plan.emit_range(lo, min(lo + step, rounds))
     wall = time.perf_counter() - started
 
-    collector = prober.collector
     print(json.dumps({
         "mode": mode,
         "chunk": step,

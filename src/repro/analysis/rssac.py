@@ -8,7 +8,8 @@ analyses:
 * **response latency** — per letter, the distribution of query RTTs
   (RSSAC047 threshold: correct responses within 250 ms for UDP),
 * **publication latency** — how long after a zone publication every
-  site serves the new serial (staleness faults violate this),
+  site serves the new serial (the fault plan's stale-site windows
+  violate this),
 * **serial currency** — the fraction of observed transfers serving the
   newest (or immediately previous) publication.
 """
@@ -24,6 +25,7 @@ import numpy as np
 
 from repro.analysis.probe_cells import ProbeCells
 from repro.data.transfers import TransferRecord
+from repro.faults.plan import FaultPlan
 from repro.rss.operators import ROOT_LETTERS
 from repro.util.timeutil import Timestamp
 from repro.zone.distribution import ZoneDistributor
@@ -48,14 +50,18 @@ class RssacMetrics(RegisteredAnalysis):
     """Service metrics over a campaign's samples."""
 
     name = "rssac"
-    requires = ("dataset", "distributor?")
+    requires = ("dataset", "distributor?", "fault_plan?")
     tables = ("probes",)
 
     def __init__(
-        self, dataset, distributor: Optional[ZoneDistributor] = None
+        self,
+        dataset,
+        distributor: Optional[ZoneDistributor] = None,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.dataset = dataset
         self.distributor = distributor
+        self.fault_plan = fault_plan
         self.cells = ProbeCells(dataset)
         self._latencies: Optional[List[ResponseLatency]] = None
 
@@ -93,13 +99,20 @@ class RssacMetrics(RegisteredAnalysis):
         self, site_keys: List[str], at_ts: Timestamp
     ) -> Dict[str, Optional[int]]:
         """Per site: seconds behind the newest publication at *at_ts*
-        (None = the site is frozen and arbitrarily stale)."""
+        (None = the site is stale: inside one of the fault plan's
+        stale-site windows, the ones the campaign observed, or frozen on
+        the distributor)."""
         if self.distributor is None:
             raise RuntimeError("publication latency needs the distributor")
         newest_ts, _edition = self.distributor.latest_publication(at_ts)
+        stale = {
+            event.site_key
+            for event in (self.fault_plan.stale_sites if self.fault_plan else ())
+            if event.active(at_ts)
+        }
         out: Dict[str, Optional[int]] = {}
         for site_key in site_keys:
-            if self.distributor.is_frozen(site_key):
+            if site_key in stale or self.distributor.is_frozen(site_key):
                 out[site_key] = None
                 continue
             pub = self.distributor.site_publication(site_key, at_ts)

@@ -150,11 +150,9 @@ def _popular_d_sites(
     so the fault plan targets the most-visited d.root sites (paper:
     Tokyo, 3 VPs; Leeds, 7 VPs).
     """
-    counts: Counter = Counter()
-    for vp in ring:
-        for family in (4, 6):
-            site = selector.best(vp.attachment, "d", family).site
-            counts[site.key] += 1
+    table = selector.table([(vp.attachment, "d", f) for vp in ring for f in (4, 6)])
+    best_sites = table.site[table.ptr[:-1]].tolist()  # each key's first route
+    counts = Counter(selector.sites[code].key for code in best_sites)
     best: Dict[Continent, str] = {}
     site_by_key = {s.key: s for s in catalog.of_letter("d")}
     for key, _n in counts.most_common():
@@ -193,7 +191,6 @@ def build_platform(config: StudyConfig, world: WorldArtifacts) -> PlatformArtifa
         selector=selector,
         deployments=world.deployments,
         fault_plan=fault_plan,
-        collector=CampaignCollector(),
         sampling=SamplingPolicy(
             rtt_every=config.rtt_sample_every,
             traceroute_every=config.traceroute_sample_every,

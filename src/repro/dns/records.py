@@ -53,7 +53,7 @@ class ResourceRecord:
             object.__setattr__(self, "_cw_cache", cache)
         cached = cache.get(ttl)
         if cached is None:
-            rdata_wire = self.rdata.canonical_wire()
+            rdata_wire = self.canonical_rdata()
             cached = (
                 self.name.canonical_wire()
                 + struct.pack(
@@ -62,6 +62,16 @@ class ResourceRecord:
                 + rdata_wire
             )
             cache[ttl] = cached
+        return cached
+
+    def canonical_rdata(self) -> bytes:
+        """The RDATA's RFC 4034 §6.2 canonical wire, memoised: ZONEMD
+        and RRset ordering sort every record by it, and an A/AAAA RDATA
+        re-parses its address text on each call."""
+        cached = self.__dict__.get("_crd")
+        if cached is None:
+            cached = self.rdata.canonical_wire()
+            object.__setattr__(self, "_crd", cached)
         return cached
 
     @classmethod
@@ -144,9 +154,7 @@ class RRset:
 
     def canonical_records(self, original_ttl: int = None) -> List[ResourceRecord]:
         """Records sorted by canonical RDATA wire form."""
-        return sorted(
-            self.records, key=lambda r: r.rdata.canonical_wire()
-        )
+        return sorted(self.records, key=ResourceRecord.canonical_rdata)
 
     def canonical_wire(self, original_ttl: int = None) -> bytes:
         """Concatenated canonical forms, RDATA-sorted — digest input."""

@@ -69,7 +69,7 @@ def _digest_input_records(
         included.append(rec)
     # Canonical order: owner name (RFC 4034 §6.1), then type, then RDATA.
     included.sort(
-        key=lambda r: (r.name.canonical_key(), int(r.rrtype), r.rdata.canonical_wire())
+        key=lambda r: (r.name.canonical_key(), int(r.rrtype), r.canonical_rdata())
     )
     return included
 

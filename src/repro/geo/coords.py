@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -57,3 +60,47 @@ def fiber_rtt_ms(distance_km: float) -> float:
     if distance_km < 0:
         raise ValueError(f"negative distance: {distance_km}")
     return distance_km * RTT_MS_PER_KM
+
+
+#: Targets this close to an origin's approximate nearest distance are
+#: measured exactly by :func:`nearest`.  The numpy and ``math``
+#: haversines disagree by well under a metre, even near antipodes.
+NEAREST_SLACK_KM = 1.0
+
+
+def nearest(
+    origins: Sequence[GeoPoint], targets: Sequence[GeoPoint]
+) -> Tuple[List[int], List[float]]:
+    """For each origin, the index of its nearest target and the distance
+    to it, exactly as ``min`` over ``haversine_km(origin, target)`` in
+    target order picks them (the first index wins a tie).
+
+    For several origins, a numpy haversine over every (origin, target)
+    pair first keeps the targets within :data:`NEAREST_SLACK_KM` of each
+    origin's approximate minimum — the exact nearest always among them;
+    a single origin skips that pass, which would cost more than it
+    saves.  The scalar :func:`haversine_km` decides among the kept
+    targets, so results never depend on numpy's last bits.
+    """
+    if not targets:
+        raise ValueError("nearest() needs at least one target")
+    if len(origins) == 1:
+        rows, cols = [0] * len(targets), range(len(targets))
+    else:
+        o_lat, o_lon = np.radians([(p.lat, p.lon) for p in origins]).reshape(-1, 2).T
+        t_lat, t_lon = np.radians([(p.lat, p.lon) for p in targets]).T
+        dlat = t_lat[None, :] - o_lat[:, None]
+        dlon = t_lon[None, :] - o_lon[:, None]
+        h = np.sin(dlat / 2.0) ** 2 + np.outer(np.cos(o_lat), np.cos(t_lat)) * (
+            np.sin(dlon / 2.0) ** 2
+        )
+        approx = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+        keep = approx <= approx.min(axis=1, keepdims=True) + NEAREST_SLACK_KM
+        rows, cols = (a.tolist() for a in np.nonzero(keep))  # targets ascend per row
+    index = [-1] * len(origins)
+    km = [math.inf] * len(origins)
+    for row, col in zip(rows, cols):
+        d = haversine_km(origins[row], targets[col])
+        if d < km[row]:
+            index[row], km[row] = col, d
+    return index, km

@@ -22,9 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.netsim.mix import mix64, mix_float, mix_str
+import numpy as np
+
+from repro.netsim.mix import (
+    mix64,
+    mix64_array,
+    mix64_prefix,
+    mix_float,
+    mix_float_array,
+    mix_str,
+)
 
 #: Target *median* total catchment changes per (letter, family) over the
 #: full 174-day / 30-minute-interval campaign (paper §4.2 for b and g;
@@ -76,15 +85,26 @@ class ChurnModel:
         self.seed = seed
         self.expected_rounds = expected_rounds
         self._states: Dict[Tuple[int, str], ChurnState] = {}
+        self._address_hashes: Dict[str, int] = {}
 
-    def _pair_multiplier(self, pair_hash: int) -> float:
-        """Heavy-tailed per-pair multiplier (lognormal via inverse-ish
-        transform on two mixed uniforms — Box-Muller)."""
-        u1 = mix_float(self.seed, pair_hash, 1)
-        u2 = mix_float(self.seed, pair_hash, 2)
+    def address_hash(self, address: str) -> int:
+        """``mix_str(address)``, memoised: a campaign asks it for every
+        (client, address) pair, over a few dozen addresses."""
+        h = self._address_hashes.get(address)
+        if h is None:
+            h = self._address_hashes[address] = mix_str(address)
+        return h
+
+    def _excursion_prob(self, letter: str, family: int, u1: float, u2: float) -> float:
+        """A pair's per-round excursion probability from its two mixed
+        uniforms: the letter/family target median times a heavy-tailed
+        per-pair multiplier (lognormal via Box-Muller)."""
+        target = TARGET_MEDIAN_CHANGES.get((letter, family), 16.0)
         u1 = max(u1, 1e-12)
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return math.exp(PAIR_SIGMA * z)
+        expected_changes = target * math.exp(PAIR_SIGMA * z)
+        # Each excursion contributes two observed changes (away, back).
+        return min(0.4, expected_changes / (2.0 * self.expected_rounds))
 
     def state_for(
         self, client_id: int, address: str, letter: str, family: int
@@ -92,13 +112,36 @@ class ChurnModel:
         """The (lazily created) churn state for one pair."""
         key = (client_id, address)
         if key not in self._states:
-            target = TARGET_MEDIAN_CHANGES.get((letter, family), 16.0)
-            pair_hash = mix64(client_id, mix_str(address))
-            expected_changes = target * self._pair_multiplier(pair_hash)
-            # Each excursion contributes two observed changes (away, back).
-            prob = min(0.4, expected_changes / (2.0 * self.expected_rounds))
+            pair_hash = mix64(client_id, self.address_hash(address))
+            prob = self._excursion_prob(
+                letter,
+                family,
+                mix_float(self.seed, pair_hash, 1),
+                mix_float(self.seed, pair_hash, 2),
+            )
             self._states[key] = ChurnState(excursion_prob=prob)
         return self._states[key]
+
+    def excursion_probs(
+        self, pairs: Sequence[Tuple[int, str, str, int]]
+    ) -> np.ndarray:
+        """``state_for(*pair).excursion_prob`` of every ``(client_id,
+        address, letter, family)`` pair, creating no state.  The uniforms
+        are hashed as arrays; the transform stays scalar ``math`` (numpy's
+        log/cos/exp differ from it in the last bits)."""
+        client = np.array([p[0] for p in pairs], dtype=np.int64)
+        hashes = np.array([self.address_hash(p[1]) for p in pairs], dtype=np.uint64)
+        pair_hash = mix64_array(mix64_array(mix64_prefix(), client), hashes)
+        seed = mix64_prefix(self.seed)
+        u1 = mix_float_array(seed, pair_hash, 1).tolist()
+        u2 = mix_float_array(seed, pair_hash, 2).tolist()
+        return np.array(
+            [
+                self._excursion_prob(letter, family, a, b)
+                for (_client, _address, letter, family), a, b in zip(pairs, u1, u2)
+            ],
+            dtype=np.float64,
+        )
 
     def select_index(
         self,
@@ -123,7 +166,7 @@ class ChurnModel:
             if state.excursion_left == 0:
                 state.current_index = 0
         elif state.current_index == 0:
-            u = mix_float(self.seed, client_id, mix_str(address), round_no)
+            u = mix_float(self.seed, client_id, self.address_hash(address), round_no)
             if u < state.excursion_prob:
                 # Excursion depth: mostly the runner-up; duration: short
                 # (1-3 rounds), so displaced time stays a sliver of the

@@ -46,7 +46,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.netsim.churn import ChurnModel
-from repro.netsim.mix import mix64_array, mix64_prefix, mix_float_array, mix_str
+from repro.netsim.mix import mix64_array, mix64_prefix, mix_float_array
 
 #: One epoch: the pair uses candidate ``index`` for rounds
 #: ``[start, end)``.
@@ -81,8 +81,8 @@ class PairEpochs:
 
     *pairs* lists ``(client_id, address, letter, family)`` per pair and
     *n_candidates* each pair's candidate count.  Compilation scans the
-    triggers and reads each pair's churn state (``ChurnModel.
-    state_for``) but never advances it.
+    triggers with each pair's excursion probability (``ChurnModel.
+    excursion_probs``) and never creates or advances churn state.
 
     Between ranges the walk keeps, per pair, the first unresolved
     trigger, the round its trigger check is live again, and the last
@@ -136,17 +136,12 @@ class PairEpochs:
         live = np.nonzero(n_cand > 1)[0] if n_rounds > 0 else empty
         if not len(live):
             return empty
-        addr_hash = {}
-        prob = np.empty(len(live), dtype=np.float64)
-        client = np.empty(len(live), dtype=np.int64)
-        hashes = np.empty(len(live), dtype=np.uint64)
-        for i, p in enumerate(live.tolist()):
-            client_id, address, letter, family = pairs[p]
-            prob[i] = churn.state_for(client_id, address, letter, family).excursion_prob
-            client[i] = client_id
-            if address not in addr_hash:
-                addr_hash[address] = mix_str(address)
-            hashes[i] = addr_hash[address]
+        live_pairs = [pairs[p] for p in live.tolist()]
+        prob = churn.excursion_probs(live_pairs)
+        client = np.array([p[0] for p in live_pairs], dtype=np.int64)
+        hashes = np.array(
+            [churn.address_hash(p[1]) for p in live_pairs], dtype=np.uint64
+        )
         prefix = mix64_array(mix64_array(mix64_prefix(churn.seed), client), hashes)
 
         rounds = np.arange(n_rounds, dtype=np.int64)

@@ -9,15 +9,17 @@ The epoch-compiled campaign engine evaluates the same mixer over whole
 round ranges at once: :func:`mix64_prefix` absorbs the fixed leading
 values into a partial state, and :func:`mix64_array` /
 :func:`mix_float_array` finish the chain over a numpy array of trailing
-values.  The array forms are bit-identical to calling :func:`mix64` /
-:func:`mix_float` element-wise (uint64 wrap-around multiplication is the
-same operation in numpy), which is what keeps the vectorized engine's
-output byte-identical to the scalar prober.
+values; :func:`mix_str_array` / :func:`mix_str_pieces` hash a batch of
+strings at once.  The
+array forms are bit-identical to calling :func:`mix64` /
+:func:`mix_float` / :func:`mix_str` element-wise (uint64 wrap-around
+multiplication is the same operation in numpy), which is what keeps the
+vectorized engine's output byte-identical to the scalar prober.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,6 +28,10 @@ _MASK = (1 << 64) - 1
 _INIT = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_PART_SEPARATOR = 0x1F
 
 
 def mix64(*values: int) -> int:
@@ -107,9 +113,54 @@ def mix_str(*parts: str) -> int:
 
     Parts are domain-separated so ``("a", "b")`` and ``("ab",)`` differ.
     """
-    acc = 0xCBF29CE484222325
+    acc = _FNV_OFFSET
     for part in parts:
         for byte in part.encode("utf-8"):
-            acc = ((acc ^ byte) * 0x100000001B3) & _MASK
-        acc = ((acc ^ 0x1F) * 0x100000001B3) & _MASK  # part separator
+            acc = ((acc ^ byte) * _FNV_PRIME) & _MASK
+        acc = ((acc ^ _PART_SEPARATOR) * _FNV_PRIME) & _MASK
     return mix64(acc)
+
+
+class ByteTable:
+    """Strings as a zero-padded UTF-8 byte matrix — ``columns[j][i]`` is
+    byte ``j`` of string ``i`` (0 past its end) — and their byte
+    ``lengths``: a piece table for :func:`mix_str_pieces`, encoded once
+    and reusable."""
+
+    def __init__(self, strings: Sequence[str]) -> None:
+        encoded = [s.encode("utf-8") for s in strings]
+        self.lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        width = int(self.lengths.max()) if len(encoded) else 0
+        matrix = np.zeros((len(encoded), width), dtype=np.uint8)
+        matrix[np.arange(width)[None, :] < self.lengths[:, None]] = np.frombuffer(
+            b"".join(encoded), dtype=np.uint8
+        )
+        self.columns = matrix.T.astype(np.uint64)
+
+
+def mix_str_array(strings: Sequence[str]) -> "np.ndarray":
+    """Array form of one-part :func:`mix_str`: element ``i`` equals
+    ``mix_str(strings[i])``."""
+    return mix_str_pieces([(ByteTable(strings), np.arange(len(strings)))])
+
+
+def mix_str_pieces(pieces: Sequence[Tuple[ByteTable, "np.ndarray"]]) -> "np.ndarray":
+    """One-part :func:`mix_str` of strings assembled from pieces: element
+    ``i`` equals ``mix_str("".join(table[index[i]] for table, index in
+    pieces))``, without building the joined strings.
+
+    FNV-1a folds byte column by byte column: every element gathers its
+    piece's byte ``j`` and a length mask leaves the state of elements
+    whose piece is shorter untouched.  uint64 wrap-around multiplication
+    is FNV's product mod 2^64.
+    """
+    n = len(pieces[0][1])
+    acc = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    with np.errstate(over="ignore"):
+        for table, index in pieces:
+            piece_len = table.lengths[index]
+            for j, column in enumerate(table.columns):
+                acc = np.where(piece_len > j, (acc ^ column[index]) * prime, acc)
+        acc = (acc ^ np.uint64(_PART_SEPARATOR)) * prime
+    return mix64_array(mix64_prefix(), acc)

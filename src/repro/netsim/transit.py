@@ -19,15 +19,16 @@ is what creates out-of-continent detours.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.geo.cities import City, city
 from repro.geo.continents import Continent
-from repro.geo.coords import haversine_km
+from repro.geo.coords import nearest
 
 
-#: (asn, origin IATA) -> nearest PoP; providers and cities are static.
-_NEAREST_POP_CACHE: Dict[Tuple[int, str], City] = {}
+#: (asn, origin IATA) -> (nearest PoP, distance km); providers and
+#: cities are static.
+_NEAREST_POP_CACHE: Dict[Tuple[int, str], Tuple[City, float]] = {}
 
 
 @dataclass(frozen=True)
@@ -60,22 +61,33 @@ class TransitProvider:
         raise ValueError(f"family must be 4 or 6, got {family}")
 
     def nearest_pop(self, origin: City) -> City:
-        """The provider PoP closest to *origin* — the client's entry point.
+        """The provider PoP closest to *origin* — the client's entry point."""
+        return self._nearest([origin])[0][0]
 
-        Memoised per (provider, origin city): route construction asks this
-        for every candidate site of every letter.
-        """
-        cached = _NEAREST_POP_CACHE.get((self.asn, origin.iata))
-        if cached is None:
-            cached = min(
-                self.pops, key=lambda p: haversine_km(origin.location, p.location)
-            )
-            _NEAREST_POP_CACHE[(self.asn, origin.iata)] = cached
-        return cached
+    def nearest_pops(self, origins: Sequence[City]) -> List[City]:
+        """:meth:`nearest_pop` of every origin, the uncached ones found
+        together: route compilation asks for the hub of every global
+        site, ring construction for every network city."""
+        return [pop for pop, _km in self._nearest(origins)]
 
     def pop_distance_km(self, origin: City) -> float:
         """Distance from *origin* to the nearest PoP."""
-        return haversine_km(origin.location, self.nearest_pop(origin).location)
+        return self._nearest([origin])[0][1]
+
+    def _nearest(self, origins: Sequence[City]) -> List[Tuple[City, float]]:
+        """(nearest PoP, its ``haversine_km``) per origin — the first PoP
+        on a tie — memoised per (provider, origin city); the uncached
+        origins go through one :func:`~repro.geo.coords.nearest` call."""
+        missing = {
+            c.iata: c for c in origins if (self.asn, c.iata) not in _NEAREST_POP_CACHE
+        }
+        if missing:
+            index, km = nearest(
+                [c.location for c in missing.values()], [p.location for p in self.pops]
+            )
+            for iata, i, d in zip(missing, index, km):
+                _NEAREST_POP_CACHE[(self.asn, iata)] = (self.pops[i], d)
+        return [_NEAREST_POP_CACHE[(self.asn, c.iata)] for c in origins]
 
     def openness(self, family: int) -> float:
         if family == 4:

@@ -16,11 +16,15 @@ number of numpy passes, not a Python loop over pairs:
 * **One candidate table.**  Every pair's candidate routes are one flat
   table (pair → candidate segment) of the columns rows need: site and
   hop codes, base RTT, the jitter hash prefix of the route's stable
-  key, direct distance, peer flag and transit ASN.  Route geometry
-  comes from the scalar ``haversine_km`` (memoised per city pair in
-  :class:`~repro.netsim.routing.RouteSelector`) — a numpy haversine
+  key, direct distance, peer flag and transit ASN.  It is gathered from
+  :meth:`RouteSelector.table <repro.netsim.routing.RouteSelector.table>`,
+  which compiles the candidates of every distinct (attachment, letter,
+  family) key in one columnar pass — no ``Route`` object is built —
+  with distances from the scalar ``haversine_km`` (a numpy haversine
   differs from it in the last bits and would change every distance
-  column.
+  column).  Site, hop and identity codes are numbered by first use with
+  ``np.unique``; churn excursion probabilities come from
+  ``ChurnModel.excursion_probs``.
 * **Sampling is arithmetic.**  The ``(round + vp) % every == 0`` masks
   select the sampled cells of all pairs directly in serial scan order
   (round, VP, address); epoch-constant columns are one gather through
@@ -64,7 +68,7 @@ Like the scalar scan (and the sharded merge, which sorts rows by
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -74,6 +78,7 @@ from repro.netsim import epochs
 from repro.netsim.epochs import PairEpochs, RangeEpochs
 from repro.netsim.latency import JITTER, PER_HOP_MS
 from repro.netsim.mix import mix64_array, mix64_prefix, mix_float_array
+from repro.netsim.routing import TRANSIT
 from repro.vantage.collector import CampaignCollector, TransferObservation
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import (
@@ -85,16 +90,42 @@ from repro.vantage.scheduler import MeasurementSchedule
 from repro.zone.distribution import ZoneDistributor
 
 
-def _codes(values: Sequence, table: Dict, names: List) -> np.ndarray:
-    """Plan-local integer codes of *values*, extending *table*/*names*."""
-    out = np.empty(len(values), dtype=np.int64)
-    for i, value in enumerate(values):
-        code = table.get(value)
-        if code is None:
-            code = table[value] = len(names)
-            names.append(value)
-        out[i] = code
-    return out
+def _first_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Codes of *values* numbered in order of first occurrence, and the
+    distinct values in that order."""
+    unique, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    code = np.empty(len(order), dtype=np.int64)
+    code[order] = np.arange(len(order), dtype=np.int64)
+    return code[inverse], unique[order]
+
+
+def _coded(names: List, codes: np.ndarray) -> Tuple[np.ndarray, List]:
+    """First-occurrence codes of ``names[c]`` over *codes*, and the
+    distinct names in that order (several codes may share a name)."""
+    ids: Dict = {}
+    name_id = np.array([ids.setdefault(n, len(ids)) for n in names], dtype=np.int64)
+    row_code, order = _first_codes(name_id[codes])
+    distinct = list(ids)
+    return row_code, [distinct[i] for i in order.tolist()]
+
+
+class _PairRoutes:
+    """``plan.pair_routes[p]``: pair *p*'s candidates as ``Route``
+    objects, from ``RouteSelector.candidates`` on access.  The plan
+    itself reads only the table; this view lets tests compare the two."""
+
+    def __init__(self, plan: "EpochCampaignPlan") -> None:
+        self._plan = plan
+
+    def __len__(self) -> int:
+        return self._plan.n_pairs
+
+    def __getitem__(self, p: int):
+        plan = self._plan
+        sa = plan.collector.addresses[p % plan.n_addr]
+        att = plan.vps[p // plan.n_addr].attachment
+        return plan.prober.selector.candidates(att, sa.letter, sa.family)
 
 
 def _interned(index: Dict[str, int], names: List[str]) -> np.ndarray:
@@ -128,7 +159,8 @@ class EpochCampaignPlan:
     global site) plus the flat candidate table and the trigger walk of
     :class:`~repro.netsim.epochs.PairEpochs`; a range's epochs are
     materialised as arrays only while it is emitted.  Ranges must be
-    emitted in ascending order.
+    emitted in ascending order.  ``pair_routes[p]`` gives pair *p*'s
+    candidates as ``Route`` objects on demand, for comparison in tests.
     """
 
     def __init__(
@@ -160,54 +192,46 @@ class EpochCampaignPlan:
         )
 
         # -- candidate routes: one table row per (pair, candidate) -------------------
+        # Pairs sharing a candidate set (same attachment, letter and
+        # family) share its rows of the selector's table; keys are in
+        # first-pair order, so the table is the candidate lists laid out
+        # in pair order.
         selector = prober.selector
         stale_keys = {e.site_key for e in prober.fault_plan.stale_sites}
-        lists: Dict[int, int] = {}  # id(candidate list) -> first route row
-        routes = []  # unique candidate routes, list after list
-        route_letter: List[str] = []
-        self.pair_routes = []  # per pair: its candidate Route list
-        list_row = np.empty(self.n_pairs, dtype=np.int64)
-        closest = np.empty(self.n_pairs, dtype=np.float64)
-        last_mile = np.empty(self.n_pairs, dtype=np.float64)
+        key_of: Dict[Tuple[int, str, str, int], int] = {}
+        keys = []
+        pair_key = np.empty(self.n_pairs, dtype=np.int64)
         churn_pairs = []
         p = 0
         for vp in self.vps:
-            iata = vp.attachment.city.iata
+            att = vp.attachment
             for sa in addresses:
-                cands = selector.candidates(vp.attachment, sa.letter, sa.family)
-                row = lists.get(id(cands))
-                if row is None:
-                    row = lists[id(cands)] = len(routes)
-                    routes.extend(cands)
-                    route_letter.extend([sa.letter] * len(cands))
-                self.pair_routes.append(cands)
-                list_row[p] = row
-                closest[p] = prober._closest_global_km(iata, sa.letter)
-                last_mile[p] = vp.last_mile_ms
+                cache_key = (att.asn, att.city.iata, sa.letter, sa.family)
+                k = key_of.get(cache_key)
+                if k is None:
+                    k = key_of[cache_key] = len(keys)
+                    keys.append((att, sa.letter, sa.family))
+                pair_key[p] = k
                 churn_pairs.append((vp.vp_id, sa.address, sa.letter, sa.family))
                 p += 1
-        n_cand = np.array([len(c) for c in self.pair_routes], dtype=np.int64)
-        self.pair_closest = closest
+        table = selector.table(keys)
+        self.pair_routes = _PairRoutes(self)
+        n_cand = np.diff(table.ptr)[pair_key]
+        self.pair_closest = selector.closest_global_km(
+            [att.city for att, _letter, _family in keys],
+            [letter for _att, letter, _family in keys],
+        )[pair_key]
 
-        #: Plan-local value tables; codes index these lists.
-        self.site_keys: List[str] = []
-        self.hop_names: List[str] = []
-        self.identity_keys: List[Tuple[str, str]] = []
-        r_site = _codes([r.site.key for r in routes], {}, self.site_keys)
-        r_hop = _codes([r.second_to_last_hop for r in routes], {}, self.hop_names)
-        r_ident = _codes(
-            [(letter, r.site.identity()) for letter, r in zip(route_letter, routes)],
-            {},
-            self.identity_keys,
+        #: Plan-local value tables; codes index these lists and are
+        #: numbered in order of first use in the table.
+        r_site, site_codes = _first_codes(table.site)
+        sites = [selector.sites[code] for code in site_codes.tolist()]
+        self.site_keys: List[str] = [site.key for site in sites]
+        r_hop, self.hop_names = _coded(
+            [selector.fabric.facility_of(site).edge_router for site in sites], r_site
         )
-        r_path = np.array([r.path_km for r in routes], dtype=np.float64)
-        r_hops = np.array([r.hop_count for r in routes], dtype=np.int64)
-        r_extra = np.array([r.extra_ms for r in routes], dtype=np.float64)
-        r_skey = np.array([r.stable_key for r in routes], dtype=np.uint64)
-        r_direct = np.array([r.direct_km for r in routes], dtype=np.float64)
-        r_peer = np.array([r.via != "transit" for r in routes], dtype=bool)
-        r_transit = np.array(
-            [0 if r.transit is None else r.transit.asn for r in routes], dtype=np.int64
+        r_ident, self.identity_keys = _coded(
+            [(site.letter, site.identity()) for site in sites], r_site
         )
         self.site_stale = np.array(
             [key in stale_keys for key in self.site_keys], dtype=bool
@@ -217,34 +241,46 @@ class EpochCampaignPlan:
         self.cand_ptr = np.zeros(self.n_pairs + 1, dtype=np.int64)
         np.cumsum(n_cand, out=self.cand_ptr[1:])
         cand_pair = np.repeat(np.arange(self.n_pairs, dtype=np.int64), n_cand)
-        route = list_row[cand_pair] + (
+        route = table.ptr[:-1][pair_key][cand_pair] + (
             np.arange(self.cand_ptr[-1], dtype=np.int64) - self.cand_ptr[:-1][cand_pair]
         )
+        last_mile = np.array([vp.last_mile_ms for vp in self.vps], dtype=np.float64)
         self.c_site = r_site[route]
         self.c_hop = r_hop[route]
         self.c_ident = r_ident[route]
         # identical op order to netsim.latency.route_rtt_ms
-        self.c_base = r_path[route] * RTT_MS_PER_KM + (
-            PER_HOP_MS * r_hops[route] + last_mile[cand_pair] + r_extra[route]
+        self.c_base = table.path_km[route] * RTT_MS_PER_KM + (
+            PER_HOP_MS * table.hop_count[route]
+            + last_mile[cand_pair // n_addr]
+            + table.extra_ms[route]
         )
-        self.c_skpfx = mix64_array(mix64_prefix(), r_skey[route])
-        self.c_direct = r_direct[route]
-        self.c_peer = r_peer[route]
-        self.c_transit = r_transit[route]
+        self.c_skpfx = mix64_array(mix64_prefix(), table.stable_key[route])
+        self.c_direct = table.direct_km[route]
+        self.c_peer = table.via[route] != TRANSIT
+        self.c_transit = table.transit[route]
 
         # -- faults: pairs whose transfers can never take the fast path ---------------
         plan = prober.fault_plan
+        vp_events: Dict[int, List] = {}
+        for i, e in enumerate(plan.bitflips):
+            vp_events.setdefault(e.vp_id, []).append((i, e))
         self.pair_events: Dict[int, List] = {}
-        self.pair_faulty = np.zeros(self.n_pairs, dtype=bool)
-        for p, (vp_id, address, _letter, _family) in enumerate(churn_pairs):
-            events = [
-                (i, e)
-                for i, e in enumerate(plan.bitflips)
-                if e.vp_id == vp_id and e.address in (None, address)
-            ]
-            if events:
-                self.pair_events[p] = events
-            self.pair_faulty[p] = bool(events) or vp_id in plan.clocks.episodes
+        for v, vp in enumerate(self.vps):
+            if vp.vp_id not in vp_events:
+                continue
+            for a, sa in enumerate(addresses):
+                events = [
+                    (i, e)
+                    for i, e in vp_events[vp.vp_id]
+                    if e.address in (None, sa.address)
+                ]
+                if events:
+                    self.pair_events[v * n_addr + a] = events
+        self.pair_faulty = np.repeat(
+            np.array([vp.vp_id in plan.clocks.episodes for vp in self.vps], dtype=bool),
+            n_addr,
+        )
+        self.pair_faulty[list(self.pair_events)] = True
 
         self.epochs = PairEpochs(selector.churn, churn_pairs, self.n_rounds, n_cand)
 
@@ -495,7 +531,7 @@ class EpochCampaignPlan:
         n_rounds = self.n_rounds
         every = self.sampling.axfr_every
         vp_id = int(self.pair_vp[p])
-        routes = self.pair_routes[p]
+        pair_sites = self.c_site[self.cand_ptr[p]:self.cand_ptr[p + 1]]
         events = self.pair_events.get(p, ())
         episode = plan.clocks.episodes.get(vp_id)
 
@@ -520,7 +556,7 @@ class EpochCampaignPlan:
         stale_tf = np.zeros(len(r_tf), dtype=bool)
         frozen_of: Dict[int, object] = {}  # row -> StaleZoneEvent
         for start, end, index in zip(starts.tolist(), ends.tolist(), indices.tolist()):
-            site_key = routes[index].site.key
+            site_key = self.site_keys[pair_sites[index]]
             for stale in plan.stale_sites:
                 if stale.site_key != site_key:
                     continue
@@ -551,14 +587,13 @@ class EpochCampaignPlan:
 
         eidx_tf = np.searchsorted(starts, r_tf, side="right") - 1
         for row in np.nonzero(record_tf)[0].tolist():
-            route = routes[int(indices[eidx_tf[row]])]
             kept.append(
                 (
                     self._order_key(int(r_tf[row]), p),
                     self._build_observation(
                         p,
                         int(ts_tf[row]),
-                        route.site.key,
+                        self.site_keys[pair_sites[indices[eidx_tf[row]]]],
                         None if evt_tf[row] < 0 else plan.bitflips[int(evt_tf[row])],
                         frozen_of.get(row),
                         int(offset_tf[row]),

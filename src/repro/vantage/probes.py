@@ -23,21 +23,19 @@ analysis-level records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.dns.constants import RRClass, RRType
 from repro.dns.edns import add_edns
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.faults.plan import FaultPlan
-from repro.geo.cities import city
 from repro.netsim.mix import mix64
 from repro.netsim.routing import RouteSelector
 from repro.netsim.topology import NetworkFabric
 from repro.rss.operators import ServiceAddress
 from repro.rss.server import RootServerDeployment
 from repro.util.timeutil import Timestamp
-from repro.vantage.collector import CampaignCollector
 from repro.vantage.node import VantagePoint
 
 #: Probability the traceroute's second-to-last hop went unanswered.
@@ -72,28 +70,13 @@ class Prober:
         selector: RouteSelector,
         deployments: Dict[str, RootServerDeployment],
         fault_plan: FaultPlan,
-        collector: CampaignCollector,
         sampling: Optional[SamplingPolicy] = None,
     ) -> None:
         self.fabric = fabric
         self.selector = selector
         self.deployments = deployments
         self.fault_plan = fault_plan
-        self.collector = collector
         self.sampling = sampling or SamplingPolicy()
-        self._closest_global_cache: Dict[Tuple[str, str], float] = {}
-
-    # -- helpers -------------------------------------------------------------------
-
-    def _closest_global_km(self, city_iata: str, letter: str) -> float:
-        key = (city_iata, letter)
-        if key not in self._closest_global_cache:
-            origin = city(city_iata)
-            sites = self.fabric.global_sites(letter)
-            self._closest_global_cache[key] = min(
-                self.selector.distance_km(origin, s.city) for s in sites
-            )
-        return self._closest_global_cache[key]
 
     # -- full-fidelity path -----------------------------------------------------------
 

@@ -136,6 +136,8 @@ def build_ring(rng_factory: RngFactory, config: RingConfig = RingConfig()) -> Li
         n_vps = config.region_count(continent)
         n_networks = max(1, int(round(full_nets * n_vps / full_vps)))
         cities = cities_in(continent)
+        for transit in TRANSIT_CATALOG:
+            transit.nearest_pops(cities)  # one pass for the upstream weights
         # Build the networks first; VPs then land in them.
         networks: List[Attachment] = []
         for _ in range(n_networks):

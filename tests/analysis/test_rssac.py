@@ -85,3 +85,37 @@ class TestSerialCurrency:
     def test_empty_transfers_rejected(self, metrics):
         with pytest.raises(ValueError):
             metrics.serial_currency([])
+
+
+class TestFaultPlanStaleness:
+    """Publication latency reads staleness from the fault plan's
+    stale-site windows — the ones the campaign observes as ``stale``
+    transfers — not from distributor freeze state, which no campaign
+    sets."""
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        from repro.core import StudyPipeline
+        from tests.vantage.test_epoch_engine import fault_window_config
+
+        return StudyPipeline(fault_window_config()).run()
+
+    def test_stale_site_is_none_inside_its_window_only(self, study):
+        event = next(e for e in study.fault_plan.stale_sites if e.site_key == "d-045")
+        metrics = RssacMetrics.run(study)
+        assert not study.distributor.is_frozen("d-045")
+        middle = (event.freeze_from + event.detected_until) // 2
+        assert metrics.publication_latency(["d-045"], middle) == {"d-045": None}
+        for outside in (event.freeze_from - DAY, event.detected_until):
+            lag = metrics.publication_latency(["d-045"], outside)["d-045"]
+            assert isinstance(lag, int) and 0 <= lag <= DAY
+
+    def test_every_stale_transfer_reads_stale(self, study):
+        metrics = RssacMetrics.run(study)
+        stale = [t for t in study.collector.transfers if t.fault == "stale"]
+        assert stale
+        for obs in stale:
+            site_key = obs.fault_detail.split()[1]  # "site <key> frozen"
+            assert metrics.publication_latency([site_key], obs.true_ts) == {
+                site_key: None
+            }

@@ -8,7 +8,7 @@ must land in the ballpark the paper reports (675 VPs; §3 describes
 
 from repro.core import StudyConfig
 from repro.core.pipeline import build_platform, build_world
-from repro.rss.operators import ROOT_LETTERS
+from repro.rss.operators import ROOT_LETTERS, all_service_addresses
 
 
 class TestPaperPreset:
@@ -38,5 +38,5 @@ class TestPaperPreset:
         # 174 days at 30-minute rounds ~ 8.3k rounds; all 28 service
         # addresses (13 letters dual-stack + b.root's old/new pairs).
         assert platform.schedule.round_count() > 8000
-        addresses = platform.prober.collector.addresses
+        addresses = all_service_addresses()
         assert len(addresses) == 28

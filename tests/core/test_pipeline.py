@@ -53,11 +53,8 @@ class TestWorldCheckpoint:
         a = StudyPipeline(tiny_config())
         b = StudyPipeline(tiny_config())
         assert a.build_world() is b.build_world()
-        # Platforms stay per-study: fresh collectors and churn state.
-        assert (
-            a.build_platform().prober.collector
-            is not b.build_platform().prober.collector
-        )
+        # Platforms stay per-study: fresh probers and churn state.
+        assert a.build_platform().prober is not b.build_platform().prober
         assert a.platform.selector is not b.platform.selector
 
 
@@ -84,8 +81,8 @@ class TestStages:
         assert results.vps is tiny_study.platform.vps
         assert results.schedule is tiny_study.platform.schedule
         assert results.collector is tiny_study.collector
-        # run_campaign hands the collector back; the prober keeps its own.
-        assert tiny_study.platform.prober.collector is not tiny_study.collector
+        # run_campaign creates the collector; the prober holds none.
+        assert not hasattr(tiny_study.platform.prober, "collector")
 
     def test_run_idempotent(self, tiny_study):
         collector = tiny_study.collector

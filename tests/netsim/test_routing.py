@@ -147,6 +147,22 @@ class TestChurn:
         )
         assert displaced / 8352 < 0.1
 
+    def test_excursion_probs_match_state_for(self):
+        pairs = [
+            (client, address, letter, family)
+            for client in (1, 2, 99, 10**6)
+            for address, letter, family in (
+                ("199.9.14.201", "b", 4),
+                ("2001:500:12::d0d", "g", 6),
+                ("192.0.2.1", "z", 4),  # no target median: the default
+            )
+        ]
+        churn = ChurnModel(seed=7, expected_rounds=500)
+        got = churn.excursion_probs(pairs).tolist()
+        assert not churn._states  # reads no state, creates none
+        fresh = ChurnModel(seed=7, expected_rounds=500)
+        assert got == [fresh.state_for(*pair).excursion_prob for pair in pairs]
+
     def test_single_candidate_never_changes(self):
         churn = ChurnModel(seed=1, expected_rounds=100)
         for rnd in range(100):

@@ -5,7 +5,8 @@ engine — compiles each (VP, address) pair's route epochs and emits
 columnar blocks.  This module states the same campaign one cell at a
 time: each round first applies the fault plan's stale-site windows to
 the world's zone distributor, then every VP probes every service address
-through ``RouteSelector.select`` and records into a
+over the scalar route oracle (``tests/netsim/scalar_routes.py``) and the
+churn model's ``select_index``, and records into a
 :class:`~repro.vantage.collector.CampaignCollector` row by row, serving
 a real AXFR for every sampled or faulted transfer.  The equivalence
 tests (``test_epoch_engine.py``, ``test_collector_merge.py``,
@@ -28,6 +29,7 @@ from repro.util.timeutil import Timestamp
 from repro.vantage.collector import CampaignCollector, TransferObservation
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import QUERIES_PER_ADDRESS, STLH_MISSING_PROB, Prober
+from tests.netsim.scalar_routes import ScalarRoutes
 
 
 def run_scalar_campaign(config: StudyConfig) -> CampaignCollector:
@@ -40,6 +42,7 @@ def run_scalar_campaign(config: StudyConfig) -> CampaignCollector:
     world = build_world(config)
     platform = build_platform(config, world)
     prober = platform.prober
+    routes = ScalarRoutes(prober.fabric)
     collector = CampaignCollector()
     frozen: Dict[str, bool] = {}
     world.distributor.reset_faults()
@@ -47,7 +50,7 @@ def run_scalar_campaign(config: StudyConfig) -> CampaignCollector:
         for round_no, ts in enumerate(platform.schedule.rounds()):
             _apply_stale_events(prober, frozen, ts)
             for vp in platform.vps:
-                _run_round(prober, collector, vp, round_no, ts)
+                _run_round(prober, routes, collector, vp, round_no, ts)
             collector.rounds_processed += 1
     finally:
         world.distributor.reset_faults()
@@ -71,6 +74,7 @@ def _apply_stale_events(prober: Prober, frozen: Dict[str, bool], ts: Timestamp) 
 
 def _run_round(
     prober: Prober,
+    routes: ScalarRoutes,
     collector: CampaignCollector,
     vp: VantagePoint,
     round_no: int,
@@ -84,9 +88,12 @@ def _run_round(
     do_axfr = (round_no + phase) % sampling.axfr_every == 0
 
     for addr_idx, sa in enumerate(collector.addresses):
-        route = prober.selector.select(
-            vp.attachment, vp.vp_id, sa.letter, sa.family, sa.address, round_no
-        )
+        options = routes.candidates(vp.attachment, sa.letter, sa.family)
+        route = options[
+            prober.selector.churn.select_index(
+                vp.vp_id, sa.address, sa.letter, sa.family, round_no, len(options)
+            )
+        ]
         collector.note_site(vp.vp_id, addr_idx, route.site.key)
         collector.note_identity(sa.letter, route.site.identity(), vp.vp_id, addr_idx)
         collector.queries_simulated += QUERIES_PER_ADDRESS
@@ -101,8 +108,8 @@ def _run_round(
                 site_key=route.site.key,
                 rtt_ms=rtt,
                 direct_km=route.direct_km,
-                closest_global_km=prober._closest_global_km(
-                    vp.attachment.city.iata, sa.letter
+                closest_global_km=routes.closest_global_km(
+                    vp.attachment.city, sa.letter
                 ),
                 via_peer=route.via != "transit",
                 transit_asn=0 if route.transit is None else route.transit.asn,
