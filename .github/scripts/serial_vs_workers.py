@@ -30,7 +30,7 @@ def main() -> None:
     mp = StudyPipeline(config.with_sharding(2, workers=2)).run_campaign()
 
     assert mp.summary() == serial.summary()
-    assert mp.state_dict() == serial.state_dict()
+    assert mp.state() == serial.state()
     for name, column in serial.probe_columns().items():
         assert np.array_equal(mp.probe_columns()[name], column), name
     for name, column in serial.traceroute_columns().items():

@@ -51,7 +51,7 @@ from repro.rss.operators import ROOT_SERVERS
 from repro.rss.server import RootServerDeployment
 from repro.rss.sites import SiteCatalog, build_site_catalog
 from repro.util.rng import RngFactory
-from repro.vantage.collector import CampaignCollector
+from repro.vantage.collector import CampaignCollector, CollectorState
 from repro.vantage.epoch_engine import EpochCampaignPlan
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import Prober, SamplingPolicy
@@ -231,7 +231,7 @@ def shard_vp_lists(
 #: initializer, and a cache of live shard plans keyed by shard index.
 #: ProcessPoolExecutor does not pin tasks to workers, so a cache entry is
 #: only reused when its recorded position matches the requested ``lo`` —
-#: a reassigned shard recompiles its plan over the shipped state dict
+#: a reassigned shard recompiles its plan over the shipped state
 #: (correct always, cheap in the common pinned case).
 _STREAM_CONFIG: Optional[StudyConfig] = None
 _STREAM_PLANS: Dict[int, Tuple[EpochCampaignPlan, int]] = {}
@@ -256,7 +256,7 @@ def _init_stream_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
 
 
 def _advance_stream_shard(
-    shard_index: int, lo: int, hi: int, state: Dict, spill_root: str
+    shard_index: int, lo: int, hi: int, state: CollectorState, spill_root: str
 ) -> Dict[str, Any]:
     """Worker-process entry: advance one shard over ``[lo, hi)`` and
     spill the range's rows.
@@ -265,7 +265,7 @@ def _advance_stream_shard(
     ``lo``; a cached plan already carrying that state (its position
     matches ``lo``) advances directly, anything else recompiles the
     shard's plan from the per-process seed-keyed world cache over a
-    collector restored from the state dict.  Rows cross back to the
+    collector restored from the state.  Rows cross back to the
     parent through the spill — only this path string and the shard
     index transit the pool pipe.
     """
@@ -282,10 +282,11 @@ def _advance_stream_shard(
         world = build_world(serial_config)
         platform = build_platform(serial_config, world)
         shard_vps = shard_vp_lists(platform.vps, config.shards)[shard_index]
-        collector = CampaignCollector()
-        collector.restore_state_dict(state)
         plan = EpochCampaignPlan(
-            platform.prober, shard_vps, platform.schedule, collector
+            platform.prober,
+            shard_vps,
+            platform.schedule,
+            CampaignCollector.from_state(state),
         )
 
     plan.emit_range(lo, hi)
@@ -346,7 +347,7 @@ class CampaignShards:
         if collectors is None:
             collectors = [CampaignCollector() for _ in shard_vps]
         self.collectors = collectors
-        self._states: Optional[List[Dict]] = None
+        self._states: Optional[List[CollectorState]] = None
         self._plans: List[EpochCampaignPlan] = []
         self._pool: Optional[ProcessPoolExecutor] = None
         self._spill_root: Optional[Path] = None
@@ -388,7 +389,7 @@ class CampaignShards:
         from repro.data.spill import read_shard_spill, spill_nbytes
 
         if states is None:
-            states = [c.state_dict() for c in self.collectors]
+            states = [c.state() for c in self.collectors]
 
         futures = [
             self._pool.submit(
@@ -408,11 +409,12 @@ class CampaignShards:
         self.collectors = [read_shard_spill(r["spill_dir"]) for r in results]
         return self.collectors
 
-    def shard_states(self) -> List[Dict]:
-        """The per-shard ``state_dict()`` of the current collectors —
-        what the next pool advance ships — computed once per advance."""
+    def shard_states(self) -> List[CollectorState]:
+        """The per-shard :meth:`~CampaignCollector.state` of the current
+        collectors — what the next pool advance ships — computed once per
+        advance."""
         if self._states is None:
-            self._states = [c.state_dict() for c in self.collectors]
+            self._states = [c.state() for c in self.collectors]
         return self._states
 
     def discard_spills(self) -> None:

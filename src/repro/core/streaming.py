@@ -24,6 +24,12 @@ row tables hold only the current chunk, earlier rows having been
 drained to disk — into the chunk's globally-ordered rows plus the
 cumulative aggregate state.  Timestamps ascend strictly across chunks,
 so concatenating per-chunk merges reproduces the whole-campaign merge.
+A one-shard campaign skips the merge, as the batch path does: its shard
+collector already is the serial collector.
+
+Each seal stores the cumulative aggregate state beside the chunk
+(``state/``, :mod:`repro.data.state`), so a commit costs what the
+chunk's state costs and ``CHECKPOINT.json`` stays a few kilobytes.
 """
 
 from __future__ import annotations
@@ -31,15 +37,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
 from repro.core.config import StudyConfig
 from repro.core.pipeline import CampaignShards, build_platform, build_world
 from repro.data.chunks import CheckpointReader, ChunkData, ChunkedDatasetWriter
-from repro.data.dataset import stability_columns
 from repro.data.schema import CheckpointError
+from repro.rss.operators import all_service_addresses
 from repro.vantage.collector import CampaignCollector
 
 
@@ -76,18 +82,32 @@ def _config_fingerprint(config: StudyConfig) -> dict:
 
 
 def _stability_delta(
-    prev: Dict[Tuple[int, int], Tuple[int, int]],
-    now: Dict[Tuple[int, int], Tuple[int, int]],
+    prev: Dict[str, np.ndarray], now: Dict[str, np.ndarray]
 ) -> Dict[str, np.ndarray]:
     """Per-pair (changes, rounds) accrued since the previous seal, as
-    stability-schema columns sorted by (vp, addr)."""
-    delta = {}
-    for pair in sorted(now):
-        changes, rounds = now[pair]
-        p_changes, p_rounds = prev.get(pair, (0, 0))
-        if changes != p_changes or rounds != p_rounds:
-            delta[pair] = (changes - p_changes, rounds - p_rounds)
-    return stability_columns(delta)
+    stability-schema columns sorted by (vp, addr).
+
+    Both arguments are :meth:`CampaignCollector.stability_columns`
+    snapshots.  Pairs are only ever appended, so *prev*'s rows are a
+    prefix of *now*'s and the delta is an aligned subtraction."""
+    n = len(prev["vp"])
+    if not (
+        np.array_equal(now["vp"][:n], prev["vp"])
+        and np.array_equal(now["addr"][:n], prev["addr"])
+    ):
+        raise ValueError("stability pairs changed order between seals")
+    changes = now["changes"].copy()
+    rounds = now["rounds"].copy()
+    changes[:n] -= prev["changes"]
+    rounds[:n] -= prev["rounds"]
+    keep = np.nonzero((changes != 0) | (rounds != 0))[0]
+    order = keep[np.lexsort((now["addr"][keep], now["vp"][keep]))]
+    return {
+        "vp": now["vp"][order],
+        "addr": now["addr"][order],
+        "changes": changes[order],
+        "rounds": rounds[order],
+    }
 
 
 def _identity_delta(
@@ -139,9 +159,6 @@ def run_streaming_campaign(
     study = _config_fingerprint(config)
 
     writer = ChunkedDatasetWriter(checkpoint_dir)
-    global_state = CampaignCollector()
-    shard_collectors = [CampaignCollector() for _ in range(config.shards)]
-
     if resume:
         ckpt = writer.resume()
         if ckpt["study"] != study:
@@ -155,27 +172,27 @@ def run_streaming_campaign(
                 f"{ckpt['n_rounds']} rounds / {ckpt['shards']} shards vs "
                 f"{n_rounds} / {config.shards}"
             )
-        if len(ckpt["shard_states"]) != len(shard_collectors):
-            raise CheckpointError(
-                f"checkpoint at {writer.path} carries "
-                f"{len(ckpt['shard_states'])} shard states for "
-                f"{len(shard_collectors)} shards"
-            )
-        global_state.restore_state_dict(ckpt["state"])
-        for collector, state in zip(shard_collectors, ckpt["shard_states"]):
-            collector.restore_state_dict(state)
     else:
         writer.start(
             study=study,
-            addresses=[sa.address for sa in global_state.addresses],
+            addresses=[sa.address for sa in all_service_addresses()],
             shards=config.shards,
             n_rounds=n_rounds,
-            state=global_state.state_dict(),
-            shard_states=[c.state_dict() for c in shard_collectors],
         )
+    reader = CheckpointReader(writer.path)
+    shard_collectors = [
+        CampaignCollector.from_state(state)
+        for state in reader.shard_states(writer.checkpoint)
+    ]
+    # One shard: its collector is the merged view.
+    global_state = (
+        shard_collectors[0]
+        if config.shards == 1
+        else CampaignCollector.from_state(reader.state(writer.checkpoint))
+    )
 
     rounds_done = writer.rounds_done
-    prev_counts = global_state.change_counts()
+    prev_stability = global_state.stability_columns()
     prev_idents = _snapshot_identities(global_state)
     prev_queries = global_state.queries_simulated
     prev_total = global_state.transfer_total
@@ -186,14 +203,20 @@ def run_streaming_campaign(
         while lo < n_rounds:
             hi = min(lo + checkpoint_every, n_rounds)
             chunk_collectors = shards.advance(lo, hi)
-            merged = CampaignCollector.merge(chunk_collectors)
+            merged = (
+                chunk_collectors[0]
+                if len(chunk_collectors) == 1
+                else CampaignCollector.merge(chunk_collectors)
+            )
             probes, traceroutes, transfers = merged.drain_rows()
             chunk = ChunkData(
                 round_lo=lo,
                 round_hi=hi,
                 probes=probes,
                 traceroutes=traceroutes,
-                stability=_stability_delta(prev_counts, merged.change_counts()),
+                stability=_stability_delta(
+                    prev_stability, merged.stability_columns()
+                ),
                 identities=_identity_delta(prev_idents, merged.identities),
                 transfers=transfers,
                 queries=merged.queries_simulated - prev_queries,
@@ -205,13 +228,13 @@ def run_streaming_campaign(
             chunk_index = len(writer.checkpoint["chunks"])
             chunk_dir = writer.seal_chunk(
                 chunk,
-                state=merged.state_dict(),
-                shard_states=shards.shard_states(),
+                state=merged.state(),
+                shard_states=shards.shard_states() if config.shards > 1 else (),
             )
             shards.discard_spills()
 
             global_state = merged
-            prev_counts = global_state.change_counts()
+            prev_stability = global_state.stability_columns()
             prev_idents = _snapshot_identities(global_state)
             prev_queries = global_state.queries_simulated
             prev_total = global_state.transfer_total
@@ -249,9 +272,7 @@ def finalize_streaming_campaign(
     """
     writer = ChunkedDatasetWriter(checkpoint_dir)
     ckpt = writer.resume()
-
-    state = CampaignCollector()
-    state.restore_state_dict(ckpt["state"])
+    state = CampaignCollector.from_state(CheckpointReader(writer.path).state(ckpt))
 
     passive_store = None
     if passive:

@@ -10,22 +10,31 @@ A streamed campaign (DESIGN.md §11) writes its measurement output into a
         tables/<t>/<col>.bin   #   same column files, loadable with
         identities.json        #   DatasetReader — stability/identities
         transfers.jsonl        #   hold per-chunk *deltas*
+        state/                 #   the cumulative collector state after
+          STATE.json           #   round hi (repro.data.state), and with
+          tables/<t>/<col>.bin #   shards > 1 one per shard under
+          shards/000/ ...      #   state/shards/<k>/
       chunks/000001/
       passive/<capture>/       # finalize-phase per-capture cache:
         MANIFEST.json          #   bucket_seconds, address and prefix
         tables/<t>/<col>.bin   #   tables; the capture's passive_flows /
                                #   passive_clients rows
 
-``CHECKPOINT.json`` carries the campaign cursor (rounds done, sealed
-chunk list) plus the aggregate collector state (interner contents with
-first-occurrence order keys, identity counts, stability counters,
-totals) for the merged view and for every shard.  It is only ever
-updated by writing ``CHECKPOINT.json.tmp`` and ``os.replace``-ing it
-over the old file **after** the chunk directory is fully on disk, so a
-crash at any instant leaves either the previous consistent checkpoint or
-the new one — never a torn state.  A chunk directory that exists on disk
-but is not listed in the checkpoint is an unsealed tail from a crash;
-resume discards it and re-runs those rounds.
+``CHECKPOINT.json`` carries only the campaign cursor: the study
+fingerprint, the sealed chunk list with row counts, the cumulative
+totals and the finalize-phase ``passive_done`` list — a few kilobytes
+whatever the campaign's length.  The aggregate collector state
+(interners with first-occurrence order keys, identity counts, stability
+counters, totals) lives beside each chunk as ``state/``, fsynced before
+the commit; restoring reads the last listed chunk's.  The checkpoint is
+only ever updated by writing ``CHECKPOINT.json.tmp`` and
+``os.replace``-ing it over the old file **after** the chunk directory
+is on disk, so a crash at any instant leaves either the previous
+consistent checkpoint or the new one — never a torn state.  A chunk
+directory that exists on disk but is not listed in the checkpoint is an
+unsealed tail from a crash; resume discards it and re-runs those rounds.
+Listed chunks are never rewritten, so a reader that found a chunk in the
+checkpoint can always read its state.
 
 Resume invariants (why a resumed run is byte-identical to an
 uninterrupted one):
@@ -61,7 +70,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Table, stability_columns
+from repro.data.dataset import Dataset, Table
 from repro.data.io import (
     DatasetReader,
     MANIFEST_NAME,
@@ -77,12 +86,19 @@ from repro.data.schema import (
     CheckpointError,
     DatasetError,
 )
+from repro.data.state import fsync_path, read_state, write_state
 from repro.data.transfers import record_to_row, seal_transfers
+from repro.vantage.collector import CampaignCollector, CollectorState
 
 CHECKPOINT_NAME = "CHECKPOINT.json"
 
 #: Version of the checkpoint layout; bump on every incompatible change.
-CHECKPOINT_VERSION = 1
+#: v2 moved the collector state out of CHECKPOINT.json into each chunk's
+#: ``state/`` directory.
+CHECKPOINT_VERSION = 2
+
+#: The per-chunk collector-state directory.
+STATE_DIR = "state"
 
 
 # --- chunk payload ------------------------------------------------------------------
@@ -165,8 +181,6 @@ class ChunkedDatasetWriter:
         addresses: List[str],
         shards: int,
         n_rounds: int,
-        state: dict,
-        shard_states: List[dict],
     ) -> None:
         """Begin a fresh streamed campaign in this directory."""
         if (self.path / CHECKPOINT_NAME).exists():
@@ -189,8 +203,6 @@ class ChunkedDatasetWriter:
             "rounds_done": 0,
             "totals": {"probes": 0, "traceroutes": 0, "transfer_observations": 0},
             "chunks": [],
-            "state": state,
-            "shard_states": shard_states,
             "passive_done": [],
         }
         self._write_checkpoint()
@@ -220,16 +232,28 @@ class ChunkedDatasetWriter:
     # -- sealing -----------------------------------------------------------------
 
     def seal_chunk(
-        self, chunk: ChunkData, *, state: dict, shard_states: List[dict]
+        self,
+        chunk: ChunkData,
+        *,
+        state: CollectorState,
+        shard_states: Sequence[CollectorState] = (),
     ) -> Path:
         """Write one chunk directory, then commit the checkpoint.
 
-        *state* / *shard_states* are
-        :meth:`~repro.vantage.collector.CampaignCollector.state_dict`
-        snapshots taken **after** the chunk's rounds were absorbed; they
-        become the restore point if the process dies after this seal.
+        *state* (the merged view) and, when the campaign has more than
+        one shard, *shard_states* are
+        :meth:`~repro.vantage.collector.CampaignCollector.state`
+        snapshots taken **after** the chunk's rounds were absorbed.  They
+        are written durably as the chunk's ``state/`` before the commit
+        and become the restore point if the process dies after this seal.
         """
         ckpt = self.checkpoint
+        shards = int(ckpt["shards"])
+        if shards > 1 and len(shard_states) != shards:
+            raise CheckpointError(
+                f"{shards}-shard checkpoint sealed with "
+                f"{len(shard_states)} shard states"
+            )
         if chunk.round_lo != ckpt["rounds_done"]:
             raise CheckpointError(
                 f"chunk starts at round {chunk.round_lo}; checkpoint has "
@@ -261,8 +285,8 @@ class ChunkedDatasetWriter:
             study=ckpt["study"],
             summary=chunk.summary(),
             addresses=ckpt["addresses"],
-            sites=[value for value, _key in state["sites"]],
-            hops=[value for value, _key in state["hops"]],
+            sites=state.sites,
+            hops=state.hops,
             tables_manifest=tables_manifest,
         )
         manifest["chunk"] = {
@@ -270,7 +294,22 @@ class ChunkedDatasetWriter:
             "round_lo": chunk.round_lo,
             "round_hi": chunk.round_hi,
         }
-        (chunk_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+        # Compact (the C encoder): a chunk manifest lists every interned
+        # site and hop, and only readers parse it.
+        (chunk_dir / MANIFEST_NAME).write_text(
+            json.dumps(manifest, separators=(",", ":"))
+        )
+
+        state_dir = write_state(chunk_dir / STATE_DIR, state, durable=True)
+        if shards > 1:
+            for index, shard_state in enumerate(shard_states):
+                write_state(
+                    state_dir / "shards" / f"{index:03d}", shard_state, durable=True
+                )
+            fsync_path(state_dir / "shards")
+            fsync_path(state_dir)
+        fsync_path(chunk_dir)
+        fsync_path(chunk_dir.parent)
 
         entry = {
             "name": name,
@@ -288,8 +327,6 @@ class ChunkedDatasetWriter:
         totals["probes"] += entry["rows"]["probes"]
         totals["traceroutes"] += entry["rows"]["traceroutes"]
         totals["transfer_observations"] += entry["rows"]["transfer_observations"]
-        ckpt["state"] = state
-        ckpt["shard_states"] = shard_states
         self._write_checkpoint()
         return chunk_dir
 
@@ -429,7 +466,7 @@ class ChunkedDatasetWriter:
                 schema, ckpt["totals"][name]
             )
 
-        columns = stability_columns(state_collector.change_counts())
+        columns = state_collector.stability_columns()
         tables_manifest["stability"] = write_binary_table(
             out, "stability", BINARY_TABLES["stability"], columns
         )
@@ -517,8 +554,6 @@ class CheckpointReader:
             "rounds_done",
             "totals",
             "chunks",
-            "state",
-            "shard_states",
         ):
             if key not in ckpt:
                 raise CheckpointError(
@@ -589,6 +624,38 @@ class CheckpointReader:
         """Every sealed chunk, in round order."""
         return [self.chunk_dataset(entry) for entry in self.chunk_entries()]
 
+    # -- collector state ---------------------------------------------------------
+
+    def _read_state(self, directory: Path) -> CollectorState:
+        try:
+            return read_state(directory)
+        except DatasetError as exc:
+            raise CheckpointError(
+                f"collector state at {directory} is missing or damaged: {exc}"
+            ) from exc
+
+    def state(self, ckpt: Optional[dict] = None) -> CollectorState:
+        """The merged collector state after the last sealed chunk (an
+        empty collector's before the first)."""
+        if ckpt is None:
+            ckpt = self.checkpoint()
+        if not ckpt["chunks"]:
+            return CampaignCollector().state()
+        return self._read_state(self.chunk_path(ckpt["chunks"][-1]) / STATE_DIR)
+
+    def shard_states(self, ckpt: Optional[dict] = None) -> List[CollectorState]:
+        """One collector state per shard after the last sealed chunk.
+
+        A one-shard campaign stores no separate shard state: its shard
+        *is* the merged view."""
+        if ckpt is None:
+            ckpt = self.checkpoint()
+        shards = int(ckpt["shards"])
+        if shards == 1 or not ckpt["chunks"]:
+            return [self.state(ckpt) for _ in range(shards)]
+        root = self.chunk_path(ckpt["chunks"][-1]) / STATE_DIR / "shards"
+        return [self._read_state(root / f"{index:03d}") for index in range(shards)]
+
     # -- stitched view -----------------------------------------------------------
 
     def dataset(self) -> Dataset:
@@ -598,16 +665,13 @@ class CheckpointReader:
         untouched; stitching n > 1 chunks concatenates the mapped
         columns (touched tables materialise, untouched ones stay on
         disk).  Stability, identities, interners and the summary come
-        from the checkpoint's aggregate state, so they reflect *all*
-        sealed rounds even though row tables only ever hold sealed
-        chunks.
+        from the last sealed chunk's aggregate state, so they reflect
+        *all* sealed rounds.
         """
         from repro.rss.operators import all_service_addresses
-        from repro.vantage.collector import CampaignCollector
 
         ckpt = self.checkpoint()
-        state = CampaignCollector()
-        state.restore_state_dict(ckpt["state"])
+        state = CampaignCollector.from_state(self.state(ckpt))
 
         catalog = {sa.address: sa for sa in all_service_addresses()}
         try:
@@ -636,7 +700,7 @@ class CheckpointReader:
                 )
                 tables[name] = Table(schema, stitched)
 
-        stability = stability_columns(state.change_counts())
+        stability = state.stability_columns()
         tables["stability"] = Table(BINARY_TABLES["stability"], stability)
 
         transfers: List[Any] = []

@@ -42,21 +42,6 @@ from repro.data.transfers import TransferRecord, seal_transfers
 from repro.rss.operators import ServiceAddress
 
 
-def stability_columns(
-    counts: Dict[Tuple[int, int], Tuple[int, int]],
-) -> Dict[str, np.ndarray]:
-    """The ``stability`` table's columns for a ``change_counts()`` dict:
-    one (vp, addr, changes, rounds) row per pair, in the dict's order."""
-    rows = [
-        (vp, addr, changes, rounds)
-        for (vp, addr), (changes, rounds) in counts.items()
-    ]
-    return {
-        spec.name: np.array([row[i] for row in rows], dtype=spec.np_dtype)
-        for i, spec in enumerate(BINARY_TABLES["stability"].columns)
-    }
-
-
 class Table:
     """One sealed binary table: schema plus equal-length numpy columns."""
 
@@ -145,8 +130,7 @@ class Dataset:
                 BINARY_TABLES["traceroutes"], collector.traceroute_columns()
             ),
             "stability": Table(
-                BINARY_TABLES["stability"],
-                stability_columns(collector.change_counts()),
+                BINARY_TABLES["stability"], collector.stability_columns()
             ),
         }
         meta: Dict[str, Any] = {}

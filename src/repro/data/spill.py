@@ -5,19 +5,21 @@ Shard workers used to hand their results back by pickling the whole
 pool — tens of megabytes of numpy buffers and zone object graphs
 serialised, piped, and deserialised per shard.  A spill replaces that
 with the mmap dataset substrate (DESIGN.md §12): the worker writes its
-columnar row buffers as ordinary binary tables, its aggregate state as a
-compact JSON sidecar, and its transfer observations as metadata rows
-plus a deduplicated zone pack; only the spill *path* (plus a summary)
-crosses the pipe.  The parent memory-maps the tables back — zero copies,
+columnar row buffers as ordinary binary tables, its aggregate state in
+the same column format (:mod:`repro.data.state`), and its transfer
+observations as metadata rows plus a deduplicated zone pack; only the
+spill *path* (plus a summary) crosses the pipe.  The parent memory-maps the tables back — zero copies,
 zero row-level python — and merges.
 
 Layout::
 
     <dir>/
-      SPILL.json               # spill/schema versions, collector state
-                               # dict, summary, table manifest entries
+      SPILL.json               # spill/schema versions, summary, table
+                               # manifest entries
       tables/probes/<col>.bin  # write_binary_table output — byte-for-byte
       tables/traceroutes/...   # the dataset column-file format
+      state/                   # the collector's aggregate state
+                               # (repro.data.state.write_state)
       transfers.jsonl          # per-observation metadata (zone by index)
       zones.pkl                # distinct Zone objects, first-seen order
 
@@ -49,13 +51,15 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.data.io import read_binary_table, write_binary_table
 from repro.data.schema import BINARY_TABLES, SCHEMA_VERSION, DatasetError
+from repro.data.state import read_state, write_state
 from repro.data.transfers import TransferRecord, record_to_row, row_to_record
 from repro.vantage.collector import CampaignCollector, TransferObservation
 
 SPILL_NAME = "SPILL.json"
 
 #: Version of the spill layout; bump on every incompatible change.
-SPILL_VERSION = 1
+#: v2 moved the collector state from SPILL.json into ``state/``.
+SPILL_VERSION = 2
 
 #: Minimum free bytes before /dev/shm is trusted as the spill root.
 _SHM_MIN_FREE = 2 << 30
@@ -218,8 +222,9 @@ def write_shard_spill(
     """Spill one shard collector's contents to *directory*.
 
     Row tables go down as standard binary tables, aggregates as the
-    collector's :meth:`~repro.vantage.collector.CampaignCollector.state_dict`,
-    transfers as metadata rows referencing a deduplicated zone pack.
+    collector's :meth:`~repro.vantage.collector.CampaignCollector.state`
+    under ``state/``, transfers as metadata rows referencing a
+    deduplicated zone pack.
     The collector itself is untouched (the streaming path drains it
     afterwards; the batch path discards it with the worker process).
     """
@@ -274,10 +279,10 @@ def write_shard_spill(
         with open(root / "zones.pkl", "wb") as handle:
             pickle.dump(zones, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
+    write_state(root / "state", collector.state())
     meta = {
         "spill_version": SPILL_VERSION,
         "schema_version": SCHEMA_VERSION,
-        "state": collector.state_dict(),
         "summary": collector.summary(),
         "tables": tables,
         "transfers": {"rows": len(collector.transfers), "zones": len(zones)},
@@ -289,7 +294,7 @@ def write_shard_spill(
 def read_shard_spill(directory: Union[str, Path]) -> CampaignCollector:
     """Reload a shard spill as a merge-ready collector, zero-copy.
 
-    Aggregate state restores through the checkpoint codec; row tables
+    Aggregate state restores through the state codec; row tables
     come back as read-only ``np.memmap`` views adopted via
     :meth:`~repro.vantage.collector.CampaignCollector.attach_rows`;
     transfer observations rehydrate with their real zone objects from
@@ -316,8 +321,7 @@ def read_shard_spill(directory: Union[str, Path]) -> CampaignCollector:
             f"version {SCHEMA_VERSION}"
         )
 
-    collector = CampaignCollector()
-    collector.restore_state_dict(meta["state"])
+    collector = CampaignCollector.from_state(read_state(root / "state"))
 
     probes = read_binary_table(root, BINARY_TABLES["probes"], meta["tables"]["probes"])
     traceroutes = read_binary_table(

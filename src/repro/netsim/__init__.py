@@ -3,37 +3,19 @@
 Models the pieces of the Internet the paper's analyses consume:
 
 * IXPs and colocation facilities (shared last-hop infrastructure — RQ1),
+  in :mod:`repro.netsim.facilities`,
 * transit providers with per-address-family peering policies, including
   an AS6939-like open-IPv6 transit and an AS12956-like South-America
-  carrier (the two ASes the paper singles out in §5/§6),
-* BGP-style route selection into anycast catchments, with routing churn,
+  carrier (the two ASes the paper singles out in §5/§6), in
+  :mod:`repro.netsim.transit`,
+* BGP-style route selection into anycast catchments, with routing churn
+  (:mod:`repro.netsim.routing`, :mod:`repro.netsim.epochs`),
 * traceroute and RTT models feeding the co-location, stability and
-  latency analyses.
+  latency analyses (:mod:`repro.netsim.traceroute`,
+  :mod:`repro.netsim.latency`), over the fabric of
+  :mod:`repro.netsim.topology`.
+
+The package itself imports nothing: import the submodule that defines a
+name.  Readers of a saved dataset reach :mod:`repro.netsim.facilities`
+through the passive tables and must not pay for the route compiler.
 """
-
-from repro.netsim.facilities import Ixp, Facility, IXP_CATALOG, build_facilities
-from repro.netsim.transit import TransitProvider, TRANSIT_CATALOG, OPEN_V6_TRANSIT, SA_V4_TRANSIT
-from repro.netsim.attachment import Attachment
-from repro.netsim.routing import Route, RouteSelector
-from repro.netsim.traceroute import TracerouteHop, TracerouteResult, run_traceroute
-from repro.netsim.latency import route_rtt_ms
-from repro.netsim.topology import NetworkFabric
-
-__all__ = [
-    "Ixp",
-    "Facility",
-    "IXP_CATALOG",
-    "build_facilities",
-    "TransitProvider",
-    "TRANSIT_CATALOG",
-    "OPEN_V6_TRANSIT",
-    "SA_V4_TRANSIT",
-    "Attachment",
-    "Route",
-    "RouteSelector",
-    "TracerouteHop",
-    "TracerouteResult",
-    "run_traceroute",
-    "route_rtt_ms",
-    "NetworkFabric",
-]

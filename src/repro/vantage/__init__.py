@@ -5,29 +5,10 @@ to the paper's Table 3 regional distribution, the Figure 2 measurement
 timeline (30-minute base interval, 15-minute windows around the ZONEMD
 and b.root events), and a prober executing the Appendix F suite against
 the simulated root server system.
+
+The package itself imports nothing: import the submodule that defines a
+name (:mod:`repro.vantage.collector`, :mod:`repro.vantage.probes`,
+:mod:`repro.vantage.ring`, ...).  The dataset layer reaches the
+collector through :mod:`repro.vantage.collector` and must not load the
+prober and the route compiler behind it.
 """
-
-from repro.vantage.node import VantagePoint
-from repro.vantage.ring import RingConfig, build_ring, REGION_PLAN
-from repro.vantage.scheduler import MeasurementSchedule, CAMPAIGN_START, CAMPAIGN_END
-from repro.vantage.collector import CampaignCollector, TransferObservation
-from repro.vantage.probes import Prober, SamplingPolicy
-from repro.vantage.export import export_dataset, load_dataset
-from repro.vantage.atlas import AtlasPlatform
-
-__all__ = [
-    "SamplingPolicy",
-    "export_dataset",
-    "load_dataset",
-    "AtlasPlatform",
-    "VantagePoint",
-    "RingConfig",
-    "build_ring",
-    "REGION_PLAN",
-    "MeasurementSchedule",
-    "CAMPAIGN_START",
-    "CAMPAIGN_END",
-    "CampaignCollector",
-    "TransferObservation",
-    "Prober",
-]

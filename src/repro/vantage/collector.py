@@ -23,6 +23,13 @@ epoch-compiled campaign engine, while the single-row
 over the same buffers (the scalar test oracle records through them).
 ``probe_columns()`` / ``traceroute_columns()`` are memoised per buffer
 version instead of re-materialising the full arrays on every analysis.
+
+The stability counters are columnar too (:class:`_StabilityTable`, one
+row per (VP, address) pair in first-observation order): the epoch
+engine updates a whole block of pairs with array operations, and
+:meth:`CampaignCollector.state` snapshots every aggregate as columns
+(:class:`CollectorState`) — the one codec the streaming checkpoint,
+the shard spills and the worker-pool hand-off share.
 """
 
 from __future__ import annotations
@@ -286,6 +293,151 @@ _TRACEROUTE_SPEC = (
     ("hop", np.dtype(np.int32)),
 )
 
+#: Stability counters: one row per (vp, addr) pair — the last observed
+#: site (interned), the consecutive-round site changes and the rounds
+#: observed.
+_STABILITY_SPEC = (
+    ("vp", np.dtype(np.int32)),
+    ("addr", np.dtype(np.int16)),
+    ("site", np.dtype(np.int32)),
+    ("changes", np.dtype(np.int32)),
+    ("rounds", np.dtype(np.int32)),
+)
+
+
+class _StabilityTable(_ColumnTable):
+    """Per-(vp, addr) stability counters as pair-ordered columns.
+
+    Rows are appended the first time a pair is observed and updated in
+    place afterwards, so row order is first-observation order and a
+    snapshot's rows are always a prefix of any later snapshot's.  The
+    epoch engine updates all of its pairs at once (:meth:`align`, then
+    array arithmetic on the column views); the scalar :meth:`note` path
+    keeps a lazily built pair -> row index.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(_STABILITY_SPEC)
+        self._index: Optional[Dict[Tuple[int, int], int]] = None
+
+    def _pair_index(self) -> Dict[Tuple[int, int], int]:
+        if self._index is None:
+            pairs = zip(self.column("vp").tolist(), self.column("addr").tolist())
+            self._index = {pair: row for row, pair in enumerate(pairs)}
+        return self._index
+
+    def extend(self, **arrays) -> None:
+        super().extend(**arrays)
+        self._index = None
+
+    def note(self, vp_id: int, addr_idx: int, site_idx: int) -> None:
+        """One round's observation of one pair."""
+        index = self._pair_index()
+        row = index.get((vp_id, addr_idx))
+        if row is None:
+            index[(vp_id, addr_idx)] = len(self)
+            self.append(vp_id, addr_idx, site_idx, 0, 1)
+            return
+        buffers = self._buffers
+        if buffers["site"][row] != site_idx:
+            buffers["changes"][row] += 1
+            buffers["site"][row] = site_idx
+        buffers["rounds"][row] += 1
+
+    def align(self, vp: np.ndarray, addr: np.ndarray) -> None:
+        """Make the rows exactly the given pairs, in order: an empty
+        table takes them with zero counters, a filled one must already
+        hold them (a plan's pairs are all observed in its first range)."""
+        if not len(self):
+            zeros = np.zeros(len(vp), dtype=np.int32)
+            self.extend(vp=vp, addr=addr, site=zeros, changes=zeros, rounds=zeros)
+        elif not (
+            np.array_equal(self.column("vp"), vp)
+            and np.array_equal(self.column("addr"), addr)
+        ):
+            raise ValueError(
+                "stability rows do not match the plan's (vp, addr) pairs"
+            )
+
+
+#: Counter fields carried by a :class:`CollectorState`.
+_STATE_COUNTERS = (
+    "rounds_processed",
+    "queries_simulated",
+    "transfer_total",
+    "transfer_clean",
+)
+
+
+@dataclass(eq=False)
+class CollectorState:
+    """A collector's aggregate state as columns.
+
+    Everything except the row tables and transfer observations: the
+    site and hop interners with their first-occurrence order keys, the
+    identity counts with theirs, the stability columns and the counters.
+    ``keys`` holds one (round, vp, addr) row per interned value — sites,
+    then hops, then identities — with round -1 standing for
+    ``_NO_ORDER_KEY``.  :mod:`repro.data.state` writes this as binary
+    column files (checkpoint chunks, shard spills); the worker pool
+    ships it pickled, which for numpy columns is the same bytes.
+    """
+
+    sites: List[str]
+    hops: List[str]
+    identities: List[Tuple[str, str]]
+    keys: Dict[str, np.ndarray]
+    identity_counts: np.ndarray
+    stability: Dict[str, np.ndarray]
+    counters: Dict[str, int]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CollectorState):
+            return NotImplemented
+        return (
+            self.sites == other.sites
+            and self.hops == other.hops
+            and self.identities == other.identities
+            and self.counters == other.counters
+            and np.array_equal(self.identity_counts, other.identity_counts)
+            and all(
+                np.array_equal(ours[name], theirs[name])
+                for ours, theirs in (
+                    (self.keys, other.keys),
+                    (self.stability, other.stability),
+                )
+                for name in ours
+            )
+        )
+
+
+def _encode_keys(keys: Sequence[Tuple]) -> np.ndarray:
+    """(round, vp, addr) order keys as an (n, 3) int64 array."""
+    rows = []
+    for key in keys:
+        if key == _NO_ORDER_KEY:
+            rows.append((-1, 0, 0))
+        elif len(key) != 3 or key[0] < 0:
+            raise ValueError(f"order key {key!r} is not a (round, vp, addr) position")
+        else:
+            rows.append(key)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def _decode_keys(round_: np.ndarray, vp: np.ndarray, addr: np.ndarray) -> List[Tuple]:
+    return [
+        _NO_ORDER_KEY if r < 0 else (r, v, a)
+        for r, v, a in zip(round_.tolist(), vp.tolist(), addr.tolist())
+    ]
+
+
+def _restore_interner(interner: _Interner, values: List[str], keys: List[Tuple]) -> None:
+    interner.values = list(values)
+    interner.first_keys = list(keys)
+    interner._index = {value: i for i, value in enumerate(interner.values)}
+    if len(interner._index) != len(interner.values):
+        raise ValueError("collector state repeats an interned value")
+
 
 class CampaignCollector:
     """Accumulates a campaign's measurement output."""
@@ -298,8 +450,8 @@ class CampaignCollector:
         self.sites = _Interner()
         self.hops = _Interner()
 
-        # stability: (vp_id, addr_idx) -> [last_site_idx, changes, rounds]
-        self._stability: Dict[Tuple[int, int], List[int]] = {}
+        # stability: one row per (vp_id, addr_idx) — last site, changes, rounds
+        self._stability = _StabilityTable()
 
         # sampled probe / traceroute rows (columnar; hop -1 = no reply)
         self._probes = _ColumnTable(_PROBE_SPEC)
@@ -357,14 +509,7 @@ class CampaignCollector:
         """Per-round catchment observation; drives Figure 3."""
         self._assert_unsealed()
         site_idx = self.sites.intern(site_key, self._order_key(vp_id, addr_idx))
-        state = self._stability.get((vp_id, addr_idx))
-        if state is None:
-            self._stability[(vp_id, addr_idx)] = [site_idx, 0, 1]
-            return
-        if state[0] != site_idx:
-            state[1] += 1
-            state[0] = site_idx
-        state[2] += 1
+        self._stability.note(vp_id, addr_idx, site_idx)
 
     def note_identity(
         self,
@@ -475,8 +620,24 @@ class CampaignCollector:
 
     def change_counts(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
         """(vp_id, addr_idx) -> (changes, rounds observed)."""
+        table = self._stability
+        return dict(
+            zip(
+                zip(table.column("vp").tolist(), table.column("addr").tolist()),
+                zip(
+                    table.column("changes").tolist(),
+                    table.column("rounds").tolist(),
+                ),
+            )
+        )
+
+    def stability_columns(self) -> Dict[str, np.ndarray]:
+        """The ``stability`` table's columns (vp, addr, changes, rounds),
+        one row per pair in first-observation order — copies, so later
+        ingest cannot move them."""
         return {
-            key: (state[1], state[2]) for key, state in self._stability.items()
+            name: self._stability.column(name).copy()
+            for name in ("vp", "addr", "changes", "rounds")
         }
 
     def probe_columns(self) -> Dict[str, np.ndarray]:
@@ -530,83 +691,67 @@ class CampaignCollector:
             "stability_pairs": len(self._stability),
         }
 
-    # -- checkpoint state codec -------------------------------------------------------
+    # -- aggregate state codec --------------------------------------------------------
 
-    @staticmethod
-    def _encode_key(key: Tuple) -> Optional[List[int]]:
-        return None if key == _NO_ORDER_KEY else [int(k) for k in key]
+    def state(self) -> CollectorState:
+        """Columnar snapshot of the collector's aggregate state.
 
-    @staticmethod
-    def _decode_key(key: Optional[List[int]]) -> Tuple:
-        return _NO_ORDER_KEY if key is None else tuple(int(k) for k in key)
-
-    def state_dict(self) -> Dict:
-        """JSON-serialisable snapshot of the collector's aggregate state.
-
-        Covers everything *except* the columnar row tables and transfer
-        observations — those live in sealed chunks on disk; the streaming
-        checkpoint stores this dict plus per-table row counts so a
-        resumed run can rebuild the collector exactly.
+        Covers everything *except* the row tables and transfer
+        observations — those live in sealed chunks or spills on disk.
+        A streamed campaign stores one per sealed chunk so a resumed run
+        can rebuild the collector exactly (:meth:`from_state`).
         """
-        return {
-            "sites": [
-                [value, self._encode_key(key)]
-                for value, key in zip(self.sites.values, self.sites.first_keys)
-            ],
-            "hops": [
-                [value, self._encode_key(key)]
-                for value, key in zip(self.hops.values, self.hops.first_keys)
-            ],
-            "identities": [
-                [
-                    letter,
-                    identity,
-                    int(count),
-                    self._encode_key(
-                        self._identity_order.get((letter, identity), _NO_ORDER_KEY)
-                    ),
-                ]
-                for letter, bucket in self.identities.items()
-                for identity, count in bucket.items()
-            ],
-            "stability": [
-                [int(vp), int(addr), self.sites[state[0]], int(state[1]), int(state[2])]
-                for (vp, addr), state in self._stability.items()
-            ],
-            "rounds_processed": int(self.rounds_processed),
-            "queries_simulated": int(self.queries_simulated),
-            "transfer_total": int(self.transfer_total),
-            "transfer_clean": int(self.transfer_clean),
-            "rows": {
-                "probes": len(self._probes),
-                "traceroutes": len(self._traceroutes),
-                "transfer_observations": len(self.transfers),
+        identities = [
+            (letter, identity)
+            for letter, bucket in self.identities.items()
+            for identity in bucket
+        ]
+        keys = _encode_keys(
+            self.sites.first_keys
+            + self.hops.first_keys
+            + [self._identity_order.get(pair, _NO_ORDER_KEY) for pair in identities]
+        )
+        return CollectorState(
+            sites=list(self.sites.values),
+            hops=list(self.hops.values),
+            identities=identities,
+            keys={
+                "round": np.ascontiguousarray(keys[:, 0]),
+                "vp": keys[:, 1].astype(np.int32),
+                "addr": keys[:, 2].astype(np.int16),
             },
-        }
+            identity_counts=np.array(
+                [self.identities[letter][identity] for letter, identity in identities],
+                dtype=np.int64,
+            ),
+            stability={
+                name: self._stability.column(name).copy()
+                for name, _dtype in _STABILITY_SPEC
+            },
+            counters={name: int(getattr(self, name)) for name in _STATE_COUNTERS},
+        )
 
-    def restore_state_dict(self, state: Dict) -> None:
-        """Restore :meth:`state_dict` output into this (empty) collector.
-
-        Row tables are *not* restored — they stay on disk in sealed
-        chunks; only the aggregate state (interners, identity counts,
-        stability counters, totals) comes back.
-        """
-        if len(self.sites) or len(self._probes) or self._stability:
-            raise ValueError("restore_state_dict requires an empty collector")
-        for value, key in state["sites"]:
-            self.sites.intern(value, self._decode_key(key))
-        for value, key in state["hops"]:
-            self.hops.intern(value, self._decode_key(key))
-        for letter, identity, count, key in state["identities"]:
-            self.identities.setdefault(letter, {})[identity] = int(count)
-            self._identity_order[(letter, identity)] = self._decode_key(key)
-        for vp, addr, site_value, changes, rounds in state["stability"]:
-            site_idx = self.sites._index[site_value]
-            self._stability[(int(vp), int(addr))] = [site_idx, int(changes), int(rounds)]
-        self.rounds_processed = int(state["rounds_processed"])
-        self.queries_simulated = int(state["queries_simulated"])
-        self.transfer_total = int(state["transfer_total"])
-        self.transfer_clean = int(state["transfer_clean"])
+    @classmethod
+    def from_state(cls, state: CollectorState) -> "CampaignCollector":
+        """A collector holding *state*'s aggregates and empty row tables."""
+        n_sites, n_hops = len(state.sites), len(state.hops)
+        keys = _decode_keys(state.keys["round"], state.keys["vp"], state.keys["addr"])
+        collector = cls()
+        _restore_interner(collector.sites, state.sites, keys[:n_sites])
+        _restore_interner(
+            collector.hops, state.hops, keys[n_sites : n_sites + n_hops]
+        )
+        for (letter, identity), count, key in zip(
+            state.identities,
+            state.identity_counts.tolist(),
+            keys[n_sites + n_hops :],
+        ):
+            collector.identities.setdefault(letter, {})[identity] = count
+            collector._identity_order[(letter, identity)] = key
+        collector._stability.extend(**state.stability)
+        for name in _STATE_COUNTERS:
+            setattr(collector, name, int(state.counters[name]))
+        return collector
 
     def attach_rows(
         self,
@@ -617,7 +762,7 @@ class CampaignCollector:
         """Adopt externally-owned row columns zero-copy (spill reload).
 
         The inverse of :meth:`drain_rows` for a collector whose aggregate
-        state came back through :meth:`restore_state_dict`: row tables
+        state came back through :meth:`from_state`: row tables
         become read-only views over the given arrays (typically
         ``np.memmap`` columns of a shard spill) without copying a byte.
         The result is a full-fidelity merge input for :meth:`merge`.
@@ -710,25 +855,37 @@ class CampaignCollector:
         site_maps = _merge_interners(merged.sites, [s.sites for s in shards])
         hop_maps = _merge_interners(merged.hops, [s.hops for s in shards])
 
-        # Stability: VP partitioning makes the pair dicts disjoint; every
-        # pair is created in round 0, so serial insertion order is
-        # (vp, addr) ascending.
-        states: List[Tuple[Tuple[int, int], int, List[int]]] = []
+        # Stability: VP partitioning makes the pair sets disjoint; every
+        # pair is created in round 0, so serial row order is (vp, addr)
+        # ascending.
+        from repro.data.columnar import remap_lookup, stitch_columns
+
+        parts = []
         for shard_no, shard in enumerate(shards):
-            for pair, state in shard._stability.items():
-                states.append((pair, shard_no, state))
-        states.sort(key=lambda item: item[0])
-        for pair, shard_no, state in states:
-            if pair in merged._stability:
-                raise ValueError(f"shards overlap on (vp, addr) pair {pair}")
-            merged._stability[pair] = [site_maps[shard_no][state[0]], state[1], state[2]]
+            part = {name: shard._stability.column(name) for name, _ in _STABILITY_SPEC}
+            if len(part["site"]):
+                part["site"] = remap_lookup(site_maps[shard_no])[part["site"]]
+            parts.append(part)
+        stability = stitch_columns(
+            [name for name, _ in _STABILITY_SPEC],
+            parts,
+            empty_dtypes=dict(_STABILITY_SPEC),
+        )
+        order = np.lexsort((stability["addr"], stability["vp"]))
+        stability = {name: column[order] for name, column in stability.items()}
+        vp, addr = stability["vp"], stability["addr"]
+        overlap = np.nonzero((vp[1:] == vp[:-1]) & (addr[1:] == addr[:-1]))[0]
+        if len(overlap):
+            pair = (int(vp[overlap[0]]), int(addr[overlap[0]]))
+            raise ValueError(f"shards overlap on (vp, addr) pair {pair}")
+        merged._stability.extend(**stability)
 
         # Probe/traceroute rows: remap each shard's interned codes, then
         # recombine columnar-ly — concatenation plus a stable (ts, vp)
         # sort reproduces the serial row order (see docstring).  The
         # recombination primitive is shared with the streaming chunk
         # stitcher (repro.data.columnar).
-        from repro.data.columnar import merge_shard_columns, remap_lookup
+        from repro.data.columnar import merge_shard_columns
 
         probe_parts: List[Dict[str, np.ndarray]] = []
         for shard_no, shard in enumerate(shards):

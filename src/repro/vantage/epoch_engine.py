@@ -376,27 +376,20 @@ class EpochCampaignPlan:
             letter, identity = self.identity_keys[code]
             identities[letter][identity] += int(delta[code])
 
-        # Stability: pairs enter the dict in pair order during the first
+        # Stability: pairs enter the table in pair order during the first
         # range (round 0), matching the scalar serial insertion order; an
         # epoch start *at* lo belongs to this range's changes.
         site_map = _interned(collector.sites._index, self.site_keys)
         first_e, last_e = ep.ptr[:-1], ep.ptr[1:] - 1
-        last_site = site_map[self.c_site[cand[last_e]]].tolist()
         changes = last_e - first_e
         if lo >= 1:
             changes = changes + (ep.start[first_e] == lo)
         stability = collector._stability
+        stability.align(self.pair_vp, self.pair_addr)
+        stability.column("site")[:] = site_map[self.c_site[cand[last_e]]]
+        stability.column("changes")[:] += changes.astype(np.int32)
         rounds = hi - lo
-        for vp_id, addr_idx, site, n_changes in zip(
-            self.pair_vp.tolist(), self.pair_addr.tolist(), last_site, changes.tolist()
-        ):
-            state = stability.get((vp_id, addr_idx))
-            if state is None:
-                stability[(vp_id, addr_idx)] = [site, n_changes, rounds]
-            else:
-                state[0] = site
-                state[1] += n_changes
-                state[2] += rounds
+        stability.column("rounds")[:] += rounds
 
         collector.queries_simulated += rounds * n_pairs * QUERIES_PER_ADDRESS
         collector.rounds_processed += rounds

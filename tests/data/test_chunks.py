@@ -7,9 +7,9 @@ The invariants under test:
 * the sealed prefix stitches into a partial dataset whose tables equal
   the batch tables,
 * every way a checkpoint directory can be damaged — torn JSON, version
-  skew, round gaps, row-count lies, truncated or missing chunks — fails
-  loudly with a typed :class:`CheckpointError`, never a silent
-  mis-stitch,
+  skew, round gaps, row-count lies, truncated or missing chunks, a
+  missing or truncated chunk ``state/`` — fails loudly with a typed
+  :class:`CheckpointError`, never a silent mis-stitch,
 * resume discards an unsealed tail chunk rather than trusting it.
 """
 
@@ -126,10 +126,7 @@ def test_chunks_are_self_contained_datasets(checkpoint_dir):
 def test_start_refuses_existing_checkpoint(checkpoint_dir):
     writer = ChunkedDatasetWriter(checkpoint_dir)
     with pytest.raises(CheckpointError, match="already"):
-        writer.start(
-            study=None, addresses=[], shards=1,
-            n_rounds=1, state={}, shard_states=[{}],
-        )
+        writer.start(study=None, addresses=[], shards=1, n_rounds=1)
 
 
 def test_finalize_requires_complete_campaign(checkpoint_dir, tmp_path):
@@ -179,10 +176,55 @@ def test_wrong_schema_version_raises(checkpoint_dir, tmp_path):
 def test_missing_required_key_raises(checkpoint_dir, tmp_path):
     copy = _damaged_copy(checkpoint_dir, tmp_path)
     ckpt = json.loads((copy / CHECKPOINT_NAME).read_text())
-    del ckpt["state"]
+    del ckpt["totals"]
     (copy / CHECKPOINT_NAME).write_text(json.dumps(ckpt))
-    with pytest.raises(CheckpointError, match="required key 'state'"):
+    with pytest.raises(CheckpointError, match="required key 'totals'"):
         CheckpointReader(copy).checkpoint()
+
+
+def test_version_1_checkpoint_raises(checkpoint_dir, tmp_path):
+    """A v1 checkpoint (collector state inside CHECKPOINT.json) is not
+    read: resume and finalize refuse it with the version in the error."""
+    copy = _damaged_copy(checkpoint_dir, tmp_path)
+    _doctor(copy, checkpoint_version=1, state={}, shard_states=[{}])
+    with pytest.raises(CheckpointError, match="version 1"):
+        ChunkedDatasetWriter(copy).resume()
+    with pytest.raises(CheckpointError, match="version 1"):
+        finalize_streaming_campaign(copy, tmp_path / "out", passive=False)
+
+
+def test_checkpoint_holds_no_collector_state(checkpoint_dir):
+    """CHECKPOINT.json is the cursor only; the state sits beside each
+    chunk, and a one-shard run stores no separate shard state."""
+    ckpt = json.loads((checkpoint_dir / CHECKPOINT_NAME).read_text())
+    assert set(ckpt) == {
+        "checkpoint_version", "schema_version", "study", "addresses",
+        "shards", "n_rounds", "rounds_done", "totals", "chunks",
+        "passive_done",
+    }
+    for entry in ckpt["chunks"]:
+        state_dir = checkpoint_dir / "chunks" / entry["name"] / "state"
+        assert (state_dir / "STATE.json").is_file()
+        assert not (state_dir / "shards").exists()
+
+
+def test_missing_state_on_last_chunk_raises(checkpoint_dir, tmp_path):
+    copy = _damaged_copy(checkpoint_dir, tmp_path)
+    shutil.rmtree(copy / "chunks" / "000002" / "state")
+    with pytest.raises(CheckpointError, match="000002.*state"):
+        CheckpointReader(copy).dataset()
+    with pytest.raises(CheckpointError, match="000002.*state"):
+        finalize_streaming_campaign(copy, tmp_path / "out", passive=False)
+
+
+def test_truncated_state_column_raises(checkpoint_dir, tmp_path):
+    copy = _damaged_copy(checkpoint_dir, tmp_path)
+    column = (
+        copy / "chunks" / "000002" / "state" / "tables" / "stability" / "rounds.bin"
+    )
+    column.write_bytes(column.read_bytes()[:-4])
+    with pytest.raises(CheckpointError, match="000002.*state.*damaged"):
+        CheckpointReader(copy).dataset()
 
 
 def test_round_gap_raises(checkpoint_dir, tmp_path):
@@ -249,10 +291,7 @@ def test_checkpoint_with_retired_engine_key_still_resumes(
 
 def _passive_writer(tmp_path):
     writer = ChunkedDatasetWriter(tmp_path)
-    writer.start(
-        study=None, addresses=[], shards=1, n_rounds=1,
-        state={}, shard_states=[],
-    )
+    writer.start(study=None, addresses=[], shards=1, n_rounds=1)
     return writer
 
 

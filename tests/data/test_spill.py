@@ -44,7 +44,7 @@ def test_round_trip_preserves_rows_and_state(shard_collectors, tmp_path):
     assert spill_nbytes(spill_dir) > 0
     reloaded = read_shard_spill(spill_dir)
 
-    assert reloaded.state_dict() == original.state_dict()
+    assert reloaded.state() == original.state()
     ours, ref = reloaded.probe_columns(), original.probe_columns()
     for name in ours:
         assert np.array_equal(ours[name], ref[name]), name
@@ -86,7 +86,7 @@ def test_reloaded_shards_merge_byte_identical(shard_collectors, tmp_path):
     ]
     direct = CampaignCollector.merge(shard_collectors)
     via_spill = CampaignCollector.merge(reloaded)
-    assert via_spill.state_dict() == direct.state_dict()
+    assert via_spill.state() == direct.state()
     ours, ref = via_spill.probe_columns(), direct.probe_columns()
     for name in ours:
         assert np.array_equal(ours[name], ref[name]), name
@@ -101,7 +101,7 @@ def test_reloaded_shards_merge_byte_identical(shard_collectors, tmp_path):
 def test_empty_collector_round_trips(tmp_path):
     empty = CampaignCollector()
     reloaded = read_shard_spill(write_shard_spill(tmp_path / "empty", empty))
-    assert reloaded.state_dict() == empty.state_dict()
+    assert reloaded.state() == empty.state()
     assert len(reloaded.probe_columns()["vp"]) == 0
     assert reloaded.transfers == []
     assert not (tmp_path / "empty" / "zones.pkl").exists()

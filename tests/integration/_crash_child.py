@@ -1,15 +1,25 @@
 """Subprocess target for the crash-injection harness.
 
 Runs the tiny streamed campaign and — when told to — SIGKILLs itself at
-a chunk boundary, right after the seal returns.  Dying *here* is the
-worst honest crash the checkpoint protocol must survive: the chunk and
-checkpoint are durable, every in-memory structure past them is lost.
+one of three points:
 
-Invoked by tests/integration/test_crash_resume.py as::
+* ``--kill-after-chunk N``: right after chunk N's seal returns.  The
+  chunk and checkpoint are durable, every in-memory structure past them
+  is lost.
+* ``--kill-before-commit N``: inside chunk N's seal, after its
+  directory and ``state/`` are durable but before ``CHECKPOINT.json`` is
+  replaced — the chunk is an unsealed tail that resume must discard.
+* ``--kill-after-passive N`` (with ``--finalize OUT``): during finalize's
+  passive phase, right after the N-th captured aggregate is recorded in
+  the checkpoint.
+
+The last two wrap ``ChunkedDatasetWriter._write_checkpoint`` in this
+process only.  Invoked by tests/integration/test_crash_resume.py as::
 
     python -m tests.integration._crash_child CKPT_DIR \
         --engine epoch --shards 2 [--workers N] \
-        [--kill-after-chunk N] [--resume]
+        [--kill-after-chunk N | --kill-before-commit N] [--resume] \
+        [--finalize OUT [--kill-after-passive N]]
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ import os
 import signal
 import sys
 
-from repro.core.streaming import run_streaming_campaign
+from repro.core.streaming import finalize_streaming_campaign, run_streaming_campaign
+from repro.data.chunks import ChunkedDatasetWriter
 
 from tests.streamutil import tiny_stream_config
 
@@ -32,8 +43,23 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--checkpoint-every", type=int, default=2)
     parser.add_argument("--kill-after-chunk", type=int, default=-1)
+    parser.add_argument("--kill-before-commit", type=int, default=-1)
+    parser.add_argument("--kill-after-passive", type=int, default=-1)
+    parser.add_argument("--finalize", default=None)
     parser.add_argument("--resume", action="store_true")
     args = parser.parse_args(argv)
+
+    commit = ChunkedDatasetWriter._write_checkpoint
+
+    def killing_commit(writer):
+        ckpt = writer._checkpoint
+        if 0 <= args.kill_before_commit == len(ckpt["chunks"]) - 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        commit(writer)
+        if len(ckpt["passive_done"]) == args.kill_after_passive:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    ChunkedDatasetWriter._write_checkpoint = killing_commit
 
     config = tiny_stream_config(
         engine=args.engine, shards=args.shards, workers=args.workers
@@ -50,6 +76,8 @@ def main(argv=None) -> int:
         resume=args.resume,
         after_chunk=maybe_kill,
     )
+    if args.finalize is not None:
+        finalize_streaming_campaign(args.checkpoint_dir, args.finalize)
     return 0 if run.complete else 1
 
 

@@ -6,7 +6,9 @@ chunk seal, resumed in a *fresh* process, finalizes into a dataset
 directory byte-identical to an uninterrupted run — serial, for sharded
 rings and with shards on a worker pool.  The kill point is drawn from a
 seeded RNG so the suite stays deterministic while the boundary under
-test varies across the matrix.
+test varies across the matrix.  Two more windows are killed on purpose:
+inside a seal between the chunk's durable ``state/`` and the checkpoint
+commit, and inside finalize's passive phase.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ N_CHUNKS = 3  # 5 rounds, checkpoint_every=2 -> [0,2) [2,4) [4,5)
 
 
 def _run_child(
-    checkpoint_dir, engine, shards, *, workers=1, kill_after=None, resume=False
+    checkpoint_dir,
+    engine,
+    shards,
+    *,
+    workers=1,
+    kill_after=None,
+    resume=False,
+    extra=(),
 ):
     argv = [
         sys.executable,
@@ -46,6 +55,7 @@ def _run_child(
         argv += ["--kill-after-chunk", str(kill_after)]
     if resume:
         argv.append("--resume")
+    argv += list(extra)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), str(REPO_ROOT)]
@@ -150,4 +160,70 @@ def test_resume_survives_a_second_kill(tmp_path):
 
     out = tmp_path / "resumed"
     finalize_streaming_campaign(ckpt, out, passive=False)
+    assert_trees_identical(reference, out)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sigkill_between_state_and_commit_discards_the_tail(shards, tmp_path):
+    """Killed after a chunk's ``state/`` is durable but before
+    CHECKPOINT.json lists the chunk: resume discards that directory,
+    re-runs its rounds and finalizes byte-identically."""
+    engine = "epoch"
+    clean_ckpt = tmp_path / "clean-ckpt"
+    assert _run_child(clean_ckpt, engine, shards).returncode == 0
+    reference = tmp_path / "reference"
+    finalize_streaming_campaign(clean_ckpt, reference, passive=False)
+
+    ckpt = tmp_path / "crash-ckpt"
+    killed = _run_child(
+        ckpt, engine, shards, extra=["--kill-before-commit", "1"]
+    )
+    assert killed.returncode == -signal.SIGKILL, (
+        killed.returncode, killed.stderr
+    )
+    ckpt_state = json.loads((ckpt / CHECKPOINT_NAME).read_text())
+    assert [entry["name"] for entry in ckpt_state["chunks"]] == ["000000"]
+    tail = ckpt / "chunks" / "000001"
+    assert (tail / "state" / "STATE.json").is_file()  # the window was hit
+    assert (tail / "state" / "shards").is_dir() == (shards > 1)
+
+    resumed = _run_child(ckpt, engine, shards, resume=True)
+    assert resumed.returncode == 0, resumed.stderr
+    out = tmp_path / "resumed"
+    finalize_streaming_campaign(ckpt, out, passive=False)
+    assert_trees_identical(reference, out)
+
+
+def test_sigkill_during_passive_finalize_resumes_byte_identical(tmp_path):
+    """Killed during finalize's passive phase, right after the first
+    capture is cached and recorded: a fresh finalize reuses that cache,
+    builds the rest, and matches an uninterrupted finalize."""
+    engine, shards = "epoch", 1
+    clean_ckpt = tmp_path / "clean-ckpt"
+    reference = tmp_path / "reference"
+    done = _run_child(
+        clean_ckpt, engine, shards, extra=["--finalize", str(reference)]
+    )
+    assert done.returncode == 0, done.stderr
+
+    ckpt = tmp_path / "crash-ckpt"
+    killed = _run_child(
+        ckpt,
+        engine,
+        shards,
+        extra=["--finalize", str(tmp_path / "killed"), "--kill-after-passive", "1"],
+    )
+    assert killed.returncode == -signal.SIGKILL, (
+        killed.returncode, killed.stderr
+    )
+    ckpt_state = json.loads((ckpt / CHECKPOINT_NAME).read_text())
+    assert ckpt_state["passive_done"] == ["isp"]
+    assert ckpt_state["rounds_done"] == 5
+    assert not (tmp_path / "killed").exists()
+
+    out = tmp_path / "resumed"
+    resumed = _run_child(
+        ckpt, engine, shards, resume=True, extra=["--finalize", str(out)]
+    )
+    assert resumed.returncode == 0, resumed.stderr
     assert_trees_identical(reference, out)

@@ -253,6 +253,47 @@ class TestMergeCaptures:
         fold.merge_from(right)
         assert_identical(fold, merged)
 
+    def test_merged_clients_match_reference_dedupe(self):
+        """The merged ``clients`` column counts each distinct (bucket,
+        address, prefix string) once, whatever the exchange mix — pinned
+        against a set-based dedupe over every exchange of a region."""
+        from repro.passive.flow_engine import capture_with_membership
+
+        window = (parse_ts("2023-12-08"), parse_ts("2023-12-15"))
+        captures = build_ixp_captures(
+            RngFactory(SEED).fork("ixp"), seed=SEED, clients_per_ixp=60
+        )
+        parts = [
+            capture_with_membership(capture.engine, *window, DAY)
+            for capture in captures
+            if capture.region is Continent.EUROPE
+        ]
+        assert len(parts) > 1
+        reference = {}
+        for aggregate, membership in parts:
+            for bucket, addr, prefix in zip(
+                membership.bucket.tolist(),
+                membership.addr.tolist(),
+                membership.prefix.tolist(),
+            ):
+                key = (bucket, aggregate.addresses[addr])
+                reference.setdefault(key, set()).add(aggregate.prefixes[prefix])
+        merged = merge_captures(DAY, parts)
+        table = merged.flow_table
+        got = {
+            (bucket, merged.addresses[addr]): clients
+            for bucket, addr, clients in zip(
+                table["bucket"].tolist(),
+                table["addr"].tolist(),
+                table["clients"].tolist(),
+            )
+        }
+        assert sum(got.values()) > len(got)  # rows with several clients
+        assert got == {
+            key: len(reference.get(key, ())) for key in got
+        }
+        assert set(reference) <= set(got)
+
     def test_merge_rejects_mismatched_buckets(self):
         hourly = to_columns(ScalarAggregate(HOUR), self.ADDRESSES)
         with pytest.raises(ValueError, match="bucket_seconds"):

@@ -150,7 +150,7 @@ class TestCampaignShardCounts:
         merged = StudyPipeline(
             tiny_config().with_sharding(shards)
         ).run().collector
-        assert merged.state_dict() == serial_collector.state_dict()
+        assert merged.state() == serial_collector.state()
         ours, ref = merged.probe_columns(), serial_collector.probe_columns()
         for name in ours:
             assert np.array_equal(ours[name], ref[name]), name
@@ -185,7 +185,7 @@ class TestCampaignShardCounts:
         empty = CampaignCollector()
         empty.rounds_processed = shard_collectors[0].rounds_processed
         merged = CampaignCollector.merge(shard_collectors + [empty])
-        assert merged.state_dict() == serial_collector.state_dict()
+        assert merged.state() == serial_collector.state()
         ours, ref = merged.probe_columns(), serial_collector.probe_columns()
         for name in ours:
             assert np.array_equal(ours[name], ref[name]), name

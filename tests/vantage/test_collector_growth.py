@@ -229,11 +229,10 @@ class TestAttachRowsAfterGrowth:
         source = CampaignCollector()
         _ingest_scalar(source, _probe_block(rng, 3000))  # > _INITIAL: grown twice
         assert source._probes.capacity > len(source._probes)
-        state = source.state_dict()
+        state = source.state()
         probes, traceroutes, transfers = source.drain_rows()
 
-        restored = CampaignCollector()
-        restored.restore_state_dict(state)
+        restored = CampaignCollector.from_state(state)
         restored.attach_rows(probes, traceroutes, transfers)
         for name, _dtype in _PROBE_SPEC:
             assert np.shares_memory(restored._probes.column(name), probes[name]), name

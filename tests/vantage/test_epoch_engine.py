@@ -145,9 +145,11 @@ class TestStreamedPlan:
         config = config or fault_window_config()
         world = build_world(config)
         platform = build_platform(config, world)
-        collector = CampaignCollector()
-        if state is not None:
-            collector.restore_state_dict(state)
+        collector = (
+            CampaignCollector()
+            if state is None
+            else CampaignCollector.from_state(state)
+        )
         plan = EpochCampaignPlan(
             platform.prober, platform.vps, platform.schedule, collector
         )
@@ -179,7 +181,7 @@ class TestStreamedPlan:
         plan, want = self._collector([])
         k, n = plan.n_rounds // 3, plan.n_rounds
         plan, want = self._collector([(0, k)])
-        state = want.state_dict()
+        state = want.state()
         want.drain_rows()
         plan.emit_range(k, n)
         _, got = self._collector([(k, n)], state=state)
