@@ -9,8 +9,8 @@ analysis pipeline on top.
 
 Quickstart::
 
-    from repro.core import RootStudy, StudyConfig
-    results = RootStudy(StudyConfig.quick()).run()
+    from repro.core import StudyConfig, StudyPipeline
+    results = StudyPipeline(StudyConfig.quick()).run()
 
 See README.md for the tour, DESIGN.md for the architecture and
 substitution table, and EXPERIMENTS.md for paper-vs-measured results.

@@ -27,6 +27,7 @@ transfers never pay for zone cryptography.
 
 from __future__ import annotations
 
+import sys
 from typing import (
     Any,
     Callable,
@@ -75,10 +76,13 @@ class AnalysisContext:
         if results is None:
             return
 
-        from repro.core.results import StudyResults
         from repro.vantage.collector import CampaignCollector
 
-        if isinstance(results, StudyResults):
+        # A StudyResults can only exist once its module is loaded; looking
+        # it up instead of importing it keeps analysis-only processes off
+        # the campaign stack.
+        bundle = sys.modules.get("repro.core.results")
+        if bundle is not None and isinstance(results, bundle.StudyResults):
             dataset = results.dataset
             for key in BUNDLE_KEYS:
                 self._values.setdefault(key, getattr(results, key))

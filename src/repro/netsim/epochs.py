@@ -299,35 +299,3 @@ def _accept(
         resume = np.array(after, dtype=np.int64)
     return accepted, resume
 
-
-class PairEpochStream:
-    """One pair's campaign epochs, one round range at a time: a
-    single-pair :class:`PairEpochs` returning epoch tuples.
-
-    The concatenation of ``take(lo, hi)`` results over any ascending
-    sequence of ranges covering ``[0, n_rounds)`` — deduplicating the
-    boundary epochs shared by adjacent ranges — equals ``[churn.
-    select_index(...) for every round]`` run-length encoded, without
-    advancing any churn state (tests/netsim/test_epochs.py pins the
-    equivalence against a whole-campaign oracle compiler).
-    """
-
-    def __init__(
-        self,
-        churn: ChurnModel,
-        client_id: int,
-        address: str,
-        letter: str,
-        family: int,
-        n_rounds: int,
-        n_candidates: int,
-    ) -> None:
-        self._epochs = PairEpochs(
-            churn, [(client_id, address, letter, family)], n_rounds, [n_candidates]
-        )
-
-    def take(self, lo: int, hi: int) -> List[Epoch]:
-        """Epochs overlapping ``[lo, hi)``, true bounds preserved (see
-        :meth:`PairEpochs.take`)."""
-        got = self._epochs.take(lo, hi)
-        return list(zip(got.start.tolist(), got.end.tolist(), got.index.tolist()))

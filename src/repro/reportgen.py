@@ -102,68 +102,46 @@ def _group_coverage(dataset) -> Dict[str, str]:
     }
 
 
-def _group_audit(dataset) -> Dict[str, str]:
-    from repro.analysis import registry, report
+def _summary(name: str, dataset) -> str:
+    """The canonical summary of one analysis, which is exactly its
+    artefact's text for the groups below."""
+    from repro.analysis import registry
+    from repro.analysis.summaries import render_summary
 
-    audit = registry.run("zonemd_audit", dataset)
-    findings, valid = audit.validate_transfers()
-    return {"table2": report.render_table2(findings, valid)}
+    return render_summary(name, registry.run(name, dataset))
+
+
+def _group_audit(dataset) -> Dict[str, str]:
+    return {"table2": _summary("zonemd_audit", dataset)}
 
 
 def _group_stability(dataset) -> Dict[str, str]:
-    from repro.analysis import registry, report
-
-    stability = registry.run("stability", dataset)
-    return {"fig3": report.render_figure3(stability)}
+    return {"fig3": _summary("stability", dataset)}
 
 
 def _group_colocation(dataset) -> Dict[str, str]:
-    from repro.analysis import registry, report
-
-    colocation = registry.run("colocation", dataset)
-    return {"fig4": report.render_figure4(colocation)}
+    return {"fig4": _summary("colocation", dataset)}
 
 
 def _group_distance(dataset) -> Dict[str, str]:
-    from repro.analysis import registry, report
-    from repro.rss.operators import root_server
-
-    distance = registry.run("distance", dataset)
-    b = root_server("b")
-    m = root_server("m")
-    return {
-        "fig5": report.render_figure5(distance, [b.ipv4, b.ipv6, m.ipv4, m.ipv6])
-    }
+    return {"fig5": _summary("distance", dataset)}
 
 
 def _group_rtt(dataset) -> Dict[str, str]:
     from repro.analysis import registry, report
+    from repro.analysis.summaries import render_summary
     from repro.geo.continents import Continent
 
     rtt = registry.run("rtt", dataset)
     addresses = [sa.address for sa in dataset.addresses]
     return {
-        "fig6": report.render_figure6(
-            rtt,
-            [Continent.AFRICA, Continent.SOUTH_AMERICA,
-             Continent.NORTH_AMERICA, Continent.EUROPE],
-            addresses, {},
-        ),
+        "fig6": render_summary("rtt", rtt),
         "fig14": report.render_figure6(rtt, list(Continent), addresses, {}),
     }
 
 
 def _group_paths(dataset) -> Dict[str, str]:
-    from repro.analysis import registry, report
-    from repro.geo.continents import Continent
-
-    paths = registry.run("paths", dataset)
-    return {
-        "paths_sec6": "\n\n".join(
-            report.render_path_breakdown(paths, continent, "i")
-            for continent in (Continent.SOUTH_AMERICA, Continent.NORTH_AMERICA)
-        )
-    }
+    return {"paths_sec6": _summary("paths", dataset)}
 
 
 def _group_bitflip(dataset) -> Dict[str, str]:
@@ -178,6 +156,7 @@ def _group_bitflip(dataset) -> Dict[str, str]:
 
 def _group_isp(dataset) -> Dict[str, str]:
     from repro.analysis import registry, report
+    from repro.analysis.summaries import render_summary
     from repro.passive.recipes import ISP_WINDOW
 
     aggregate = dataset.passive.aggregate("isp")
@@ -188,9 +167,7 @@ def _group_isp(dataset) -> Dict[str, str]:
             f"Figure 7: ISP b.root traffic ({ISP_WINDOW[0]} .. {ISP_WINDOW[1]})",
             shift.broot_series(),
         ),
-        "fig8": "\n\n".join(
-            report.render_figure8(behavior, family) for family in (4, 6)
-        ),
+        "fig8": render_summary("clientbehavior", behavior),
         "fig12": _letter_share_table(shift),
     }
 

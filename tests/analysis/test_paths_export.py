@@ -5,9 +5,14 @@ import json
 import pytest
 
 from repro.analysis.paths import PEER_PATH, PathAnalysis
-from repro.data import DatasetVersionError, TransferRecord
+from repro.data import (
+    Dataset,
+    DatasetVersionError,
+    TransferRecord,
+    load_dataset,
+    save_dataset,
+)
 from repro.geo.continents import Continent
-from repro.vantage.export import export_dataset, load_dataset
 
 
 class TestPathAnalysis:
@@ -49,13 +54,19 @@ class TestExport:
     @pytest.fixture(scope="class")
     def roundtrip(self, full_window_study, tmp_path_factory):
         directory = tmp_path_factory.mktemp("dataset")
-        export_dataset(
-            full_window_study.collector, str(directory), full_window_study.config
+        save_dataset(
+            Dataset.from_collector(
+                full_window_study.collector, full_window_study.config
+            ),
+            str(directory),
         )
         return full_window_study.collector, load_dataset(str(directory))
 
     def test_manifest_and_files(self, full_window_study, tmp_path):
-        path = export_dataset(full_window_study.collector, str(tmp_path / "ds"))
+        path = save_dataset(
+            Dataset.from_collector(full_window_study.collector),
+            str(tmp_path / "ds"),
+        )
         for name in (
             "MANIFEST.json",
             "identities.json",

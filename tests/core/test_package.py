@@ -1,8 +1,38 @@
-"""Package-level surface: version, public imports, no cycles."""
+"""Package-level surface: version, public imports, no cycles, layering."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Modules of the campaign stack: an analysis-only process (load a saved
+#: dataset, run every analysis) has no use for any of them.
+CAMPAIGN_MODULES = (
+    "repro.core.pipeline",
+    "repro.core.results",
+    "repro.netsim.routing",
+    "repro.netsim.epochs",
+    "repro.vantage.epoch_engine",
+    "repro.vantage.probes",
+)
+
+_ANALYSIS_ONLY = """
+import json, sys
+from repro.analysis import registry
+from repro.analysis.summaries import analysis_json_bytes
+from repro.data import load_dataset
+
+dataset = load_dataset(sys.argv[1])
+for name in registry.names():
+    analysis_json_bytes(dataset, name)
+print(json.dumps(sorted(set(sys.argv[2:]) & set(sys.modules))))
+"""
 
 
 PUBLIC_MODULES = [
@@ -52,3 +82,33 @@ class TestPackage:
 
         for name in resolver.__all__:
             assert hasattr(resolver, name), name
+
+    def test_core_exports(self):
+        from repro import core
+        from repro.core import StudyConfig, StudyPipeline  # noqa: F401
+
+        for name in core.__all__:
+            assert hasattr(core, name), name
+
+
+def test_analysis_only_process_skips_campaign_stack(tmp_path):
+    """Loading a saved dataset and rendering all 13 analyses imports no
+    campaign module (checked in a fresh process: ``sys.modules`` here
+    already holds the whole package)."""
+    from repro.core import StudyPipeline
+
+    from tests.streamutil import tiny_stream_config
+
+    StudyPipeline(tiny_stream_config()).run().save(tmp_path / "ds")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _ANALYSIS_ONLY, str(tmp_path / "ds"),
+         *CAMPAIGN_MODULES],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -1,20 +1,22 @@
-"""Integration: export → reload → identical analysis results, and the
+"""Integration: save → reload → identical analysis results, and the
 resolver stack running against a study's world."""
 
 import pytest
 
 from repro.analysis.stability import StabilityAnalysis
+from repro.data import Dataset, load_dataset, save_dataset
 from repro.dns.constants import RRType
 from repro.dns.name import Name
 from repro.resolver import RootNetworkClient, SimResolver
 from repro.resolver.hints import fresh_hints
 from repro.util.timeutil import parse_ts
-from repro.vantage.export import export_dataset, load_dataset
 
 
 class TestExportedAnalysisEquivalence:
     def test_stability_identical_after_reload(self, mini_study, tmp_path):
-        export_dataset(mini_study.collector, str(tmp_path / "ds"))
+        save_dataset(
+            Dataset.from_collector(mini_study.collector), str(tmp_path / "ds")
+        )
         loaded = load_dataset(str(tmp_path / "ds"))
         live = StabilityAnalysis(mini_study.collector)
         reloaded = StabilityAnalysis(loaded)

@@ -1,6 +1,6 @@
 """The whole-campaign epoch compiler: the oracle for the epoch stream.
 
-:class:`repro.netsim.epochs.PairEpochStream` emits a pair's route epochs
+:class:`repro.netsim.epochs.PairEpochs` emits every pair's route epochs
 one round range at a time.  This module states the same churn state
 machine as one pass over the whole campaign, returning the complete
 epoch list at once; ``test_epochs.py`` checks it against scalar

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.netsim.churn import ChurnModel, TARGET_MEDIAN_CHANGES
-from repro.netsim.epochs import CELL_BUDGET, PairEpochs, PairEpochStream
+from repro.netsim.epochs import CELL_BUDGET, PairEpochs
 
 from tests.netsim.epoch_oracle import compile_pair_epochs, epoch_change_count
 
@@ -25,6 +25,19 @@ def epochs_to_indices(epochs, n_rounds):
             out[r] = index
     assert None not in out, "epoch gap"
     return out
+
+
+def single_pair(churn, client_id, address, letter, family, n_rounds, n_candidates):
+    """A one-pair :class:`PairEpochs` walk."""
+    return PairEpochs(
+        churn, [(client_id, address, letter, family)], n_rounds, [n_candidates]
+    )
+
+
+def take_epochs(walk, lo, hi):
+    """``walk.take(lo, hi)`` of a one-pair walk as epoch tuples."""
+    got = walk.take(lo, hi)
+    return list(zip(got.start.tolist(), got.end.tolist(), got.index.tolist()))
 
 
 def compiled_indices(seed, client_id, address, letter, family, n_rounds, n_candidates):
@@ -100,14 +113,14 @@ class TestEpochEquivalence:
 
     @staticmethod
     def _streamed(seed, client_id, n_rounds, n_candidates, chunk):
-        stream = PairEpochStream(
+        walk = single_pair(
             ChurnModel(seed, expected_rounds=n_rounds),
             client_id, "198.41.0.4", "g", 6, n_rounds, n_candidates,
         )
         out = []
         for lo in range(0, n_rounds, chunk):
             hi = min(lo + chunk, n_rounds)
-            for epoch in stream.take(lo, hi):
+            for epoch in take_epochs(walk, lo, hi):
                 # An epoch spanning a chunk boundary is returned by both
                 # adjacent takes (true bounds preserved); dedupe it.
                 if not out or out[-1] != epoch:
@@ -125,13 +138,13 @@ class TestEpochEquivalence:
                     ChurnModel(3, expected_rounds=300),
                     client_id, "199.7.91.13", "g", 6, 300, 7,
                 )
-                stream = PairEpochStream(
+                walk = single_pair(
                     ChurnModel(3, expected_rounds=300),
                     client_id, "199.7.91.13", "g", 6, 300, 7,
                 )
                 got = []
                 for lo in range(0, 300, 11):
-                    for epoch in stream.take(lo, min(lo + 11, 300)):
+                    for epoch in take_epochs(walk, lo, min(lo + 11, 300)):
                         if not got or got[-1] != epoch:
                             got.append(epoch)
                 assert got == want
@@ -146,28 +159,28 @@ class TestEpochEquivalence:
             n_rounds, 6,
         )
         for lo, hi in ((0, 120), (130, 400), (411, 500)):
-            stream = PairEpochStream(
+            walk = single_pair(
                 ChurnModel(5, expected_rounds=n_rounds), 42, "192.33.4.12",
                 "c", 4, n_rounds, 6,
             )
             want = [e for e in compiled if e[1] > lo and e[0] < hi]
-            assert stream.take(lo, hi) == want
+            assert take_epochs(walk, lo, hi) == want
 
     def test_streamed_rejects_rewind(self):
-        stream = PairEpochStream(
+        walk = single_pair(
             ChurnModel(5, expected_rounds=100), 1, "192.0.2.1", "a", 4, 100, 4
         )
-        stream.take(0, 50)
+        walk.take(0, 50)
         with pytest.raises(ValueError, match="cannot rewind"):
-            stream.take(20, 60)
+            walk.take(20, 60)
         with pytest.raises(ValueError, match="outside campaign"):
-            stream.take(50, 101)
+            walk.take(50, 101)
 
     def test_compilation_does_not_advance_state(self):
         """Compiling then selecting must equal selecting alone."""
         churn = ChurnModel(9, expected_rounds=200)
         compile_pair_epochs(churn, 3, "192.58.128.30", "j", 4, 200, 5)
-        PairEpochStream(churn, 3, "192.58.128.30", "j", 4, 200, 5).take(0, 200)
+        single_pair(churn, 3, "192.58.128.30", "j", 4, 200, 5).take(0, 200)
         via_shared = [
             churn.select_index(3, "192.58.128.30", "j", 4, r, 5) for r in range(200)
         ]
