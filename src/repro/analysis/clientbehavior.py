@@ -13,32 +13,39 @@ from repro.analysis.base import RegisteredAnalysis
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.passive.traces import FlowAggregate
 from repro.rss.operators import ServiceAddress, all_service_addresses
-from repro.util.stats import Ecdf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientFlowDistribution:
     """Per-client daily flow counts for one address (Figure 8 series)."""
 
     address: ServiceAddress
-    flows_per_client: Tuple[float, ...]
+    #: Ascending float64 (read-only).
+    flows_per_client: np.ndarray
 
     def cdf_points(self) -> List[Tuple[float, float]]:
         """(flows/day, fraction of clients with <= that many) points."""
-        if not self.flows_per_client:
+        flows = self.flows_per_client
+        n = len(flows)
+        if not n:
             return []
-        ecdf = Ecdf(self.flows_per_client)
-        return [(x, 1.0 - y) for x, y in ecdf.points()]
+        # The last index of each run of equal values is its rank - 1.
+        last = np.flatnonzero(np.append(flows[1:] != flows[:-1], True))
+        ccdf = 1.0 - (last + 1) / n
+        return list(zip(flows[last].tolist(), (1.0 - ccdf).tolist()))
 
     def fraction_single_daily_contact(self, threshold: float = 1.5) -> float:
         """Clients touching the address at most ~once per day — the
         priming fingerprint."""
-        if not self.flows_per_client:
+        n = len(self.flows_per_client)
+        if not n:
             return 0.0
-        few = sum(1 for f in self.flows_per_client if f <= threshold)
-        return few / len(self.flows_per_client)
+        few = int(np.searchsorted(self.flows_per_client, threshold, side="right"))
+        return few / n
 
     def mean_clients_per_day(self) -> int:
         return len(self.flows_per_client)
@@ -57,7 +64,8 @@ class ClientBehaviorAnalysis(RegisteredAnalysis):
     def distribution(self, address: str) -> ClientFlowDistribution:
         """The per-client flow distribution for one address."""
         sa = next(a for a in self.addresses if a.address == address)
-        flows = tuple(sorted(self.aggregate.mean_daily_flows_per_client(address)))
+        flows = np.sort(self.aggregate.mean_daily_flows_per_client(address))
+        flows.flags.writeable = False
         return ClientFlowDistribution(address=sa, flows_per_client=flows)
 
     def by_family(self, family: int) -> Dict[str, ClientFlowDistribution]:

@@ -12,7 +12,9 @@ from __future__ import annotations
 from repro.analysis.base import RegisteredAnalysis
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.geo.continents import Continent
 from repro.vantage.node import VantagePoint
@@ -52,45 +54,48 @@ class ColocationAnalysis(RegisteredAnalysis):
         self._views = self._build_views()
 
     def _build_views(self) -> List[VpColocation]:
-        # Latest observed hop per (vp, address); rows are appended in
-        # time order, so the last write wins.
-        latest: Dict[Tuple[int, int], int] = {}
         cols = self.dataset.traceroute_columns()
-        for vp_id, addr_idx, hop in zip(
-            cols["vp"].tolist(), cols["addr"].tolist(), cols["hop"].tolist()
-        ):
-            latest[(vp_id, addr_idx)] = hop
+        n_addr = len(self.dataset.addresses)
+        # Latest observed hop per (vp, address): rows are appended in
+        # time order, so the first occurrence in reverse row order wins.
+        key = np.asarray(cols["vp"], dtype=np.int64) * n_addr + cols["addr"]
+        pairs, first = np.unique(key[::-1], return_index=True)
+        hop = np.asarray(cols["hop"])[::-1][first].astype(np.int64)
+        vp_id, addr_idx = np.divmod(pairs, n_addr)
 
         # Per (vp, family): hops across letters, current generation only
         # (old and new b.root share sites; counting both would double b).
-        per_vp: Dict[Tuple[int, int], List[int]] = {}
-        for (vp_id, addr_idx), hop in latest.items():
-            sa = self.dataset.addresses[addr_idx]
-            if sa.generation == "old":
-                continue
-            per_vp.setdefault((vp_id, sa.family), []).append(hop)
+        current = np.array([sa.generation != "old" for sa in self.dataset.addresses])
+        is_v6 = np.array([sa.family == 6 for sa in self.dataset.addresses])
+        keep = current[addr_idx]
+        group = vp_id[keep] * 2 + is_v6[addr_idx[keep]]
+        hop = hop[keep]
+        groups, letters_observed = np.unique(group, return_counts=True)
+        # An unanswered hop (< 0) is unique by convention (lower bound);
+        # answered hops count once per distinct value.
+        answered = hop >= 0
+        max_hop = hop.max(initial=0) + 1
+        distinct = np.unique(group[answered] * max_hop + hop[answered])
+        unique_hops = np.bincount(
+            np.searchsorted(groups, group[~answered]), minlength=len(groups)
+        ) + np.bincount(
+            np.searchsorted(groups, distinct // max_hop), minlength=len(groups)
+        )
 
         views: List[VpColocation] = []
-        unique_counter = -1
-        for (vp_id, family), hops in sorted(per_vp.items()):
-            resolved: List[int] = []
-            for hop in hops:
-                if hop < 0:
-                    # Unanswered hop: unique by convention (lower bound).
-                    resolved.append(unique_counter)
-                    unique_counter -= 1
-                else:
-                    resolved.append(hop)
-            vp = self.vps.get(vp_id)
+        for g, observed, unique in zip(
+            groups.tolist(), letters_observed.tolist(), unique_hops.tolist()
+        ):
+            vp = self.vps.get(g // 2)
             if vp is None:
                 continue
             views.append(
                 VpColocation(
-                    vp_id=vp_id,
-                    family=family,
+                    vp_id=g // 2,
+                    family=6 if g % 2 else 4,
                     continent=vp.continent,
-                    letters_observed=len(resolved),
-                    unique_hops=len(set(resolved)),
+                    letters_observed=observed,
+                    unique_hops=unique,
                 )
             )
         return views

@@ -53,16 +53,22 @@ class DistanceAnalysis(RegisteredAnalysis):
         n = len(closest)
         if n == 0:
             raise ValueError(f"no observations for {address}")
-        cells: Dict[Tuple[int, int], int] = {}
         cbins = (closest / bin_km).astype(np.int64)
         abins = (actual / bin_km).astype(np.int64)
-        for cb, ab in zip(cbins.tolist(), abins.tolist()):
-            cells[(cb, ab)] = cells.get((cb, ab), 0) + 1
+        width = int(abins.max()) + 1
+        keys, first, counts = np.unique(
+            cbins * width + abins, return_index=True, return_counts=True
+        )
+        # Cells in order of first observation, as a dict filled row by row.
+        seen = np.argsort(first)
+        cb, ab = np.divmod(keys[seen], width)
+        percent = 100.0 * counts[seen] / n
+        cells = dict(zip(zip(cb.tolist(), ab.tolist()), percent.tolist()))
         sa = self.dataset.addresses[self.dataset.addr_index[address]]
         return DistanceGrid(
             address=sa,
             bin_km=bin_km,
-            cells={k: 100.0 * v / n for k, v in cells.items()},
+            cells=cells,
             observations=n,
         )
 
@@ -85,10 +91,14 @@ class DistanceAnalysis(RegisteredAnalysis):
         extra = np.maximum(
             self.columns["direct_km"][mask] - self.columns["closest_km"][mask], 0.0
         )
-        out: Dict[int, List[float]] = {}
-        for vp_id, value in zip(vps.tolist(), extra.tolist()):
-            out.setdefault(vp_id, []).append(value)
-        return [sum(vals) / len(vals) for vals in out.values()]
+        # Per VP, in order of first observation: the float64 sum of its
+        # extras in row order (bincount adds sequentially, as sum() does).
+        _, first, inverse, counts = np.unique(
+            vps, return_index=True, return_inverse=True, return_counts=True
+        )
+        sums = np.bincount(inverse, weights=extra)
+        seen = np.argsort(first)
+        return (sums[seen] / counts[seen]).tolist()
 
     def fraction_clients_under(self, address: str, km: float = 1000.0) -> float:
         """Fraction of clients whose mean extra distance is below *km*."""

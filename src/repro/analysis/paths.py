@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.probe_cells import ProbeCells
 from repro.geo.continents import Continent
 from repro.vantage.node import VantagePoint
 
@@ -48,34 +49,7 @@ class PathAnalysis(RegisteredAnalysis):
 
     def __init__(self, dataset, vps: List[VantagePoint]) -> None:
         self.dataset = dataset
-        self.columns = dataset.probe_columns()
-        continents = list(Continent)
-        self._continent_list = continents
-        vp_cont = np.zeros(max((vp.vp_id for vp in vps), default=0) + 1, dtype=np.int8)
-        for vp in vps:
-            vp_cont[vp.vp_id] = continents.index(vp.continent)
-        self._vp_cont = vp_cont
-
-    def _mask(
-        self,
-        continent: Optional[Continent],
-        letter: Optional[str],
-        family: Optional[int],
-    ) -> np.ndarray:
-        mask = np.ones(len(self.columns["vp"]), dtype=bool)
-        if continent is not None:
-            cont_idx = self._continent_list.index(continent)
-            mask &= self._vp_cont[self.columns["vp"]] == cont_idx
-        if letter is not None or family is not None:
-            addr_ok = np.zeros(len(self.dataset.addresses), dtype=bool)
-            for i, sa in enumerate(self.dataset.addresses):
-                if letter is not None and sa.letter != letter:
-                    continue
-                if family is not None and sa.family != family:
-                    continue
-                addr_ok[i] = True
-            mask &= addr_ok[self.columns["addr"]]
-        return mask
+        self.cells = ProbeCells(dataset, vps)
 
     def as_breakdown(
         self,
@@ -84,23 +58,35 @@ class PathAnalysis(RegisteredAnalysis):
         family: Optional[int] = None,
     ) -> List[AsPathStats]:
         """Per-AS share and mean RTT for a cell, descending by share."""
-        mask = self._mask(continent, letter, family)
-        transits = self.columns["transit"][mask]
-        rtts = self.columns["rtt"][mask]
-        total = len(transits)
+        rows = self.cells.rows(
+            (
+                i
+                for i, sa in enumerate(self.dataset.addresses)
+                if (letter is None or sa.letter == letter)
+                and (family is None or sa.family == family)
+            ),
+            continent,
+        )
+        total = len(rows)
         if total == 0:
             return []
-        out: List[AsPathStats] = []
-        for asn in np.unique(transits):
-            sub = transits == asn
-            out.append(
-                AsPathStats(
-                    asn=int(asn),
-                    share=float(np.sum(sub)) / total,
-                    mean_rtt_ms=float(np.mean(rtts[sub])),
-                    requests=int(np.sum(sub)),
-                )
+        asns, inverse, counts = np.unique(
+            self.cells.column("transit", rows), return_inverse=True, return_counts=True
+        )
+        # Each AS's RTTs in table order (float32 means sum pairwise).
+        by_asn = np.split(
+            self.cells.column("rtt", rows)[np.argsort(inverse, kind="stable")],
+            np.cumsum(counts)[:-1],
+        )
+        out = [
+            AsPathStats(
+                asn=asn,
+                share=float(requests) / total,
+                mean_rtt_ms=float(np.mean(rtts)),
+                requests=requests,
             )
+            for asn, requests, rtts in zip(asns.tolist(), counts.tolist(), by_asn)
+        ]
         out.sort(key=lambda s: -s.share)
         return out
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.base import RegisteredAnalysis
-from repro.analysis.probe_cells import ProbeCells
+from repro.analysis.probe_cells import ProbeCells, grouped_quantiles
 from repro.geo.continents import Continent
 from repro.vantage.node import VantagePoint
 
@@ -52,6 +52,9 @@ class RegionalRttAnalysis(RegisteredAnalysis):
         self.config = config
         self.cells = ProbeCells(dataset, vps)
         self._summaries: Dict[str, Dict[str, Dict[int, RegionCell]]] = {}
+        # (count, p50, p90) per continent, one quantile pass per
+        # (letter, family).
+        self._quantiles: Dict[Tuple[str, int], Dict[Continent, Tuple]] = {}
 
     def _letter_addrs(self, letter: str, family: Optional[int] = None) -> List[int]:
         indices = [
@@ -67,16 +70,26 @@ class RegionalRttAnalysis(RegisteredAnalysis):
         self, continent: Continent, family: int, letter: str = DEFAULT_LETTER
     ) -> Optional[RegionCell]:
         """The (continent, family) distribution, or None if unobserved."""
-        rtts = self.cells.rtt(self._letter_addrs(letter, family), continent)
-        if len(rtts) == 0:
+        addrs = self._letter_addrs(letter, family)
+        if (letter, family) not in self._quantiles:
+            counts, values = self.cells.quantiles(
+                [(addrs, c) for c in Continent], (50, 90)
+            )
+            self._quantiles[letter, family] = {
+                c: (count, *q)
+                for c, count, q in zip(Continent, counts.tolist(), values.tolist())
+            }
+        count, p50, p90 = self._quantiles[letter, family][continent]
+        if count == 0:
             return None
         return RegionCell(
             continent=continent,
             family=family,
-            count=int(len(rtts)),
-            mean=float(np.mean(rtts)),
-            p50=float(np.percentile(rtts, 50)),
-            p90=float(np.percentile(rtts, 90)),
+            count=count,
+            # float32 means sum pairwise: reduce the cell in table order.
+            mean=float(np.mean(self.cells.rtt(addrs, continent))),
+            p50=p50,
+            p90=p90,
         )
 
     def regional_summary(
@@ -118,21 +131,37 @@ class RegionalRttAnalysis(RegisteredAnalysis):
         """Per-continent ``(month, median RTT, count)`` series — the
         longitudinal build-out figure."""
         addrs = self._letter_addrs(letter, family)
-        out: Dict[str, List[Tuple[str, float, int]]] = {}
-        for continent in Continent:
-            rows = self.cells.rows(addrs, continent)
-            if len(rows) == 0:
-                continue
-            cont_months = self._month_labels(self.cells.column("ts", rows))
-            cont_rtts = self.cells.column("rtt", rows)
-            series: List[Tuple[str, float, int]] = []
-            for month in sorted(set(cont_months.tolist())):
-                rtts = cont_rtts[cont_months == month]
-                series.append(
-                    (month, float(np.percentile(rtts, 50)), int(len(rtts)))
-                )
-            out[continent.name] = series
-        return out
+        observed = [
+            (continent, rows)
+            for continent in Continent
+            for rows in [self.cells.rows(addrs, continent)]
+            if len(rows)
+        ]
+        if not observed:
+            return {}
+        rows = np.concatenate([rows for _, rows in observed])
+        months, month_of_row = np.unique(
+            self._month_labels(self.cells.column("ts", rows)), return_inverse=True
+        )
+        region_of_row = np.repeat(
+            np.arange(len(observed)), [len(rows) for _, rows in observed]
+        )
+        counts, medians = grouped_quantiles(
+            self.cells.column("rtt", rows),
+            region_of_row * len(months) + month_of_row,
+            len(observed) * len(months),
+            (50,),
+        )
+        counts = counts.reshape(len(observed), len(months)).tolist()
+        medians = medians.reshape(len(observed), len(months)).tolist()
+        return {
+            continent.name: [
+                (month, median, count)
+                for month, median, count in zip(months.tolist(), medians[k], counts[k])
+                if count
+            ]
+            for k, (continent, _) in enumerate(observed)
+        }
 
     def buildout_stages(self) -> List[Dict[str, object]]:
         """The world layer's build-out timeline (for figure annotation);

@@ -210,7 +210,7 @@ def render_figure8(behavior: ClientBehaviorAnalysis, family: int) -> str:
     """Figure 8: mean # of unique client subnets per day vs flows."""
     lines = [f"Figure 8 (IPv{family}): flows/client vs share of clients"]
     for label, dist in sorted(behavior.by_family(family).items()):
-        if not dist.flows_per_client:
+        if not len(dist.flows_per_client):
             continue
         single = dist.fraction_single_daily_contact()
         lines.append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.analysis.base import RegisteredAnalysis
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,25 +50,46 @@ class RttAnalysis(RegisteredAnalysis):
     def __init__(self, dataset, vps: List[VantagePoint]) -> None:
         self.dataset = dataset
         self.cells = ProbeCells(dataset, vps)
+        # (count, p10, p50, p90) per (address index, continent), computed
+        # for every cell in one pass on first use.
+        self._quantiles: Optional[Dict[Tuple[int, Continent], Tuple]] = None
 
     def _cell(self, address: str, continent: Continent) -> np.ndarray:
         return self.cells.rtt((self.dataset.addr_index[address],), continent)
 
+    def _cell_quantiles(self) -> Dict[Tuple[int, Continent], Tuple]:
+        if self._quantiles is None:
+            keys = [
+                (i, continent)
+                for i in range(len(self.dataset.addresses))
+                for continent in Continent
+            ]
+            counts, values = self.cells.quantiles(
+                [((i,), continent) for i, continent in keys], (10, 50, 90)
+            )
+            self._quantiles = {
+                key: (count, *q)
+                for key, count, q in zip(keys, counts.tolist(), values.tolist())
+            }
+        return self._quantiles
+
     def summary(self, address: str, continent: Continent) -> Optional[RttSummary]:
         """Distribution summary, or None with no observations."""
-        rtts = self._cell(address, continent)
-        if len(rtts) == 0:
+        addr_idx = self.dataset.addr_index[address]
+        count, p10, p50, p90 = self._cell_quantiles()[addr_idx, continent]
+        if count == 0:
             return None
-        sa = self.dataset.addresses[self.dataset.addr_index[address]]
+        # float32 means sum pairwise: reduce the cell in table order.
+        rtts = self._cell(address, continent)
         return RttSummary(
-            address=sa,
+            address=self.dataset.addresses[addr_idx],
             continent=continent,
-            count=int(len(rtts)),
+            count=count,
             mean=float(np.mean(rtts)),
             std=float(np.std(rtts)),
-            p10=float(np.percentile(rtts, 10)),
-            p50=float(np.percentile(rtts, 50)),
-            p90=float(np.percentile(rtts, 90)),
+            p10=p10,
+            p50=p50,
+            p90=p90,
         )
 
     def violin_bins(

@@ -17,11 +17,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.rtt import RttAnalysis
+from repro.analysis.probe_cells import ProbeCells
 from repro.analysis.stability import StabilityAnalysis
 from repro.geo.continents import Continent
 from repro.rss.operators import ROOT_LETTERS
-from repro.util.stats import median
+from repro.util.stats import median, weighted_median
 from repro.vantage.node import VantagePoint
 
 
@@ -51,10 +51,10 @@ class VariabilityAnalysis(RegisteredAnalysis):
         self.dataset = dataset
         self.vps = vps
         self.stability = StabilityAnalysis(dataset)
-        self.rtt = RttAnalysis(dataset, vps)
+        self.cells = ProbeCells(dataset, vps)
         # Per-instance results: a letter's median RTT is shared by every
         # subset containing it, and a rendering asks for one spread twice.
-        self._median_rtts: Dict[str, Optional[float]] = {}
+        self._median_rtts: Optional[Dict[str, float]] = None
         self._spreads: Dict[
             Tuple[int, int], Tuple[SubsetStats, List[SubsetStats]]
         ] = {}
@@ -69,20 +69,35 @@ class VariabilityAnalysis(RegisteredAnalysis):
         return None
 
     def _letter_median_rtt(self, letter: str) -> Optional[float]:
-        if letter not in self._median_rtts:
-            self._median_rtts[letter] = self._compute_letter_median_rtt(letter)
-        return self._median_rtts[letter]
+        if self._median_rtts is None:
+            self._median_rtts = self._compute_median_rtts()
+        return self._median_rtts.get(letter)
 
-    def _compute_letter_median_rtt(self, letter: str) -> Optional[float]:
-        values: List[float] = []
-        for continent in Continent:
-            for sa in self.dataset.addresses:
-                if sa.letter != letter or sa.generation == "old":
-                    continue
-                summary = self.rtt.summary(sa.address, continent)
-                if summary is not None:
-                    values.extend([summary.p50] * max(1, summary.count // 100))
-        return median(values) if values else None
+    def _compute_median_rtts(self) -> Dict[str, float]:
+        """Per letter: the median of its current-generation (address,
+        continent) cell medians, each weighted by its samples / 100 (at
+        least 1).  Every cell's median comes from one quantile pass."""
+        cells = [
+            (sa.letter, i, continent)
+            for continent in Continent
+            for i, sa in enumerate(self.dataset.addresses)
+            if sa.generation != "old"
+        ]
+        counts, p50 = self.cells.quantiles(
+            [((i,), continent) for _, i, continent in cells], (50,)
+        )
+        medians: Dict[str, List[float]] = {}
+        weights: Dict[str, List[int]] = {}
+        for (letter, _, _), count, (median_rtt,) in zip(
+            cells, counts.tolist(), p50.tolist()
+        ):
+            if count:
+                medians.setdefault(letter, []).append(median_rtt)
+                weights.setdefault(letter, []).append(max(1, count // 100))
+        return {
+            letter: weighted_median(values, weights[letter])
+            for letter, values in medians.items()
+        }
 
     def subset_stats(self, letters: Sequence[str]) -> SubsetStats:
         """Aggregate statistics over one letter subset."""

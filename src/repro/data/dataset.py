@@ -28,10 +28,12 @@ without touching the world-building or campaign stages.
 from __future__ import annotations
 
 import copy
+import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.data.cells import ProbeCellIndex
 from repro.data.schema import (
     BINARY_TABLES,
     SCHEMA_VERSION,
@@ -104,6 +106,8 @@ class Dataset:
         self._transfers: Optional[List[TransferRecord]] = None
         self._summary = dict(summary or {})
         self._change_counts: Optional[Dict[Tuple[int, int], Tuple[int, int]]] = None
+        self._probe_cells: Optional[Tuple[Optional[bytes], ProbeCellIndex]] = None
+        self._probe_cells_lock = threading.Lock()
         self._study_inputs: Optional[Dict[str, Any]] = None
         self._passive: Optional[Any] = None
 
@@ -209,6 +213,26 @@ class Dataset:
                 for i in range(len(table))
             }
         return dict(self._change_counts)
+
+    def probe_cells(
+        self, vp_slot: Optional[np.ndarray] = None, n_slots: int = 1
+    ) -> ProbeCellIndex:
+        """The probe table grouped by (address, ``vp_slot[vp]``), built on
+        first use and kept for the life of this object.
+
+        One index is kept: asking with another *vp_slot* replaces it.
+        Without *vp_slot* any kept index is returned, since an address's
+        rows are the union of its slots however VPs are slotted.
+        """
+        key = None if vp_slot is None else bytes([n_slots]) + vp_slot.tobytes()
+        with self._probe_cells_lock:
+            kept = self._probe_cells
+            if kept is None or (key is not None and kept[0] != key):
+                kept = (key, ProbeCellIndex(
+                    self.probe_columns(), len(self.addresses), vp_slot, n_slots
+                ))
+                self._probe_cells = kept
+            return kept[1]
 
     @property
     def transfers(self) -> List[TransferRecord]:

@@ -146,14 +146,14 @@ class FlowAggregate:
         )
         return int(self.flow_table["clients"][rows].sum())
 
-    def mean_daily_flows_per_client(self, address: str) -> List[float]:
+    def mean_daily_flows_per_client(self, address: str) -> np.ndarray:
         """Per client of *address*: mean flows per active bucket —
         the Figure 8 x-axis values, in prefix order."""
         code = self._code(address)
         # Client rows are grouped by address code: one slice per address.
         lo, hi = np.searchsorted(self.client_table["addr"], [code, code + 1])
         flows = self.client_table["flows"][lo:hi]
-        return (flows / np.maximum(1, self.client_table["days"][lo:hi])).tolist()
+        return flows / np.maximum(1, self.client_table["days"][lo:hi])
 
 
 def union_keys(parts: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:

@@ -4,7 +4,7 @@ The server is the standard library's ``ThreadingHTTPServer``: zero
 dependencies, one thread per connection, good for thousands of requests
 per second against the warm cache.  Every request goes to
 :meth:`~repro.serving.service.AnalysisService.handle`, so the served
-bytes are the service's bytes.
+bytes — error answers included — are the service's bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional
 from urllib.parse import parse_qs, urlsplit
 
+from repro.data.schema import DatasetError
 from repro.serving.cache import ResultCache
 from repro.serving.catalog import Catalog
 from repro.serving.service import AnalysisService
@@ -37,20 +38,7 @@ def _make_handler(service: AnalysisService):
                 for key, values in parse_qs(parsed.query).items()
             }
             headers = {key.lower(): value for key, value in self.headers.items()}
-            try:
-                response = service.handle(method, parsed.path, query, headers)
-            except Exception as exc:  # never kill the connection thread
-                from repro.analysis.summaries import canonical_json_bytes
-
-                body = canonical_json_bytes(
-                    {"error": f"{type(exc).__name__}: {exc}"}
-                )
-                self.send_response(500)
-                self.send_header("Content-Type", "application/json; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-                return
+            response = service.handle(method, parsed.path, query, headers)
             self.send_response(response.status)
             for key, value in response.headers.items():
                 self.send_header(key, value)
@@ -124,7 +112,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     try:
         catalog = Catalog.from_paths(args.paths)
-    except Exception as exc:
+    except (DatasetError, OSError) as exc:
         print(f"rootsim-serve: {exc}", file=sys.stderr)
         return 2
     cache = ResultCache(

@@ -101,6 +101,43 @@ class TestRoutes:
         assert "hits" in document["cache"]
         assert document["datasets"]["mini"]["kind"] == "dataset"
 
+    def test_stats_count_304s_and_errors_by_type(self, dataset_dir, monkeypatch):
+        service = AnalysisService(Catalog.from_paths([dataset_dir]))
+        path = "/datasets/mini/analyses/stability"
+        etag = service.handle("GET", path).headers["ETag"]
+        for _ in range(3):
+            assert service.handle(
+                "GET", path, headers={"If-None-Match": etag}
+            ).status == 304
+
+        def broken():
+            raise RuntimeError("internal detail")
+
+        monkeypatch.setattr(service, "_handle_catalog", broken)
+        response = service.handle("GET", "/catalog")
+        assert response.status == 500
+        # a fixed body: the exception text stays in the server's log
+        assert json.loads(response.body) == {"error": "internal server error"}
+        document = json.loads(service.handle("GET", "/stats").body)
+        assert document["requests"] == {
+            "not_modified": 3,
+            "errors": {"RuntimeError": 1},
+        }
+
+    def test_unrunnable_analysis_is_409(self, mini_study, tmp_path):
+        """A dataset saved without its study fingerprint cannot rebuild
+        the VP ring, so the RTT family is not servable from it."""
+        from repro.data import Dataset, save_dataset
+
+        directory = save_dataset(
+            Dataset.from_collector(mini_study.collector), tmp_path / "bare"
+        )
+        service = AnalysisService(Catalog.from_paths([directory]))
+        assert service.handle("GET", "/datasets/bare/analyses/stability").status == 200
+        response = service.handle("GET", "/datasets/bare/analyses/rtt")
+        assert response.status == 409
+        assert "cannot run analysis 'rtt'" in json.loads(response.body)["error"]
+
     def test_cache_clear(self, service):
         service.handle("GET", "/datasets/mini/analyses/stability")
         assert len(service.cache) > 0

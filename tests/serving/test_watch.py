@@ -184,7 +184,9 @@ class TestServiceInvalidation:
         """The tentpole invariant end-to-end: while a streamed campaign
         seals chunks into a served directory, every request observes the
         current watermark, stale cache lines die on each seal, and the
-        cached bytes always match a fresh computation."""
+        cached bytes always match a fresh computation.  ``rtt`` reads the
+        probe-cell index its dataset object keeps: each watermark's
+        reload must bring a new index, never the last one's."""
         from repro.analysis.summaries import analysis_json_bytes
         from repro.data import load_dataset
         from repro.serving import AnalysisService, Catalog
@@ -197,27 +199,68 @@ class TestServiceInvalidation:
             nonlocal service
             if service is None:
                 service = AnalysisService(Catalog([ckpt]))
-            response = service.handle(
-                "GET", "/datasets/stream/analyses/coverage"
-            )
-            assert response.status == 200
-            etag = response.headers["ETag"]
-            expected = analysis_json_bytes(load_dataset(ckpt), "coverage")
-            assert response.body == expected
+            fresh = load_dataset(ckpt)
+            for name in ("coverage", "rtt"):
+                response = service.handle(
+                    "GET", f"/datasets/stream/analyses/{name}"
+                )
+                assert response.status == 200
+                assert response.body == analysis_json_bytes(fresh, name), name
+                probes.append((name, response.headers["ETag"], response.body))
             # stale watermarks were dropped: every cached key is current
             watermark = service.catalog.entry("stream").state.watermark
             for key in service.cache.keys():
                 assert key.watermark == watermark
-            probes.append((etag, len(response.body)))
 
         run = run_streaming_campaign(
             tiny_stream_config(), ckpt, checkpoint_every=2,
             after_chunk=after_chunk,
         )
         assert run.complete
-        assert len(probes) == 3
+        assert len(probes) == 6
         # each seal produced a distinct ETag (watermark moved every time)
-        assert len({etag for etag, _ in probes}) == 3
+        assert len({etag for _, etag, _ in probes}) == 3
+        # and the RTT figures grew with the rows behind them
+        assert len({body for name, _, body in probes if name == "rtt"}) == 3
         stats = service.cache.stats.snapshot()
-        assert stats["misses"] == 3  # recomputed per watermark
+        assert stats["misses"] == 6  # recomputed per watermark
         assert stats["invalidations"] >= 2  # stale lines reclaimed
+
+    def test_truncated_column_is_a_typed_5xx_never_a_stale_body(self, tmp_path):
+        """A chunk sealed with a damaged column file moves the watermark;
+        the next request must fail as unreadable data, not fall back to
+        the previous watermark's cached bytes."""
+        import json
+
+        from repro.serving import AnalysisService, Catalog
+
+        ckpt = tmp_path / "stream"
+        seen = []
+        service = None
+
+        def after_chunk(index, chunk_dir, lo, hi):
+            nonlocal service
+            if service is None:
+                service = AnalysisService(Catalog([ckpt]))
+            column = chunk_dir / "tables" / "probes" / "rtt.bin"
+            intact = column.read_bytes()
+            if index == 1:
+                column.write_bytes(intact[: len(intact) // 2])
+            try:
+                response = service.handle("GET", "/datasets/stream/analyses/rtt")
+            finally:
+                column.write_bytes(intact)
+            seen.append(response)
+
+        run = run_streaming_campaign(
+            tiny_stream_config(), ckpt, checkpoint_every=2,
+            after_chunk=after_chunk,
+        )
+        assert run.complete
+        assert [response.status for response in seen] == [200, 503, 200]
+        error = json.loads(seen[1].body)
+        assert error["type"] == "CheckpointError"  # a DatasetError
+        assert "rtt.bin" in error["error"]
+        assert "ETag" not in seen[1].headers
+        stats = json.loads(service.handle("GET", "/stats").body)
+        assert stats["requests"]["errors"] == {"CheckpointError": 1}
