@@ -2,8 +2,7 @@
 
 :class:`AnalysisService` owns the catalog and the result cache and maps
 ``(method, path, query, headers)`` to a :class:`Response` — plain data
-the stdlib ``BaseHTTPRequestHandler`` in :mod:`repro.serving.app`
-writes out.  Keeping the logic out of the HTTP layer is what lets the
+the keep-alive loop in :mod:`repro.serving.app` writes out.  Keeping the logic out of the HTTP layer is what lets the
 tests drive every route without a socket.
 
 Routes::
@@ -56,7 +55,7 @@ from repro.data.schema import DatasetError
 from repro.serving.cache import ResultCache, ResultKey
 from repro.serving.catalog import Catalog, CatalogEntry
 
-__all__ = ["AnalysisService", "Response"]
+__all__ = ["AnalysisService", "Response", "error_response"]
 
 JSON_TYPE = "application/json; charset=utf-8"
 
@@ -82,6 +81,12 @@ def _json_response(status: int, body: bytes, **headers: str) -> Response:
         body=body,
         headers={"Content-Type": JSON_TYPE, **headers},
     )
+
+
+def error_response(status: int, message: str) -> Response:
+    """A canonical JSON ``{"error": message}`` answer: the body of every
+    refusal, the HTTP layer's protocol errors included."""
+    return _json_response(status, AnalysisService._error_body(message))
 
 
 class AnalysisService:
