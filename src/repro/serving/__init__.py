@@ -9,10 +9,10 @@ resource, watermark)*.  Live checkpoints stay servable while they grow:
 a per-directory watcher observes sealed chunks and invalidates exactly
 the affected cache lines.
 
-The HTTP stack is the dependency-free stdlib ``ThreadingHTTPServer``
-wrapping the framework-agnostic
-:class:`~repro.serving.service.AnalysisService`, whose responses are
-byte-identical to ``rootsim-analyze DIR NAME --json``.
+The HTTP layer is a dependency-free HTTP/1.1 keep-alive loop on
+``socketserver`` (:mod:`repro.serving.app`) wrapping the
+framework-agnostic :class:`~repro.serving.service.AnalysisService`,
+whose responses are byte-identical to ``rootsim-analyze DIR NAME --json``.
 """
 
 from repro.serving.app import run_server, serve_main
