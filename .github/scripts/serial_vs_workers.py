@@ -1,7 +1,8 @@
 """Smoke check: a multiprocess campaign reproduces the serial
-run byte-for-byte AND hands shards off via mmap spills — a
-regression to pickling collectors through the pool pipe fails
-here.
+run byte-for-byte (summary, aggregate state, probe and traceroute
+columns, and the transfer observations down to their zone serials)
+AND hands shards off via mmap spills — a regression to pickling
+collectors through the pool pipe fails here.
 
 Run by path (``PYTHONPATH=src python .github/scripts/serial_vs_workers.py``),
 never through ``python -``: the forkserver pool re-imports ``__main__``
@@ -35,6 +36,16 @@ def main() -> None:
         assert np.array_equal(mp.probe_columns()[name], column), name
     for name, column in serial.traceroute_columns().items():
         assert np.array_equal(mp.traceroute_columns()[name], column), name
+
+    def transfer_rows(collector):
+        return [
+            (o.vp_id, o.true_ts, o.observed_ts, o.address.address, o.serial,
+             o.fault, o.fault_detail, o.zone.serial)
+            for o in collector.transfers
+        ]
+
+    assert serial.transfers, "serial run recorded no transfers"
+    assert transfer_rows(mp) == transfer_rows(serial)
 
     stats = last_spill_stats()
     assert stats is not None, "multiprocess run never spilled"

@@ -33,9 +33,13 @@ Transfers keep full fidelity — the zone pack carries each *distinct*
 zone copy exactly once (the same dedup pickling a collector performed
 implicitly, minus the 40 MB of row buffers around it), so reloaded
 observations still power the Figure 10 bitflip diff and seal normally at
-dataset-save time.  No cryptography runs in workers: sealing 200+
-distinct zone contents costs ~45 s of RSA verification at the bench
-config, which stays where it always was (dataset save / chunk seal).
+dataset-save time.  The reload unpickles the pack once and rebuilds the
+observations as a plain list: every consumer (the merge's ordering,
+dataset assembly, chunk sealing) reads them right away, so deferring the
+unpickle would only move it a few lines.  No cryptography runs in
+workers: sealing 200+ distinct zone contents costs ~45 s of RSA
+verification at the bench config, which stays where it always was
+(dataset save / chunk seal).
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ import os
 import pickle
 import shutil
 import tempfile
-from collections.abc import Sequence
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import replace
+from typing import Dict, List, Optional, Union
 
 from repro.data.io import read_binary_table, write_binary_table
 from repro.data.schema import BINARY_TABLES, SCHEMA_VERSION, DatasetError
@@ -127,93 +131,6 @@ def _sweep_orphan_roots(parent: Path, prefix: str) -> None:
             continue
         if child.is_dir() and not child.is_symlink():
             shutil.rmtree(child, ignore_errors=True)
-
-
-class SpillTransfers(Sequence):
-    """Transfer observations of one reloaded spill, materialized lazily.
-
-    Rehydrating transfers is the one part of a spill reload that is not
-    zero-copy: the zone pack has to be unpickled and every observation
-    rebuilt as an object.  Most consumers never look — the statistical
-    analyses read row tables, and the batch pipeline only needs
-    transfers at dataset-save time (sealing), where the unpickle is
-    noise next to the crypto.  So the reload parses only the cheap
-    metadata rows eagerly (enough for ``len()`` and the merge's
-    ``(true_ts, vp_id)`` ordering) and holds the zone pack as raw bytes;
-    the first element access materializes the real observation objects.
-    """
-
-    def __init__(
-        self,
-        rows: List[dict],
-        zone_blob: bytes,
-        expected_zones: int,
-        address_map: Dict[str, object],
-        source: Path,
-    ) -> None:
-        self._rows: Optional[List[dict]] = rows
-        self._zone_blob: Optional[bytes] = zone_blob
-        self._expected_zones = expected_zones
-        self._address_map = address_map
-        self._source = source
-        self._items: Optional[List[object]] = None
-
-    def order_keys(self) -> List[Tuple[int, int]]:
-        """Per-row ``(true_ts, vp_id)`` without materializing objects."""
-        if self._items is not None:
-            return [(o.true_ts, o.vp_id) for o in self._items]
-        keys = []
-        for row in self._rows:
-            fields = row["row"] if row.get("kind") == "record" else row
-            keys.append((int(fields["true_ts"]), int(fields["vp_id"])))
-        return keys
-
-    def _materialize(self) -> List[object]:
-        if self._items is None:
-            zones: List[object] = (
-                pickle.loads(self._zone_blob) if self._zone_blob else []
-            )
-            if len(zones) != self._expected_zones:
-                raise DatasetError(
-                    f"shard spill at {self._source} promises "
-                    f"{self._expected_zones} zones; the pack holds {len(zones)}"
-                )
-            items: List[object] = []
-            for row in self._rows:
-                if row.get("kind") == "record":
-                    record = row_to_record(row["row"], self._address_map)
-                    if row.get("zone") is not None:
-                        from dataclasses import replace
-
-                        record = replace(record, zone=zones[int(row["zone"])])
-                    items.append(record)
-                else:
-                    items.append(
-                        TransferObservation(
-                            vp_id=int(row["vp_id"]),
-                            true_ts=int(row["true_ts"]),
-                            observed_ts=int(row["observed_ts"]),
-                            address=self._address_map[row["address"]],
-                            serial=int(row["serial"]),
-                            zone=zones[int(row["zone"])],
-                            fault=str(row["fault"]),
-                            fault_detail=str(row["fault_detail"]),
-                        )
-                    )
-            self._items = items
-            self._rows = self._zone_blob = None
-        return self._items
-
-    def __len__(self) -> int:
-        if self._items is not None:
-            return len(self._items)
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __iter__(self):
-        return iter(self._materialize())
 
 
 def write_shard_spill(
@@ -297,9 +214,12 @@ def read_shard_spill(directory: Union[str, Path]) -> CampaignCollector:
     Aggregate state restores through the state codec; row tables
     come back as read-only ``np.memmap`` views adopted via
     :meth:`~repro.vantage.collector.CampaignCollector.attach_rows`;
-    transfer observations rehydrate with their real zone objects from
-    the pack.  The result merges byte-identically to the in-process
-    shard collector it was spilled from.
+    transfer observations are rebuilt here, as a plain list, with their
+    real zone objects from the pack (unpickled once).  A pack or row
+    file that disagrees with the manifest's counts raises
+    :class:`DatasetError` here, not at some later transfer access.  The
+    result merges byte-identically to the in-process shard collector it
+    was spilled from.
     """
     root = Path(directory)
     meta_path = root / SPILL_NAME
@@ -328,11 +248,6 @@ def read_shard_spill(directory: Union[str, Path]) -> CampaignCollector:
         root, BINARY_TABLES["traceroutes"], meta["tables"]["traceroutes"]
     )
 
-    # Transfer metadata parses eagerly (cheap, and the zone-pack bytes
-    # are pulled into memory so the spill directory can be deleted);
-    # object rehydration — the zone unpickle — waits for first access.
-    zones_path = root / "zones.pkl"
-    zone_blob = zones_path.read_bytes() if zones_path.exists() else b""
     rows = [
         json.loads(line)
         for line in (root / "transfers.jsonl").read_text().splitlines()
@@ -343,19 +258,39 @@ def read_shard_spill(directory: Union[str, Path]) -> CampaignCollector:
             f"shard spill at {root} promises {meta['transfers']['rows']} "
             f"transfer rows; found {len(rows)}"
         )
-    if not zone_blob and int(meta["transfers"]["zones"]):
+    zones_path = root / "zones.pkl"
+    try:
+        zones: List[object] = (
+            pickle.loads(zones_path.read_bytes()) if zones_path.exists() else []
+        )
+    except (pickle.UnpicklingError, EOFError) as exc:
+        raise DatasetError(f"corrupt zone pack at {zones_path}: {exc}") from exc
+    if len(zones) != int(meta["transfers"]["zones"]):
         raise DatasetError(
             f"shard spill at {root} promises {meta['transfers']['zones']} "
-            f"zones; the pack holds 0"
+            f"zones; the pack holds {len(zones)}"
         )
     address_map = {sa.address: sa for sa in collector.addresses}
-    transfers: Union[List[object], SpillTransfers] = (
-        SpillTransfers(
-            rows, zone_blob, int(meta["transfers"]["zones"]), address_map, root
-        )
-        if rows
-        else []
-    )
+    transfers: List[object] = []
+    for row in rows:
+        if row.get("kind") == "record":
+            record = row_to_record(row["row"], address_map)
+            if row.get("zone") is not None:
+                record = replace(record, zone=zones[int(row["zone"])])
+            transfers.append(record)
+        else:
+            transfers.append(
+                TransferObservation(
+                    vp_id=int(row["vp_id"]),
+                    true_ts=int(row["true_ts"]),
+                    observed_ts=int(row["observed_ts"]),
+                    address=address_map[row["address"]],
+                    serial=int(row["serial"]),
+                    zone=zones[int(row["zone"])],
+                    fault=str(row["fault"]),
+                    fault_detail=str(row["fault_detail"]),
+                )
+            )
 
     collector.attach_rows(
         {name: probes.column(name) for name in probes.schema.column_names()},

@@ -15,12 +15,13 @@ object would not fit in memory.  The collector therefore keeps:
   VPs) that the ZONEMD audit (Table 2) validates.
 
 Row storage is columnar from the start: preallocated, doubling numpy
-buffers (:class:`_ColumnTable`) with batch-append APIs
+buffers (:class:`_ColumnTable`) filled only in column blocks
 (:meth:`CampaignCollector.add_probe_block`,
-:meth:`CampaignCollector.add_traceroute_block`) fed by the
-epoch-compiled campaign engine, while the single-row
-``add_probe_sample`` / ``add_traceroute`` calls remain as thin wrappers
-over the same buffers (the scalar test oracle records through them).
+:meth:`CampaignCollector.add_traceroute_block`).  The epoch-compiled
+campaign engine is the one runtime writer; it interns site and hop
+strings up front with their first-occurrence keys and passes interned
+codes.  There is no row-at-a-time ingest: the scalar test oracle
+buffers its rows and writes them through the same block API.
 ``probe_columns()`` / ``traceroute_columns()`` are memoised per buffer
 version instead of re-materialising the full arrays on every analysis.
 
@@ -105,10 +106,8 @@ class _Interner:
 class _ColumnTable:
     """Growable columnar row storage over preallocated numpy buffers.
 
-    Buffers double on exhaustion; ``version`` increments on every write
-    so readers can memoise materialised views.  Scalar ``append`` and
-    batch ``extend`` produce identical contents — appends write the same
-    dtypes the batch path stores.
+    Buffers double on exhaustion; ``version`` increments on every
+    ``extend`` so readers can memoise materialised views.
     """
 
     _INITIAL = 1024
@@ -130,8 +129,8 @@ class _ColumnTable:
         return len(next(iter(self._buffers.values())))
 
     def _grow_to(self, needed: int) -> None:
-        # Geometric doubling: total copy work over any append sequence
-        # is O(rows), and a batch extend pays at most one reallocation.
+        # Geometric doubling: total copy work over any extend sequence
+        # is O(rows), and one extend pays at most one reallocation.
         capacity = self.capacity
         if needed <= capacity:
             return
@@ -141,22 +140,6 @@ class _ColumnTable:
             buf = np.empty(capacity, dtype=self._buffers[name].dtype)
             buf[: self._n] = self._buffers[name][: self._n]
             self._buffers[name] = buf
-
-    def reserve(self, rows: int) -> None:
-        """Pre-size for *rows* total rows (no-op when already allocated).
-
-        Callers that know a chunk's row count up front (the epoch
-        engine's block appends, spill reloads) skip the doubling ramp's
-        intermediate copies."""
-        self._grow_to(rows)
-
-    def append(self, *values) -> None:
-        """Append one row (values in column-spec order)."""
-        self._grow_to(self._n + 1)
-        for (name, _dtype), value in zip(self._spec, values):
-            self._buffers[name][self._n] = value
-        self._n += 1
-        self.version += 1
 
     def extend(self, **arrays) -> None:
         """Batch-append equal-length column arrays."""
@@ -194,7 +177,7 @@ class _FrozenColumnTable:
     surface is unaffected: ``probe_columns`` downcasts to float32 anyway
     and :meth:`CampaignCollector.merge` upcasts on append, and
     float64→float32→float64→float32 equals float64→float32, so the
-    round-trip is byte-invisible.  Appends raise: a spill-backed
+    round-trip is byte-invisible.  ``extend`` raises: a spill-backed
     collector is a merge *input*, never an ingest target.
     """
 
@@ -223,53 +206,10 @@ class _FrozenColumnTable:
     def column(self, name: str) -> np.ndarray:
         return self._columns[name]
 
-    def append(self, *values) -> None:
-        raise CollectorSealedError(
-            "spill-backed row tables are read-only merge inputs"
-        )
-
     def extend(self, **arrays) -> None:
         raise CollectorSealedError(
             "spill-backed row tables are read-only merge inputs"
         )
-
-
-class _MergedTransfers(Sequence):
-    """K-way-merged transfer observations, materialized on first access.
-
-    When :meth:`CampaignCollector.merge` combines spill-reloaded shards,
-    their transfer sequences defer zone-pack unpickling until someone
-    looks (``repro.data.spill.SpillTransfers``).  The merge must not be
-    that someone: it stores only the interleaving — ``(shard, index)``
-    in serial campaign order — and resolves real observation objects on
-    the first element access, so a campaign whose consumers never read
-    transfer content (the statistical analyses) never rehydrates zones.
-    """
-
-    def __init__(
-        self, sources: List[Sequence], order: List[Tuple[int, int]]
-    ) -> None:
-        self._sources: Optional[List[Sequence]] = sources
-        self._order: Optional[List[Tuple[int, int]]] = order
-        self._items: Optional[List] = None
-
-    def _materialize(self) -> List:
-        if self._items is None:
-            sources, order = self._sources, self._order
-            self._items = [sources[shard][i] for shard, i in order]
-            self._sources = self._order = None
-        return self._items
-
-    def __len__(self) -> int:
-        if self._items is not None:
-            return len(self._items)
-        return len(self._order)
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __iter__(self):
-        return iter(self._materialize())
 
 
 #: Probe table schema (storage dtypes; ``probe_columns`` downcasts the
@@ -312,37 +252,11 @@ class _StabilityTable(_ColumnTable):
     place afterwards, so row order is first-observation order and a
     snapshot's rows are always a prefix of any later snapshot's.  The
     epoch engine updates all of its pairs at once (:meth:`align`, then
-    array arithmetic on the column views); the scalar :meth:`note` path
-    keeps a lazily built pair -> row index.
+    array arithmetic on the column views).
     """
 
     def __init__(self) -> None:
         super().__init__(_STABILITY_SPEC)
-        self._index: Optional[Dict[Tuple[int, int], int]] = None
-
-    def _pair_index(self) -> Dict[Tuple[int, int], int]:
-        if self._index is None:
-            pairs = zip(self.column("vp").tolist(), self.column("addr").tolist())
-            self._index = {pair: row for row, pair in enumerate(pairs)}
-        return self._index
-
-    def extend(self, **arrays) -> None:
-        super().extend(**arrays)
-        self._index = None
-
-    def note(self, vp_id: int, addr_idx: int, site_idx: int) -> None:
-        """One round's observation of one pair."""
-        index = self._pair_index()
-        row = index.get((vp_id, addr_idx))
-        if row is None:
-            index[(vp_id, addr_idx)] = len(self)
-            self.append(vp_id, addr_idx, site_idx, 0, 1)
-            return
-        buffers = self._buffers
-        if buffers["site"][row] != site_idx:
-            buffers["changes"][row] += 1
-            buffers["site"][row] = site_idx
-        buffers["rounds"][row] += 1
 
     def align(self, vp: np.ndarray, addr: np.ndarray) -> None:
         """Make the rows exactly the given pairs, in order: an empty
@@ -488,71 +402,16 @@ class CampaignCollector:
         ownership of the column buffers; idempotent."""
         self._sealed = True
 
-    def _assert_unsealed(self) -> None:
+    def assert_unsealed(self) -> None:
+        """Raise :class:`CollectorSealedError` if the collector is sealed.
+
+        Writers check this before their first write, so a refused call
+        leaves every aggregate as it was."""
         if self._sealed:
             raise CollectorSealedError(
                 "collector is sealed: its buffers back a Dataset; "
                 "appending now would corrupt or silently drop data"
             )
-
-    def _order_key(self, vp_id: int, addr_idx: int) -> Tuple[int, int, int]:
-        """Position of the current ingest call in the campaign scan.
-
-        The prober increments :attr:`rounds_processed` after each round,
-        so during round *r* it equals *r*; (round, vp, addr) is then the
-        lexicographic position of the call in a serial rounds-outer,
-        VPs-inner, addresses-innermost campaign scan.
-        """
-        return (self.rounds_processed, vp_id, addr_idx)
-
-    def note_site(self, vp_id: int, addr_idx: int, site_key: str) -> None:
-        """Per-round catchment observation; drives Figure 3."""
-        self._assert_unsealed()
-        site_idx = self.sites.intern(site_key, self._order_key(vp_id, addr_idx))
-        self._stability.note(vp_id, addr_idx, site_idx)
-
-    def note_identity(
-        self,
-        letter: str,
-        identity: str,
-        vp_id: Optional[int] = None,
-        addr_idx: Optional[int] = None,
-    ) -> None:
-        """A CHAOS identity answer (coverage input)."""
-        self._assert_unsealed()
-        bucket = self.identities.setdefault(letter, {})
-        if identity not in bucket:
-            self._identity_order[(letter, identity)] = (
-                _NO_ORDER_KEY
-                if vp_id is None or addr_idx is None
-                else self._order_key(vp_id, addr_idx)
-            )
-        bucket[identity] = bucket.get(identity, 0) + 1
-
-    def add_probe_sample(
-        self,
-        vp_id: int,
-        ts: int,
-        addr_idx: int,
-        site_key: str,
-        rtt_ms: float,
-        direct_km: float,
-        closest_global_km: float,
-        via_peer: bool,
-        transit_asn: int = 0,
-    ) -> None:
-        self._assert_unsealed()
-        self._probes.append(
-            vp_id,
-            ts,
-            addr_idx,
-            self.sites.intern(site_key, self._order_key(vp_id, addr_idx)),
-            rtt_ms,
-            direct_km,
-            closest_global_km,
-            via_peer,
-            transit_asn,
-        )
 
     def add_probe_block(
         self,
@@ -572,7 +431,7 @@ class CampaignCollector:
         (the epoch engine, vectorised merges) intern up front with
         explicit first-occurrence keys.
         """
-        self._assert_unsealed()
+        self.assert_unsealed()
         self._probes.extend(
             vp=vp,
             ts=ts,
@@ -585,36 +444,13 @@ class CampaignCollector:
             transit=transit,
         )
 
-    def add_traceroute(
-        self, vp_id: int, ts: int, addr_idx: int, second_to_last_hop: Optional[str]
-    ) -> None:
-        self._assert_unsealed()
-        self._traceroutes.append(
-            vp_id,
-            ts,
-            addr_idx,
-            -1
-            if second_to_last_hop is None
-            else self.hops.intern(second_to_last_hop, self._order_key(vp_id, addr_idx)),
-        )
-
     def add_traceroute_block(
         self, vp: np.ndarray, ts: np.ndarray, addr: np.ndarray, hop: np.ndarray
     ) -> None:
         """Batch-append traceroute rows (``hop`` pre-interned, -1 = no
         reply)."""
-        self._assert_unsealed()
+        self.assert_unsealed()
         self._traceroutes.extend(vp=vp, ts=ts, addr=addr, hop=hop)
-
-    def count_transfer(self, clean: bool) -> None:
-        self._assert_unsealed()
-        self.transfer_total += 1
-        if clean:
-            self.transfer_clean += 1
-
-    def add_transfer_observation(self, obs: TransferObservation) -> None:
-        self._assert_unsealed()
-        self.transfers.append(obs)
 
     # -- read-side ------------------------------------------------------------------
 
@@ -757,7 +593,7 @@ class CampaignCollector:
         self,
         probes: Dict[str, np.ndarray],
         traceroutes: Dict[str, np.ndarray],
-        transfers: Sequence,
+        transfers: Sequence[TransferObservation],
     ) -> None:
         """Adopt externally-owned row columns zero-copy (spill reload).
 
@@ -767,18 +603,12 @@ class CampaignCollector:
         ``np.memmap`` columns of a shard spill) without copying a byte.
         The result is a full-fidelity merge input for :meth:`merge`.
         """
-        self._assert_unsealed()
+        self.assert_unsealed()
         if len(self._probes) or len(self._traceroutes) or self.transfers:
             raise ValueError("attach_rows requires empty row tables")
         self._probes = _FrozenColumnTable(_PROBE_SPEC, probes)
         self._traceroutes = _FrozenColumnTable(_TRACEROUTE_SPEC, traceroutes)
-        # A lazily-materializing sequence (spill reload) is adopted
-        # as-is — copying it into a list would force rehydration now.
-        self.transfers = (
-            transfers
-            if hasattr(transfers, "order_keys")
-            else list(transfers)
-        )
+        self.transfers = list(transfers)
         self._probe_cols_cache = None
         self._probe_cols_version = -1
         self._trace_cols_cache = None
@@ -796,7 +626,7 @@ class CampaignCollector:
         chunk size instead of campaign size.  Aggregates (interners,
         stability, identities, totals) are untouched.
         """
-        self._assert_unsealed()
+        self.assert_unsealed()
         probes = {name: self._probes.column(name) for name, _ in _PROBE_SPEC}
         traceroutes = {
             name: self._traceroutes.column(name) for name, _ in _TRACEROUTE_SPEC
@@ -936,32 +766,18 @@ class CampaignCollector:
             ]
             merged._identity_order[(letter, identity)] = first_seen[(letter, identity)]
 
-        def transfer_rows(shard_no: int, shard: "CampaignCollector"):
-            keys = getattr(shard.transfers, "order_keys", None)
-            if keys is not None:
-                # Spill-reloaded shards expose ordering keys without
-                # materializing observation objects (zone unpickling
-                # stays deferred until a consumer actually looks).
-                for i, (true_ts, vp_id) in enumerate(keys()):
-                    yield (true_ts, vp_id, shard_no, i)
-            else:
-                for i, obs in enumerate(shard.transfers):
-                    yield (obs.true_ts, obs.vp_id, shard_no, i)
-
-        order = [
-            (shard_no, i)
-            for _ts, _vp, shard_no, i in heapq.merge(
-                *(transfer_rows(n, s) for n, s in enumerate(shards))
+        order = heapq.merge(
+            *(
+                [
+                    (obs.true_ts, obs.vp_id, shard_no, i)
+                    for i, obs in enumerate(shard.transfers)
+                ]
+                for shard_no, shard in enumerate(shards)
             )
+        )
+        merged.transfers = [
+            shards[shard_no].transfers[i] for _ts, _vp, shard_no, i in order
         ]
-        if any(hasattr(s.transfers, "order_keys") for s in shards):
-            merged.transfers = _MergedTransfers(
-                [s.transfers for s in shards], order
-            )
-        else:
-            merged.transfers = [
-                shards[shard_no].transfers[i] for shard_no, i in order
-            ]
 
         return merged
 

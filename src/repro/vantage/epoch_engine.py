@@ -287,7 +287,11 @@ class EpochCampaignPlan:
     # -- range execution ---------------------------------------------------------------
 
     def emit_range(self, lo: int, hi: int) -> None:
-        """Execute rounds ``[lo, hi)``, appending into the collector."""
+        """Execute rounds ``[lo, hi)``, appending into the collector.
+
+        A sealed collector is refused before the first write, so the
+        dataset that shares its aggregates never sees a partial range."""
+        self.collector.assert_unsealed()
         if not 0 <= lo <= hi <= self.n_rounds:
             raise ValueError(
                 f"round range [{lo}, {hi}) outside campaign [0, {self.n_rounds})"

@@ -10,6 +10,7 @@ plus the guard rails of the format itself.
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -129,7 +130,28 @@ def test_attached_rows_are_read_only_merge_inputs(shard_collectors, tmp_path):
         write_shard_spill(tmp_path / "s0", shard_collectors[0])
     )
     with pytest.raises(CollectorSealedError, match="read-only"):
-        reloaded._probes.append(0, 0, 0, 0, 0.0, 0.0, 0.0, False, 0)
+        reloaded.add_probe_block(**shard_collectors[0].probe_columns())
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda blob: pickle.dumps(pickle.loads(blob)[:-1]), "zones; the pack holds"),
+        (lambda blob: blob[: len(blob) // 2], "corrupt zone pack"),
+    ],
+    ids=["short", "truncated"],
+)
+def test_damaged_zone_pack_rejected_at_reload(
+    shard_collectors, tmp_path, damage, message
+):
+    """A zone pack that holds fewer zones than the manifest promises, or
+    does not unpickle, fails the reload itself, not a later transfer
+    access."""
+    spill_dir = write_shard_spill(tmp_path / "s0", shard_collectors[0])
+    pack = spill_dir / "zones.pkl"
+    pack.write_bytes(damage(pack.read_bytes()))
+    with pytest.raises(DatasetError, match=message):
+        read_shard_spill(spill_dir)
 
 
 def _reaped_pid() -> int:

@@ -32,6 +32,7 @@ from repro.data.state import STATE_NAME, read_state, write_state
 from repro.vantage.collector import _NO_ORDER_KEY, CampaignCollector
 
 from tests.streamutil import tiny_stream_config
+from tests.vantage.row_collector import RowRecorder
 
 _text = st.text(min_size=0, max_size=12)
 
@@ -56,21 +57,22 @@ _op = st.one_of(
 
 
 def _build(ops) -> CampaignCollector:
-    collector = CampaignCollector()
+    recorder = RowRecorder()
     for op in ops:
         kind = op[0]
         if kind == "site":
-            collector.note_site(op[1], op[2], op[3])
+            recorder.note_site(op[1], op[2], op[3])
         elif kind == "identity":
             _kind, letter, identity, positioned, vp, addr = op
             if positioned:
-                collector.note_identity(letter, identity, vp, addr)
+                recorder.note_identity(letter, identity, vp, addr)
             else:
-                collector.note_identity(letter, identity)
+                recorder.note_identity(letter, identity)
         elif kind == "hop":
-            collector.add_traceroute(op[1], 0, op[2], op[3])
+            recorder.add_traceroute(op[1], 0, op[2], op[3])
         else:
-            collector.rounds_processed += 1
+            recorder.collector.rounds_processed += 1
+    collector = recorder.flush()
     collector.queries_simulated = 7 * len(ops)
     collector.transfer_total = len(ops) // 2
     collector.transfer_clean = len(ops) // 3
@@ -116,8 +118,10 @@ def test_restored_collector_keeps_counting():
     original = _build([("site", 1, 0, "x"), ("round",), ("site", 1, 0, "y")])
     restored = CampaignCollector.from_state(original.state())
     for collector in (original, restored):
-        collector.note_site(1, 0, "x")
-        collector.note_site(2, 3, "z")
+        recorder = RowRecorder(collector)
+        recorder.note_site(1, 0, "x")
+        recorder.note_site(2, 3, "z")
+        recorder.flush()
     _assert_same_aggregates(restored, original)
     assert original.change_counts()[(1, 0)] == (2, 3)
 
@@ -125,8 +129,9 @@ def test_restored_collector_keeps_counting():
 def test_empty_and_identity_only_collectors(tmp_path):
     empty = CampaignCollector()
     assert read_state(write_state(tmp_path / "empty", empty.state())) == empty.state()
-    only = CampaignCollector()
-    only.note_identity("a", "ä-1")
+    recorder = RowRecorder()
+    recorder.note_identity("a", "ä-1")
+    only = recorder.flush()
     state = read_state(write_state(tmp_path / "only", only.state()))
     restored = CampaignCollector.from_state(state)
     assert restored.identities == {"a": {"ä-1": 1}}

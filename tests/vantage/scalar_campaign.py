@@ -6,9 +6,11 @@ columnar blocks.  This module states the same campaign one cell at a
 time: each round first applies the fault plan's stale-site windows to
 the world's zone distributor, then every VP probes every service address
 over the scalar route oracle (``tests/netsim/scalar_routes.py``) and the
-churn model's ``select_index``, and records into a
-:class:`~repro.vantage.collector.CampaignCollector` row by row, serving
-a real AXFR for every sampled or faulted transfer.  The equivalence
+churn model's ``select_index``, and records row by row through a
+:class:`~tests.vantage.row_collector.RowRecorder` (which writes the
+rows into a :class:`~repro.vantage.collector.CampaignCollector` through
+its block API), serving a real AXFR for every sampled or faulted
+transfer.  The equivalence
 tests (``test_epoch_engine.py``, ``test_collector_merge.py``,
 ``tests/scenarios/test_golden.py``) compare the two collectors byte for
 byte.  It is test-only: no runtime code calls it, and it always runs the
@@ -30,6 +32,7 @@ from repro.vantage.collector import CampaignCollector, TransferObservation
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import QUERIES_PER_ADDRESS, STLH_MISSING_PROB, Prober
 from tests.netsim.scalar_routes import ScalarRoutes
+from tests.vantage.row_collector import RowRecorder
 
 
 def run_scalar_campaign(config: StudyConfig) -> CampaignCollector:
@@ -43,18 +46,18 @@ def run_scalar_campaign(config: StudyConfig) -> CampaignCollector:
     platform = build_platform(config, world)
     prober = platform.prober
     routes = ScalarRoutes(prober.fabric)
-    collector = CampaignCollector()
+    recorder = RowRecorder()
     frozen: Dict[str, bool] = {}
     world.distributor.reset_faults()
     try:
         for round_no, ts in enumerate(platform.schedule.rounds()):
             _apply_stale_events(prober, frozen, ts)
             for vp in platform.vps:
-                _run_round(prober, routes, collector, vp, round_no, ts)
-            collector.rounds_processed += 1
+                _run_round(prober, routes, recorder, vp, round_no, ts)
+            recorder.collector.rounds_processed += 1
     finally:
         world.distributor.reset_faults()
-    return collector
+    return recorder.flush()
 
 
 def _apply_stale_events(prober: Prober, frozen: Dict[str, bool], ts: Timestamp) -> None:
@@ -75,12 +78,13 @@ def _apply_stale_events(prober: Prober, frozen: Dict[str, bool], ts: Timestamp) 
 def _run_round(
     prober: Prober,
     routes: ScalarRoutes,
-    collector: CampaignCollector,
+    recorder: RowRecorder,
     vp: VantagePoint,
     round_no: int,
     ts: Timestamp,
 ) -> None:
     """One VP's measurement round across all service addresses."""
+    collector = recorder.collector
     sampling = prober.sampling
     phase = vp.vp_id  # de-synchronise sampling across VPs
     do_rtt = (round_no + phase) % sampling.rtt_every == 0
@@ -94,14 +98,14 @@ def _run_round(
                 vp.vp_id, sa.address, sa.letter, sa.family, round_no, len(options)
             )
         ]
-        collector.note_site(vp.vp_id, addr_idx, route.site.key)
-        collector.note_identity(sa.letter, route.site.identity(), vp.vp_id, addr_idx)
+        recorder.note_site(vp.vp_id, addr_idx, route.site.key)
+        recorder.note_identity(sa.letter, route.site.identity(), vp.vp_id, addr_idx)
         collector.queries_simulated += QUERIES_PER_ADDRESS
 
         if do_rtt:
             request_key = mix64(vp.vp_id, addr_idx, round_no)
             rtt = route_rtt_ms(route, vp.last_mile_ms, request_key)
-            collector.add_probe_sample(
+            recorder.add_probe_sample(
                 vp_id=vp.vp_id,
                 ts=ts,
                 addr_idx=addr_idx,
@@ -117,7 +121,7 @@ def _run_round(
 
         if do_traceroute:
             missing = mix_float(vp.vp_id, addr_idx, round_no, 13) < STLH_MISSING_PROB
-            collector.add_traceroute(
+            recorder.add_traceroute(
                 vp_id=vp.vp_id,
                 ts=ts,
                 addr_idx=addr_idx,
@@ -127,13 +131,13 @@ def _run_round(
         bitflip = prober.fault_plan.bitflip_for(vp.vp_id, ts, sa.address)
         if do_axfr or bitflip is not None:
             _do_transfer(
-                prober, collector, vp, ts, addr_idx, sa, route.site.key, bitflip
+                prober, recorder, vp, ts, addr_idx, sa, route.site.key, bitflip
             )
 
 
 def _do_transfer(
     prober: Prober,
-    collector: CampaignCollector,
+    recorder: RowRecorder,
     vp: VantagePoint,
     ts: Timestamp,
     addr_idx: int,
@@ -158,7 +162,7 @@ def _do_transfer(
         fault_detail = f"site {site_key} frozen"
     clock_offset = prober.fault_plan.clocks.offset_for(vp.vp_id, ts)
     clean = not fault and clock_offset == 0
-    collector.count_transfer(clean)
+    recorder.count_transfer(clean)
 
     interesting = bool(fault) or clock_offset != 0
     keep_clean_sample = (
@@ -166,7 +170,7 @@ def _do_transfer(
         < 1.0 / prober.sampling.clean_transfer_keep_one_in
     )
     if interesting or keep_clean_sample:
-        collector.add_transfer_observation(
+        recorder.add_transfer_observation(
             TransferObservation(
                 vp_id=vp.vp_id,
                 true_ts=ts,

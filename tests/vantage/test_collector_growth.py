@@ -1,11 +1,12 @@
 """The collector's growth policy never changes what readers see.
 
 `_ColumnTable` stores rows in geometrically-doubled preallocated numpy
-buffers; scalar ``append``, batch ``extend`` (which writes into slack),
-``drain_rows`` and ``merge`` must all be byte-transparent against the
-obvious row-at-a-time reference no matter how operations interleave
-with reallocation boundaries.  Plus the PR 7 ``attach_rows`` contract:
-adopting drained (possibly slack-backed) columns is zero-copy.
+buffers; batch ``extend`` (which writes into slack), ``drain_rows`` and
+``merge`` must all be byte-transparent against the obvious row-list
+reference no matter how blocks fall across reallocation boundaries.
+Plus the ``attach_rows`` contract: adopting drained (possibly
+slack-backed) columns is zero-copy, and the adopted tables refuse
+further blocks.
 """
 
 import numpy as np
@@ -14,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.vantage.collector import (
     CampaignCollector,
+    CollectorSealedError,
     _ColumnTable,
     _PROBE_SPEC,
 )
+from tests.vantage.row_collector import RowRecorder
 
 _SITE_POOL = [f"site-{i}" for i in range(6)]
 
@@ -30,39 +33,28 @@ _SPEC = (
 )
 
 
-def _rows(draw_ints, draw_floats, draw_bools):
-    return list(zip(draw_ints, draw_floats, draw_bools))
-
-
 _row = st.tuples(
     st.integers(min_value=-(2**31), max_value=2**31 - 1),
     st.floats(allow_nan=False, allow_infinity=False, width=64),
     st.booleans(),
 )
 
-_op = st.one_of(
-    st.tuples(st.just("append"), _row),
-    st.tuples(st.just("extend"), st.lists(_row, min_size=0, max_size=700)),
-)
+_block = st.lists(_row, min_size=0, max_size=700)
 
 
 class TestColumnTableGrowth:
     @settings(max_examples=60, deadline=None)
-    @given(ops=st.lists(_op, min_size=0, max_size=12))
-    def test_interleaved_append_extend_matches_reference(self, ops):
+    @given(blocks=st.lists(_block, min_size=0, max_size=12))
+    def test_extend_sequences_match_reference(self, blocks):
         table = _ColumnTable(_SPEC)
         reference = []
-        for kind, payload in ops:
-            if kind == "append":
-                table.append(*payload)
-                reference.append(payload)
-            else:
-                table.extend(
-                    a=np.array([r[0] for r in payload], dtype=np.int32),
-                    b=np.array([r[1] for r in payload], dtype=np.float64),
-                    c=np.array([r[2] for r in payload], dtype=bool),
-                )
-                reference.extend(payload)
+        for payload in blocks:
+            table.extend(
+                a=np.array([r[0] for r in payload], dtype=np.int32),
+                b=np.array([r[1] for r in payload], dtype=np.float64),
+                c=np.array([r[2] for r in payload], dtype=bool),
+            )
+            reference.extend(payload)
         assert len(table) == len(reference)
         for i, (name, dtype) in enumerate(_SPEC):
             col = table.column(name)
@@ -75,17 +67,6 @@ class TestColumnTableGrowth:
         while cap > _ColumnTable._INITIAL and cap % 2 == 0:
             cap //= 2
         assert cap == _ColumnTable._INITIAL
-
-    def test_reserve_skips_reallocation(self):
-        table = _ColumnTable(_SPEC)
-        table.reserve(5000)
-        assert table.capacity >= 5000
-        bufs = [table._buffers[name] for name, _ in _SPEC]
-        for i in range(5000):
-            table.append(i, float(i), i % 2 == 0)
-        assert [table._buffers[name] for name, _ in _SPEC] == bufs
-        table.reserve(10)  # no-op shrink request
-        assert table.capacity >= 5000
 
     def test_extend_rejects_ragged_and_mismatched(self):
         table = _ColumnTable(_SPEC)
@@ -117,8 +98,10 @@ def _probe_block(rng, n):
 
 
 def _ingest_scalar(collector, block):
+    """Row-at-a-time reference ingest (buffered, then one block)."""
+    recorder = RowRecorder(collector)
     for i in range(len(block["vp"])):
-        collector.add_probe_sample(
+        recorder.add_probe_sample(
             int(block["vp"][i]),
             int(block["ts"][i]),
             int(block["addr"][i]),
@@ -129,6 +112,7 @@ def _ingest_scalar(collector, block):
             bool(block["peer"][i]),
             int(block["transit"][i]),
         )
+    recorder.flush()
 
 
 def _ingest_batch(collector, block):
@@ -201,7 +185,8 @@ class TestCollectorGrowthInterleavings:
     )
     def test_merge_indifferent_to_ingest_mode(self, seed, batch_flags):
         """merge() output is byte-identical whether its shard inputs
-        were filled scalar row-by-row or through batch extends."""
+        were filled row by row (through the recorder) or by direct
+        block appends."""
         rng = np.random.default_rng(seed)
         blocks = [_probe_block(rng, n) for n in (700, 120, 0, 333)]
 
@@ -237,8 +222,8 @@ class TestAttachRowsAfterGrowth:
         for name, _dtype in _PROBE_SPEC:
             assert np.shares_memory(restored._probes.column(name), probes[name]), name
             assert np.array_equal(restored._probes.column(name), probes[name])
-        with pytest.raises(Exception):
-            restored.add_probe_sample(1, 1, 1, "site-0", 1.0, 1.0, 1.0, False, 0)
+        with pytest.raises(CollectorSealedError, match="read-only"):
+            restored.add_probe_block(**probes)
 
     def test_attach_requires_empty_tables(self):
         rng = np.random.default_rng(8)

@@ -14,6 +14,7 @@ import pytest
 from repro.core import StudyConfig, StudyPipeline
 from repro.util.timeutil import parse_ts
 from repro.vantage.collector import CampaignCollector
+from tests.vantage.row_collector import RowRecorder
 
 
 def tiny_config(**overrides) -> StudyConfig:
@@ -110,9 +111,10 @@ class TestMergeUnit:
             CampaignCollector.merge([a, b])
 
     def test_overlapping_vp_pair_rejected(self):
-        a, b = CampaignCollector(), CampaignCollector()
+        a, b = RowRecorder(), RowRecorder()
         a.note_site(0, 0, "site-x")
         b.note_site(0, 0, "site-y")
+        a, b = a.flush(), b.flush()
         with pytest.raises(ValueError, match="overlap"):
             CampaignCollector.merge([a, b])
 
@@ -120,19 +122,21 @@ class TestMergeUnit:
         # In the serial scan VP 0 is probed before VP 1 in each round, so
         # the site VP 0 saw must come first in the merged interner even
         # when its shard is listed last.
-        a, b = CampaignCollector(), CampaignCollector()
+        a, b = RowRecorder(), RowRecorder()
         b.note_site(1, 0, "later-site")
         a.note_site(0, 0, "earlier-site")
+        a, b = a.flush(), b.flush()
         a.rounds_processed = b.rounds_processed = 1
         merged = CampaignCollector.merge([b, a])
         assert merged.sites.values == ["earlier-site", "later-site"]
 
     def test_probe_rows_remapped_and_reordered(self):
-        a, b = CampaignCollector(), CampaignCollector()
+        a, b = RowRecorder(), RowRecorder()
         # Shard A: VP 0 at ts=100 hits "beta"; shard B: VP 1 at ts=50
         # hits "alpha".  Serial row order is by (ts, vp).
         a.add_probe_sample(0, 100, 2, "beta", 1.0, 10.0, 5.0, False)
         b.add_probe_sample(1, 50, 2, "alpha", 2.0, 20.0, 5.0, True, transit_asn=7)
+        a, b = a.flush(), b.flush()
         a.rounds_processed = b.rounds_processed = 1
         merged = CampaignCollector.merge([a, b])
         cols = merged.probe_columns()
@@ -143,11 +147,12 @@ class TestMergeUnit:
         assert [merged.sites[i] for i in cols["site"].tolist()] == ["alpha", "beta"]
 
     def test_identity_counts_sum(self):
-        a, b = CampaignCollector(), CampaignCollector()
+        a, b = RowRecorder(), RowRecorder()
         a.note_identity("b", "b1-ams", 0, 0)
         a.note_identity("b", "b1-ams", 0, 0)
         b.note_identity("b", "b1-ams", 1, 0)
         b.note_identity("b", "b2-lax", 1, 0)
+        a, b = a.flush(), b.flush()
         a.rounds_processed = b.rounds_processed = 1
         merged = CampaignCollector.merge([a, b])
         assert merged.identities["b"] == {"b1-ams": 3, "b2-lax": 1}

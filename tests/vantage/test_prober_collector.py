@@ -6,6 +6,7 @@ from repro.dns.constants import RRType, Rcode
 from repro.rss.operators import all_service_addresses
 from repro.util.timeutil import parse_ts
 from repro.vantage.collector import CampaignCollector
+from tests.vantage.row_collector import RowRecorder
 
 
 class TestCollector:
@@ -16,21 +17,24 @@ class TestCollector:
             assert collector.addr_index[sa.address] == i
 
     def test_note_site_counts_changes(self):
-        collector = CampaignCollector()
+        recorder = RowRecorder()
         for site in ("a-001", "a-001", "a-002", "a-001"):
-            collector.note_site(1, 0, site)
+            recorder.note_site(1, 0, site)
+        collector = recorder.flush()
         counts = collector.change_counts()
         assert counts[(1, 0)] == (2, 4)
 
     def test_identity_counting(self):
-        collector = CampaignCollector()
-        collector.note_identity("k", "k001.fra-g.root-servers.org")
-        collector.note_identity("k", "k001.fra-g.root-servers.org")
+        recorder = RowRecorder()
+        recorder.note_identity("k", "k001.fra-g.root-servers.org")
+        recorder.note_identity("k", "k001.fra-g.root-servers.org")
+        collector = recorder.flush()
         assert collector.identities["k"]["k001.fra-g.root-servers.org"] == 2
 
     def test_probe_columns_roundtrip(self):
-        collector = CampaignCollector()
-        collector.add_probe_sample(3, 1000, 2, "c-001", 25.0, 500.0, 400.0, True)
+        recorder = RowRecorder()
+        recorder.add_probe_sample(3, 1000, 2, "c-001", 25.0, 500.0, 400.0, True)
+        collector = recorder.flush()
         cols = collector.probe_columns()
         assert cols["vp"][0] == 3
         assert cols["rtt"][0] == pytest.approx(25.0)
@@ -39,9 +43,10 @@ class TestCollector:
         assert collector.addresses[cols["addr"][0]].letter == "b"
 
     def test_traceroute_missing_hop(self):
-        collector = CampaignCollector()
-        collector.add_traceroute(1, 100, 0, None)
-        collector.add_traceroute(1, 200, 0, "edge.fra-ix")
+        recorder = RowRecorder()
+        recorder.add_traceroute(1, 100, 0, None)
+        recorder.add_traceroute(1, 200, 0, "edge.fra-ix")
+        collector = recorder.flush()
         hops = collector.traceroute_columns()["hop"]
         assert hops[0] == -1  # the unanswered hop
         assert collector.hops.values[hops[1]] == "edge.fra-ix"
