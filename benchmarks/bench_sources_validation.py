@@ -47,7 +47,7 @@ def test_sources_validation_schedule(benchmark, results):
         elif row.retrieved_at > ZONEMD_VALIDATABLE_DATE + DAY:
             assert row.zonemd_status is ZonemdStatus.VALID
 
-    first = ZonemdAudit.first_validating_download(rows)
+    first = registry.get("zonemd_audit").first_validating_download(rows)
     assert first is not None
     print(f"first fully-validating download: {first.source} at "
           f"{format_ts(first.retrieved_at)} (paper: IANA 2023-12-06T20:30)")

@@ -9,9 +9,14 @@ as a flap process:
 * the pair draws a per-campaign expected change count from a lognormal
   around the letter/family target median (heavy tail: a few VPs see
   hundreds of changes, reproducing the Figure 3 long tail),
-* each measurement interval then flips the active route with the
-  corresponding per-interval probability; flips mostly bounce between the
-  best and second-best route, occasionally reaching deeper alternates.
+* each measurement interval then starts an *excursion* with the
+  corresponding per-interval probability: the route leaves the preferred
+  one for one to three rounds, mostly to the runner-up, occasionally to a
+  deeper alternate, and comes back.
+
+The route a pair uses in a round is a pure function of (client, address,
+round): :class:`~repro.netsim.epochs.PairEpochs` compiles the process,
+and :class:`ChurnModel` holds only its parameters.
 
 Targets for {b, g} × {v4, v6} are the paper's reported medians; the other
 letters interpolate by deployment size and the paper's observation that
@@ -21,19 +26,11 @@ letters interpolate by deployment size and the paper's observation that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.netsim.mix import (
-    mix64,
-    mix64_array,
-    mix64_prefix,
-    mix_float,
-    mix_float_array,
-    mix_str,
-)
+from repro.netsim.mix import mix64_array, mix64_prefix, mix_float_array, mix_str
 
 #: Target *median* total catchment changes per (letter, family) over the
 #: full 174-day / 30-minute-interval campaign (paper §4.2 for b and g;
@@ -61,30 +58,17 @@ REFERENCE_ROUNDS = 174 * 48
 PAIR_SIGMA = 1.5
 
 
-@dataclass
-class ChurnState:
-    """Mutable per-(client, address) flap state.
-
-    Routing excursions are short-lived: the preferred route disappears
-    for a couple of measurement intervals and comes back (away + back =
-    two observed changes).  ``excursion_left`` counts the remaining
-    displaced rounds.
-    """
-
-    excursion_prob: float
-    current_index: int = 0
-    excursion_left: int = 0
-
-
 class ChurnModel:
-    """Creates and advances per-pair churn state deterministically."""
+    """The churn process's parameters: the seed, the campaign length the
+    change targets are spread over, and each pair's excursion
+    probability.  It holds no per-pair state; :class:`~repro.netsim.
+    epochs.PairEpochs` compiles the process itself."""
 
     def __init__(self, seed: int, expected_rounds: int = REFERENCE_ROUNDS) -> None:
         if expected_rounds <= 0:
             raise ValueError(f"expected_rounds must be positive: {expected_rounds}")
         self.seed = seed
         self.expected_rounds = expected_rounds
-        self._states: Dict[Tuple[int, str], ChurnState] = {}
         self._address_hashes: Dict[str, int] = {}
 
     def address_hash(self, address: str) -> int:
@@ -106,29 +90,13 @@ class ChurnModel:
         # Each excursion contributes two observed changes (away, back).
         return min(0.4, expected_changes / (2.0 * self.expected_rounds))
 
-    def state_for(
-        self, client_id: int, address: str, letter: str, family: int
-    ) -> ChurnState:
-        """The (lazily created) churn state for one pair."""
-        key = (client_id, address)
-        if key not in self._states:
-            pair_hash = mix64(client_id, self.address_hash(address))
-            prob = self._excursion_prob(
-                letter,
-                family,
-                mix_float(self.seed, pair_hash, 1),
-                mix_float(self.seed, pair_hash, 2),
-            )
-            self._states[key] = ChurnState(excursion_prob=prob)
-        return self._states[key]
-
     def excursion_probs(
         self, pairs: Sequence[Tuple[int, str, str, int]]
     ) -> np.ndarray:
-        """``state_for(*pair).excursion_prob`` of every ``(client_id,
-        address, letter, family)`` pair, creating no state.  The uniforms
-        are hashed as arrays; the transform stays scalar ``math`` (numpy's
-        log/cos/exp differ from it in the last bits)."""
+        """The per-round excursion probability of every ``(client_id,
+        address, letter, family)`` pair.  The uniforms are hashed as
+        arrays; the transform stays scalar ``math`` (numpy's log/cos/exp
+        differ from it in the last bits)."""
         client = np.array([p[0] for p in pairs], dtype=np.int64)
         hashes = np.array([self.address_hash(p[1]) for p in pairs], dtype=np.uint64)
         pair_hash = mix64_array(mix64_array(mix64_prefix(), client), hashes)
@@ -142,38 +110,3 @@ class ChurnModel:
             ],
             dtype=np.float64,
         )
-
-    def select_index(
-        self,
-        client_id: int,
-        address: str,
-        letter: str,
-        family: int,
-        round_no: int,
-        n_candidates: int,
-    ) -> int:
-        """The candidate index the pair uses in measurement *round_no*.
-
-        Must be called with non-decreasing ``round_no`` per pair; each
-        call advances the flap process by one interval.
-        """
-        state = self.state_for(client_id, address, letter, family)
-        if n_candidates <= 1:
-            state.current_index = 0
-            return 0
-        if state.excursion_left > 0:
-            state.excursion_left -= 1
-            if state.excursion_left == 0:
-                state.current_index = 0
-        elif state.current_index == 0:
-            u = mix_float(self.seed, client_id, self.address_hash(address), round_no)
-            if u < state.excursion_prob:
-                # Excursion depth: mostly the runner-up; duration: short
-                # (1-3 rounds), so displaced time stays a sliver of the
-                # campaign even for flappy pairs.
-                depth_u = mix_float(self.seed, client_id, round_no, 7)
-                depth = 1 + int(depth_u * depth_u * (n_candidates - 1))
-                state.current_index = min(depth, n_candidates - 1)
-                duration_u = mix_float(self.seed, client_id, round_no, 11)
-                state.excursion_left = 1 + int(duration_u * 3.0)
-        return min(state.current_index, n_candidates - 1)

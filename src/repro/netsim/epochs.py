@@ -1,16 +1,18 @@
 """Route epochs: every pair's campaign compiled into constant-route runs.
 
 Between churn flips a (VP, service address) pair's route is static, so
-the per-round call chain ``RouteSelector.select`` → ``ChurnModel.
-select_index`` — tens of millions of dict lookups and hash mixes over a
-campaign — collapses into a handful of ``(round_start, round_end,
-candidate_index)`` *epochs* per pair.  The flap process in
-:class:`~repro.netsim.churn.ChurnModel` only ever leaves the preferred
+a pair's campaign is a handful of ``(round_start, round_end,
+candidate_index)`` *epochs*.  The churn process (parameters in
+:class:`~repro.netsim.churn.ChurnModel`) only ever leaves the preferred
 route on an excursion trigger, and triggers are sparse, so a pair's
 epochs are its *excursions* (``(t, t + duration, depth)``, one per
 accepted trigger) with implicit index-0 gap epochs between them: one
 epoch when the pair never flips, ``2k (+1)`` epochs for ``k``
-excursions.
+excursions.  This module is the churn process's only implementation:
+the campaign engine and the Atlas platform take whole ranges of rounds,
+and :func:`index_at` answers one pair at one round (the per-request
+``RouteSelector.select``), so route choice is a pure function of
+(client, address, round).
 
 :class:`PairEpochs` compiles the whole campaign of every pair at once,
 as flat arrays:
@@ -33,10 +35,11 @@ Between ranges the walk holds the raw trigger rounds (one int64 key
 each, all pairs in one array) and, per pair, a cursor, a resume round
 and the last excursion entered — never an epoch list; gap epochs are
 implicit and range views are not retained.  The index sequence is
-*identical* to calling ``select_index`` round by round — asserted by
+*identical* to stepping the per-pair churn state machine round by round
+— the test oracle in tests/netsim/epoch_oracle.py, checked by
 tests/netsim/test_epochs.py over the full candidate count / probability
-space — which is what lets the epoch-compiled campaign engine keep
-collector output byte-identical to the scalar prober.
+space — which is what keeps the epoch-compiled campaign engine's
+collector byte-identical to the scalar campaign oracle.
 """
 
 from __future__ import annotations
@@ -260,6 +263,20 @@ class PairEpochs:
         pair, start, end, index = pair[keep], start[keep], end[keep], index[keep]
         ptr = np.searchsorted(pair, np.arange(n_pairs + 1))
         return RangeEpochs(pair, start, end, index, ptr)
+
+
+def index_at(
+    churn: ChurnModel,
+    pair: Tuple[int, str, str, int],
+    round_no: int,
+    n_candidates: int,
+) -> int:
+    """The candidate index *pair* (``(client_id, address, letter,
+    family)``) uses in round *round_no*: the pair's walk through that
+    round, read at it.  Costs one pair's trigger scan over
+    ``round_no + 1`` rounds."""
+    walk = PairEpochs(churn, [pair], round_no + 1, [n_candidates])
+    return int(walk.take(round_no, round_no + 1).index[0])
 
 
 def _accept(

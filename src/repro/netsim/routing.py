@@ -4,8 +4,8 @@ For a client attachment and a root service address, build the candidate
 route set (peering routes via IXP memberships, country-scoped local
 sites, transit routes via each upstream), rank it BGP-style (peering
 beats transit — local preference; then upstream preference order; then
-shortest path), and let the churn model pick the active candidate per
-measurement round.
+shortest path), and let the churn process pick the active candidate per
+measurement round, as a pure function of (client, address, round).
 
 Candidate sets are static per (attachment, letter, family) key and are
 compiled as columns: :meth:`RouteSelector.table` ranks the candidates of
@@ -49,6 +49,7 @@ from repro.geo.cities import CITY_CATALOG, City
 from repro.geo.coords import haversine_km, nearest
 from repro.netsim.attachment import Attachment
 from repro.netsim.churn import ChurnModel
+from repro.netsim.epochs import index_at
 from repro.netsim.facilities import Facility
 from repro.netsim.mix import (
     ByteTable,
@@ -546,10 +547,11 @@ class RouteSelector:
         address: str,
         round_no: int,
     ) -> Route:
-        """The route (client, address) uses in measurement *round_no*."""
+        """The route (client, address) uses in measurement *round_no*: a
+        pure function of its arguments, whatever was asked before."""
         options = self.candidates(att, letter, family)
-        index = self.churn.select_index(
-            client_id, address, letter, family, round_no, len(options)
+        index = index_at(
+            self.churn, (client_id, address, letter, family), round_no, len(options)
         )
         return options[index]
 

@@ -33,7 +33,12 @@ class QueryOutcome:
 
 
 class RootNetworkClient:
-    """Queries root service addresses from one client network."""
+    """Queries root service addresses from one client network.
+
+    The client's query counter is its measurement round: the n-th query
+    or transfer (counting from 1) takes the route its (client, address)
+    pair uses in round n of the churn process.
+    """
 
     def __init__(
         self,

@@ -49,7 +49,8 @@ import logging
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.data.schema import DatasetError
 from repro.serving.cache import ResultCache, ResultKey
@@ -197,7 +198,7 @@ class AnalysisService:
         headers: Optional[Dict[str, str]],
     ) -> Response:
         query = query or {}
-        headers = {k.lower(): v for k, v in (headers or {}).items()}
+        headers = headers or {}
         parts = [part for part in path.split("/") if part]
 
         if method == "POST":
@@ -362,19 +363,27 @@ class AnalysisService:
         body = self.cache.get_or_compute(key, compute)
         return _json_response(200, body, ETag=self._etag(entry))
 
+    @cached_property
+    def _analysis_names(self) -> FrozenSet[str]:
+        """Every registered analysis name, read from the registry on the
+        first analysis request (the import stays off server start-up)."""
+        from repro.analysis import registry
+
+        return frozenset(registry.names())
+
     def _resource_compute(
         self, entry: CatalogEntry, kind: str, name: str
     ) -> Tuple[bool, Optional[object]]:
         """Whether *name* is a known resource, and the thunk producing
         its canonical bytes (run under the cache's single-flight)."""
         if kind == "analysis":
-            from repro.analysis import registry
-            from repro.analysis.summaries import analysis_json_bytes
-
-            if name not in registry.names():
+            if name not in self._analysis_names:
                 return False, None
 
             def analysis() -> bytes:
+                from repro.analysis import registry
+                from repro.analysis.summaries import analysis_json_bytes
+
                 dataset = entry.dataset()
                 missing = [
                     table for table in registry.tables_for(name)

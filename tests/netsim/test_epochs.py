@@ -1,18 +1,22 @@
-"""Epoch compilation must replay ChurnModel.select_index exactly."""
+"""Epoch compilation must replay the churn state machine exactly."""
 
 import numpy as np
 import pytest
 
 from repro.netsim.churn import ChurnModel, TARGET_MEDIAN_CHANGES
-from repro.netsim.epochs import CELL_BUDGET, PairEpochs
+from repro.netsim.epochs import CELL_BUDGET, PairEpochs, index_at
 
-from tests.netsim.epoch_oracle import compile_pair_epochs, epoch_change_count
+from tests.netsim.epoch_oracle import (
+    ChurnOracle,
+    compile_pair_epochs,
+    epoch_change_count,
+)
 
 
 def scalar_indices(seed, client_id, address, letter, family, n_rounds, n_candidates):
-    churn = ChurnModel(seed, expected_rounds=max(1, n_rounds))
+    oracle = ChurnOracle(ChurnModel(seed, expected_rounds=max(1, n_rounds)))
     return [
-        churn.select_index(client_id, address, letter, family, r, n_candidates)
+        oracle.select_index(client_id, address, letter, family, r, n_candidates)
         for r in range(n_rounds)
     ]
 
@@ -72,7 +76,7 @@ class TestEpochEquivalence:
         checked_flappy = 0
         for client_id in range(200):
             churn = ChurnModel(3, expected_rounds=100)
-            state = churn.state_for(client_id, "199.7.91.13", "g", 6)
+            state = ChurnOracle(churn).state_for(client_id, "199.7.91.13", "g", 6)
             if state.excursion_prob > 0.2:
                 checked_flappy += 1
                 want = scalar_indices(3, client_id, "199.7.91.13", "g", 6, 300, 7)
@@ -132,7 +136,8 @@ class TestEpochEquivalence:
         checked = 0
         for client_id in range(200):
             churn = ChurnModel(3, expected_rounds=100)
-            if churn.state_for(client_id, "199.7.91.13", "g", 6).excursion_prob > 0.2:
+            state = ChurnOracle(churn).state_for(client_id, "199.7.91.13", "g", 6)
+            if state.excursion_prob > 0.2:
                 checked += 1
                 want = compile_pair_epochs(
                     ChurnModel(3, expected_rounds=300),
@@ -179,12 +184,24 @@ class TestEpochEquivalence:
     def test_compilation_does_not_advance_state(self):
         """Compiling then selecting must equal selecting alone."""
         churn = ChurnModel(9, expected_rounds=200)
-        compile_pair_epochs(churn, 3, "192.58.128.30", "j", 4, 200, 5)
-        single_pair(churn, 3, "192.58.128.30", "j", 4, 200, 5).take(0, 200)
-        via_shared = [
-            churn.select_index(3, "192.58.128.30", "j", 4, r, 5) for r in range(200)
-        ]
-        assert via_shared == scalar_indices(9, 3, "192.58.128.30", "j", 4, 200, 5)
+        pair = (3, "192.58.128.30", "j", 4)
+        compile_pair_epochs(churn, *pair, 200, 5)
+        single_pair(churn, *pair, 200, 5).take(0, 200)
+        via_shared = [index_at(churn, pair, r, 5) for r in range(200)]
+        assert via_shared == scalar_indices(9, *pair, 200, 5)
+
+    def test_index_at_ignores_what_was_asked_before(self):
+        """One-round lookups in any order equal the state machine
+        stepped through every round."""
+        churn = ChurnModel(3, expected_rounds=60)
+        displaced = 0
+        for client_id in range(40):
+            pair = (client_id, "199.7.91.13", "g", 6)
+            want = scalar_indices(3, *pair, 60, 7)
+            for r in (59, 0, 31, 30, 7, 58):
+                assert index_at(churn, pair, r, 7) == want[r], (client_id, r)
+                displaced += want[r] != 0
+        assert displaced > 0, "no lookup landed in an excursion"
 
 
 class TestPairBatch:

@@ -5,9 +5,12 @@ import pytest
 from repro.geo.cities import city
 from repro.netsim.attachment import Attachment
 from repro.netsim.churn import ChurnModel
+from repro.netsim.epochs import index_at
 from repro.netsim.routing import LETTER_ASN, RouteSelector
 from repro.netsim.topology import NetworkFabric
 from repro.netsim.transit import OPEN_V6_TRANSIT, SA_V4_TRANSIT, TRANSIT_CATALOG
+
+from tests.netsim.epoch_oracle import ChurnOracle
 
 
 @pytest.fixture(scope="module")
@@ -159,14 +162,13 @@ class TestChurn:
         ]
         churn = ChurnModel(seed=7, expected_rounds=500)
         got = churn.excursion_probs(pairs).tolist()
-        assert not churn._states  # reads no state, creates none
-        fresh = ChurnModel(seed=7, expected_rounds=500)
-        assert got == [fresh.state_for(*pair).excursion_prob for pair in pairs]
+        oracle = ChurnOracle(ChurnModel(seed=7, expected_rounds=500))
+        assert got == [oracle.state_for(*pair).excursion_prob for pair in pairs]
 
     def test_single_candidate_never_changes(self):
         churn = ChurnModel(seed=1, expected_rounds=100)
         for rnd in range(100):
-            assert churn.select_index(1, "addr", "b", 4, rnd, 1) == 0
+            assert index_at(churn, (1, "addr", "b", 4), rnd, 1) == 0
 
     def test_rejects_bad_rounds(self):
         with pytest.raises(ValueError):

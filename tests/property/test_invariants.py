@@ -12,9 +12,12 @@ from repro.dns.records import ResourceRecord
 from repro.dnssec.zonemd import compute_zone_digest
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.netsim.churn import ChurnModel
+from repro.netsim.epochs import PairEpochs
 from repro.netsim.mix import mix_float
 from repro.util.stats import Ecdf, percentile
 from repro.zone.serial import SERIAL_MODULO, serial_add, serial_compare
+
+from tests.netsim.epoch_oracle import ChurnOracle
 
 serial_st = st.integers(0, SERIAL_MODULO - 1)
 small_inc = st.integers(0, (1 << 31) - 1)
@@ -105,6 +108,22 @@ class TestStatsProperties:
         assert ecdf.cdf(x) + ecdf.ccdf(x) == 1.0
 
 
+def churn_indices(model, pair, n_rounds, n_candidates):
+    """The pair's candidate index per round from the runtime epoch walk,
+    checked against the stepped state machine oracle."""
+    view = PairEpochs(model, [pair], n_rounds, [n_candidates]).take(0, n_rounds)
+    indices = []
+    for start, end, index in zip(
+        view.start.tolist(), view.end.tolist(), view.index.tolist()
+    ):
+        indices += [index] * (end - start)
+    oracle = ChurnOracle(model)
+    assert indices == [
+        oracle.select_index(*pair, rnd, n_candidates) for rnd in range(n_rounds)
+    ]
+    return indices
+
+
 class TestChurnProperties:
     @given(
         st.integers(0, 10_000),
@@ -114,8 +133,8 @@ class TestChurnProperties:
     @settings(max_examples=30, deadline=None)
     def test_index_always_in_range(self, client_id, n_candidates, rounds):
         model = ChurnModel(seed=1, expected_rounds=rounds)
-        for rnd in range(min(rounds, 200)):
-            index = model.select_index(client_id, "1.2.3.4", "g", 6, rnd, n_candidates)
+        pair = (client_id, "1.2.3.4", "g", 6)
+        for index in churn_indices(model, pair, min(rounds, 200), n_candidates):
             assert 0 <= index < n_candidates
 
     @given(st.integers(0, 1000))
@@ -124,9 +143,7 @@ class TestChurnProperties:
         model = ChurnModel(seed=9, expected_rounds=8352)
         # The flap probability is capped; round 0 overwhelmingly starts
         # at index 0, and after enough rounds the index returns there.
-        indices = [
-            model.select_index(client_id, "x", "b", 4, rnd, 5) for rnd in range(100)
-        ]
+        indices = churn_indices(model, (client_id, "x", "b", 4), 100, 5)
         assert indices.count(0) >= 50
 
 

@@ -107,7 +107,7 @@ class TestRoutes:
         etag = service.handle("GET", path).headers["ETag"]
         for _ in range(3):
             assert service.handle(
-                "GET", path, headers={"If-None-Match": etag}
+                "GET", path, headers={"if-none-match": etag}
             ).status == 304
 
         def broken():
@@ -154,7 +154,7 @@ class TestConditionalRequests:
         assert etag.startswith('"study:')
         again = service.handle(
             "GET", "/datasets/mini/analyses/stability",
-            headers={"If-None-Match": etag},
+            headers={"if-none-match": etag},
         )
         assert again.status == 304
         assert again.body == b""
@@ -163,7 +163,7 @@ class TestConditionalRequests:
     def test_stale_etag_gets_full_body(self, service):
         response = service.handle(
             "GET", "/datasets/mini/analyses/stability",
-            headers={"If-None-Match": '"study:old:final:0:0"'},
+            headers={"if-none-match": '"study:old:final:0:0"'},
         )
         assert response.status == 200
         assert response.body
@@ -260,7 +260,7 @@ class TestStdlibServer:
             # keep-alive: second request on the same connection, now 304
             conn.request(
                 "GET", "/datasets/mini/analyses/stability",
-                headers={"If-None-Match": etag},
+                headers={"if-none-match": etag},
             )
             response = conn.getresponse()
             assert response.status == 304

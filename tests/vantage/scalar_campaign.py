@@ -6,7 +6,8 @@ columnar blocks.  This module states the same campaign one cell at a
 time: each round first applies the fault plan's stale-site windows to
 the world's zone distributor, then every VP probes every service address
 over the scalar route oracle (``tests/netsim/scalar_routes.py``) and the
-churn model's ``select_index``, and records row by row through a
+churn state machine oracle (``tests/netsim/epoch_oracle.py``), and
+records row by row through a
 :class:`~tests.vantage.row_collector.RowRecorder` (which writes the
 rows into a :class:`~repro.vantage.collector.CampaignCollector` through
 its block API), serving a real AXFR for every sampled or faulted
@@ -31,6 +32,7 @@ from repro.util.timeutil import Timestamp
 from repro.vantage.collector import CampaignCollector, TransferObservation
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import QUERIES_PER_ADDRESS, STLH_MISSING_PROB, Prober
+from tests.netsim.epoch_oracle import ChurnOracle
 from tests.netsim.scalar_routes import ScalarRoutes
 from tests.vantage.row_collector import RowRecorder
 
@@ -46,6 +48,7 @@ def run_scalar_campaign(config: StudyConfig) -> CampaignCollector:
     platform = build_platform(config, world)
     prober = platform.prober
     routes = ScalarRoutes(prober.fabric)
+    churn = ChurnOracle(prober.selector.churn)
     recorder = RowRecorder()
     frozen: Dict[str, bool] = {}
     world.distributor.reset_faults()
@@ -53,7 +56,7 @@ def run_scalar_campaign(config: StudyConfig) -> CampaignCollector:
         for round_no, ts in enumerate(platform.schedule.rounds()):
             _apply_stale_events(prober, frozen, ts)
             for vp in platform.vps:
-                _run_round(prober, routes, recorder, vp, round_no, ts)
+                _run_round(prober, routes, churn, recorder, vp, round_no, ts)
             recorder.collector.rounds_processed += 1
     finally:
         world.distributor.reset_faults()
@@ -78,6 +81,7 @@ def _apply_stale_events(prober: Prober, frozen: Dict[str, bool], ts: Timestamp) 
 def _run_round(
     prober: Prober,
     routes: ScalarRoutes,
+    churn: ChurnOracle,
     recorder: RowRecorder,
     vp: VantagePoint,
     round_no: int,
@@ -94,7 +98,7 @@ def _run_round(
     for addr_idx, sa in enumerate(collector.addresses):
         options = routes.candidates(vp.attachment, sa.letter, sa.family)
         route = options[
-            prober.selector.churn.select_index(
+            churn.select_index(
                 vp.vp_id, sa.address, sa.letter, sa.family, round_no, len(options)
             )
         ]

@@ -13,13 +13,8 @@ from repro.vantage.atlas import BUILTIN_INTERVALS, AtlasPlatform
 ATLAS_FINGERPRINT = "32bb2e51870769b76086a61f3e0f50700a589c361c6eb60a0fde78f8ec37002a"
 
 
-@pytest.fixture(scope="module")
-def atlas_run(mini_study, mini_pipeline):
-    # A fresh churn model: the shared selector's per-pair flap state
-    # depends on what earlier tests asked of it.
-    shared = mini_pipeline.platform.selector
-    selector = shared.fabric.selector(shared.churn.seed, shared.churn.expected_rounds)
-    platform = AtlasPlatform(selector)
+def _run(mini_study, mini_pipeline):
+    platform = AtlasPlatform(mini_pipeline.platform.selector)
     return platform.run(
         mini_study.vps[:10],
         mini_study.collector.addresses,
@@ -27,6 +22,11 @@ def atlas_run(mini_study, mini_pipeline):
         parse_ts("2023-11-23"),
         interval_scale=12.0,
     )
+
+
+@pytest.fixture(scope="module")
+def atlas_run(mini_study, mini_pipeline):
+    return _run(mini_study, mini_pipeline)
 
 
 def _fingerprint(result) -> str:
@@ -81,3 +81,8 @@ class TestBuiltins:
         assert sum(map(len, atlas_run.identities.values())) == 266
         assert len(atlas_run.change_counts) == 260
         assert atlas_run.queries == 31200
+
+    def test_rerun_on_one_selector_is_identical(
+        self, atlas_run, mini_study, mini_pipeline
+    ):
+        assert _fingerprint(_run(mini_study, mini_pipeline)) == _fingerprint(atlas_run)

@@ -98,7 +98,8 @@ class TestFastPathVsFullFidelity:
         vps_by_id = {vp.vp_id: vp for vp in study.vps}
         sites_by_key = self._sites_by_key(study)
 
-        picks = np.linspace(0, len(cols["vp"]) - 1, 8).astype(int)
+        picks = np.linspace(0, len(cols["vp"]) - 1, 8).astype(int).tolist()
+        picks.append(self._mid_excursion_row(study, pipeline, round_of))
         for i in picks:
             vp = vps_by_id[int(cols["vp"][i])]
             sa = collector.addresses[int(cols["addr"][i])]
@@ -109,6 +110,32 @@ class TestFastPathVsFullFidelity:
             answer = responses["CH TXT hostname.bind"].answers[0]
             wire_identity = b"".join(answer.rdata.strings).decode()
             assert wire_identity == sites_by_key[recorded_key].identity()
+
+    @staticmethod
+    def _mid_excursion_row(study, pipeline, round_of):
+        """A probe row inside an excursion that began in an earlier round:
+        its pair was on the same displaced site one round before."""
+        collector = study.collector
+        cols = collector.probe_columns()
+        rows = zip(
+            cols["vp"].tolist(), cols["addr"].tolist(), cols["ts"].tolist(),
+            cols["site"].tolist(),
+        )
+        site_at = {}
+        for i, (vp_id, addr, ts, site) in enumerate(rows):
+            site_at[vp_id, addr, round_of[ts]] = (i, site)
+        vps_by_id = {vp.vp_id: vp for vp in study.vps}
+        for (vp_id, addr, round_no), (i, site) in site_at.items():
+            before = site_at.get((vp_id, addr, round_no - 1))
+            if before is None or before[1] != site:
+                continue
+            sa = collector.addresses[addr]
+            best = pipeline.platform.selector.best(
+                vps_by_id[vp_id].attachment, sa.letter, sa.family
+            )
+            if collector.sites.values[site] != best.site.key:
+                return i
+        raise AssertionError("no probe row inside a multi-round excursion")
 
     def test_recorded_transfers_match_served_serial(self, study, pipeline):
         """A clean fast-path transfer observation records the serial the
