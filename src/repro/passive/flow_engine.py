@@ -3,38 +3,39 @@
 The capture model is stated most plainly as a ``clients x buckets x
 addresses`` triple loop; at paper scale that is millions of pure-Python
 iterations, each paying a :func:`~repro.netsim.mix.mix_float` call.
-This module evaluates the identical model as numpy kernels over a
-``(bucket x client)`` grid, one service address at a time:
+This module evaluates the identical model as numpy kernels, one
+``(bucket x member x client)`` grid per client block, over a capture
+group: the ISP alone, or one region's exchanges stacked on the client
+axis (:func:`capture_group`, each with its own seed prefix):
 
-* the client population compiles once into :class:`ClientColumns`
-  (volumes, family availability, behaviour codes, adoption timestamps,
-  prefix ids),
+* each population compiles once into :class:`ClientColumns`,
 * the splitmix64 noise/tester/sampling draws use the array mixer forms
   (:func:`~repro.netsim.mix.mix64_array`), which are bit-identical to
-  the scalar chain element-wise,
+  the scalar chain element-wise; only cells with ``0 < sampled < 1``
+  draw the sampling hash,
 * diurnal scaling, :class:`~repro.passive.isp.TrafficDip` windows, the
   b.root renumbering cutover and per-behaviour letter weights are
-  ``np.where`` selections over the grid,
-* per-``(bucket, address)`` flow totals and per-client totals reduce
-  with ``np.cumsum`` (strictly left-to-right, exactly the accumulation
-  order of the triple loop; ``np.sum`` would pairwise-group and drift
-  in the last bits).
+  multiplies and ``np.where`` selections over the grid,
+* every sum — flows over clients, over buckets, over a region's
+  exchanges — runs left to right as ``np.add.reduce`` along the *outer*
+  axis of a C-contiguous grid (:func:`_fold`), never along the
+  contiguous axis, where numpy sums pairwise and drifts in the last bits.
 
 The kernel emits the aggregate's two sorted column tables directly
-(:class:`~repro.passive.traces.FlowAggregate`): flow rows by (bucket,
-address), client rows by (address, prefix rank), with ranks from one
-sort of the population's prefix strings.  The result is
-**byte-identical** to the triple loop: same rows, same float bit
-patterns, same distinct-client counts.  The loop itself is test-only
-(``tests/passive/scalar_capture.py``); ``tests/passive/test_flow_engine.py``
-pins the equivalence for the ISP and all 14 IXP captures, with and
-without dips, across the renumbering boundary.
+(:class:`~repro.passive.traces.FlowAggregate`), with a region's merge
+folded in.  The result is **byte-identical** to the triple loop: same
+rows, same float bit patterns, same distinct-client counts.  The loop
+itself is test-only (``tests/passive/scalar_capture.py``);
+``tests/passive/test_flow_engine.py`` pins the equivalence for the ISP
+and all 14 IXP captures, with and without dips, across the renumbering
+boundary, ``tests/passive/test_stacked_capture.py`` the stacked regions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,12 +47,15 @@ from repro.util.timeutil import DAY, HOUR, Timestamp
 
 _TWO64 = float(1 << 64)
 
-#: Client-axis block width of the capture grid.  Every (bucket x client)
-#: intermediate is bounded by ``n_buckets x FLOW_CLIENT_BLOCK`` cells, so
-#: peak memory is O(block) in the population size; the per-bucket flow
-#: totals chain across blocks through an exact carry-in cumsum, keeping
-#: the output byte-identical for every block width.
-FLOW_CLIENT_BLOCK = 1 << 16
+#: Cells per default block of the (bucket x member x client) grid: every
+#: intermediate stays in cache, and memory is O(block) in the population.
+#: Any block width gives the same bytes (per-bucket totals chain exactly).
+FLOW_BLOCK_CELLS = 1 << 15
+
+#: Every capture parameter but the seed and the population.
+_PARAMS = attrgetter(
+    "addresses", "letter_weights", "dips", "noise_fraction", "sampling_rate"
+)
 
 
 @dataclass(frozen=True)
@@ -117,15 +121,13 @@ def capture_vectorized(
     """Evaluate one :class:`~repro.passive.isp.IspCapture` window as
     array kernels; byte-identical to the scalar triple loop.
 
-    The grid is evaluated ``client_block`` clients at a time (default
-    :data:`FLOW_CLIENT_BLOCK`), so peak memory stays O(block) rather
-    than O(population): per-bucket totals continue across blocks through
-    an exact carry-in cumsum, counts add exactly, and the per-client
-    reductions never cross a block.  Any block width produces the same
-    bytes — ``tests/passive/test_flow_engine.py`` pins a tiny width
-    against the default and the scalar oracle.
+    The grid is evaluated ``client_block`` clients at a time (by default
+    about :data:`FLOW_BLOCK_CELLS` cells per block), so peak memory
+    stays O(block) rather than O(population).  Any block width produces
+    the same bytes — ``tests/passive/test_flow_engine.py`` pins a tiny
+    width against the default and the scalar oracle.
     """
-    return _capture(capture, start, end, bucket_seconds, client_block, False)[0]
+    return capture_group([capture], start, end, bucket_seconds, client_block)
 
 
 def capture_with_membership(
@@ -138,27 +140,77 @@ def capture_with_membership(
     """:func:`capture_vectorized` plus the capture's kept cells, which a
     regional merge (:func:`~repro.passive.traces.merge_captures`) needs
     to count distinct clients across exchanges."""
-    return _capture(capture, start, end, bucket_seconds, client_block, True)
+    return _capture([capture], start, end, bucket_seconds, client_block, True)
+
+
+def capture_group(
+    captures: Sequence,
+    start: Timestamp,
+    end: Timestamp,
+    bucket_seconds: int,
+    client_block: Optional[int] = None,
+) -> FlowAggregate:
+    """One aggregate over a capture group (one region's exchanges),
+    byte-identical to :func:`~repro.passive.traces.merge_captures` over
+    the members' single captures.  Members share every capture
+    parameter but seed and population, and their prefixes line up by
+    client index, so a row's distinct clients are the indices kept at
+    any member."""
+    if not captures:
+        return FlowAggregate(bucket_seconds)
+    return _capture(captures, start, end, bucket_seconds, client_block, False)[0]
 
 
 def _prefix_codes(
-    prefixes: Dict[int, Tuple[Optional[str], ...]],
+    columns: Sequence[ClientColumns], n: int
 ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-    """The population's sorted prefix table (one sort of every prefix
-    string) and per family each client's code in it (-1: no prefix)."""
-    n = len(prefixes[4])
-    values = np.concatenate(
-        [np.array([p or "" for p in prefixes[f]], dtype=str) for f in (4, 6)]
-    )
-    table, codes = np.unique(values, return_inverse=True)
+    """The group's sorted prefix table (one sort of every member's
+    prefix strings) and per family the code at each client index (-1:
+    no prefix at any member).  Members must agree on each index's
+    prefix, and hold each prefix at one index only."""
+    parts = [
+        np.array([p or "" for p in member.prefixes[f]], dtype=str)
+        for f in (4, 6)
+        for member in columns
+    ]
+    table, codes = np.unique(np.concatenate(parts), return_inverse=True)
     if len(table) and table[0] == "":
         table, codes = table[1:], codes - 1
-    v4, v6 = np.split(codes.astype(np.int32), [n])
-    return table, {4: v4, 6: v6}
+    split = np.split(codes.astype(np.int32), np.cumsum([len(p) for p in parts])[:-1])
+    out = {}
+    for family, rows in ((4, split[: len(columns)]), (6, split[len(columns) :])):
+        stacked = _stacked(rows, 0, n, -1)
+        out[family] = column = stacked.max(axis=0)
+        if len(rows) > 1 and (
+            np.any((stacked != column) & (stacked >= 0))
+            or np.bincount(column[column >= 0]).max(initial=0) > 1
+        ):
+            raise ValueError("a capture group's prefixes must line up by client index")
+    return table, out
+
+
+def _stacked(arrays: Sequence[np.ndarray], lo: int, hi: int, fill) -> np.ndarray:
+    """Rows ``lo:hi`` of each member's column, one member per row,
+    padded with *fill* past a member's last client."""
+    out = np.full((len(arrays), hi - lo), fill, dtype=arrays[0].dtype)
+    for row, column in zip(out, arrays):
+        row[: max(0, min(hi, len(column)) - lo)] = column[lo:hi]
+    return out
+
+
+def _fold(grid: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over axis 0.  ``np.add.reduce`` along the outer
+    axis of a C-contiguous grid adds whole rows in order; along the
+    contiguous axis — where a single column puts it — numpy sums
+    pairwise, so that case takes a ``cumsum``."""
+    grid = np.ascontiguousarray(grid)
+    if grid[0].size > 1:
+        return np.add.reduce(grid, axis=0)
+    return np.cumsum(grid, axis=0)[-1]
 
 
 def _capture(
-    capture,
+    captures: Sequence,
     start: Timestamp,
     end: Timestamp,
     bucket_seconds: int,
@@ -171,18 +223,23 @@ def _capture(
         V6_TRAFFIC_SHARE,
     )
 
-    columns: ClientColumns = capture.client_columns()
-    n = len(columns)
-    block = FLOW_CLIENT_BLOCK if client_block is None else client_block
-    if block <= 0:
-        raise ValueError(f"client_block must be positive, got {block}")
+    if client_block is not None and client_block <= 0:
+        raise ValueError(f"client_block must be positive, got {client_block}")
+    point = captures[0]
+    if any(_PARAMS(capture) != _PARAMS(point) for capture in captures):
+        raise ValueError("a capture group shares every parameter but seed and clients")
+    columns: List[ClientColumns] = [capture.client_columns() for capture in captures]
+    n = max(len(member) for member in columns)
+    prefix_table, client_codes = _prefix_codes(columns, n)
+
     buckets: List[Timestamp] = list(
         range(start - start % bucket_seconds, end, bucket_seconds)
     )
     n_buckets = len(buckets)
-
-    bucket_u64 = np.array(buckets, dtype=np.uint64).reshape(-1, 1)
-    bucket_i64 = np.array(buckets, dtype=np.int64).reshape(-1, 1)
+    cells_per_client = max(1, n_buckets * len(captures))
+    block = client_block or max(1, FLOW_BLOCK_CELLS // cells_per_client)
+    bucket_u64 = np.array(buckets, dtype=np.uint64).reshape(-1, 1, 1)
+    bucket_i64 = np.array(buckets, dtype=np.int64).reshape(-1, 1, 1)
     if bucket_seconds < DAY:
         # Diurnal factor is a pure function of the bucket timestamp;
         # computed in Python floats exactly as the scalar oracle does.
@@ -194,63 +251,63 @@ def _capture(
                 for bucket in buckets
             ],
             dtype=np.float64,
-        ).reshape(-1, 1)
+        ).reshape(-1, 1, 1)
     else:
         factors = None
 
-    addresses = capture.addresses
-    # Letter weight with dips and capture noise, per (address, bucket) —
+    addresses = point.addresses
+    # Letter weight with dips and capture noise, per (letter, bucket) —
     # pure Python floats, matching the scalar multiply order.
-    weight_cols: Dict[str, np.ndarray] = {}
-    for sa in addresses:
+    weights: Dict[str, np.ndarray] = {}
+    for letter in dict.fromkeys(sa.letter for sa in addresses):
         per_bucket_weight = []
         for bucket in buckets:
-            weight = capture.letter_weights[sa.letter]
-            for dip in capture.dips:
-                weight *= dip.scale(sa.letter, bucket)
-            weight *= 1.0 + capture.noise_fraction
+            weight = point.letter_weights[letter]
+            for dip in point.dips:
+                weight *= dip.scale(letter, bucket)
+            weight *= 1.0 + point.noise_fraction
             per_bucket_weight.append(weight)
-        weight_cols[sa.address] = np.array(
-            per_bucket_weight, dtype=np.float64
-        ).reshape(-1, 1)
+        weights[letter] = np.array(per_bucket_weight).reshape(-1, 1, 1)
+    seeds = np.array(
+        [mix64_prefix(capture.seed) for capture in captures], dtype=np.uint64
+    ).reshape(-1, 1)
 
-    prefix_table, client_codes = _prefix_codes(columns.prefixes)
-
-    # Cross-block accumulators, per address: the running left-to-right
-    # flow total and kept-client count per bucket, the per-client rows
-    # of every block, and the kept cells if asked.
-    bucket_totals = np.zeros((n_buckets, len(addresses)), dtype=np.float64)
-    bucket_counts = np.zeros((n_buckets, len(addresses)), dtype=np.int64)
+    # Cross-block accumulators: per (address, bucket, member) the running
+    # flow total, per (bucket, address) the distinct kept clients, per
+    # address the client rows of every block, and the kept cells if asked.
+    totals = np.zeros((len(addresses), n_buckets, len(captures)), dtype=np.float64)
+    counts = np.zeros((n_buckets, len(addresses)), dtype=np.int64)
     client_rows: List[List[Dict[str, np.ndarray]]] = [[] for _ in addresses]
     cell_parts: List[Dict[str, np.ndarray]] = []
 
     for c_lo in range(0, n, block):
         c_hi = min(c_lo + block, n)
+
+        def stacked(column, fill):
+            return _stacked([column(member) for member in columns], c_lo, c_hi, fill)
+
+        # The grid is (bucket x member x client); padding clients have
+        # zero volume, so they never keep a cell.
+        volumes = stacked(lambda m: m.volumes, 0.0)
+        has_v6 = stacked(lambda m: m.has_v6, False)
+        adoption_ts = stacked(lambda m: m.adoption_ts, 0)
         # Per-client mixer state after absorbing (seed, client_id);
         # every scalar mix_float(seed, client_id, ...) continues here.
-        state_client = mix64_array(
-            mix64_prefix(capture.seed), columns.client_ids[c_lo:c_hi]
-        )
-        tester_row = (
-            (mix64_array(state_client, np.uint64(4242)) / _TWO64) < TESTER_FRACTION
-        ).reshape(1, -1)
+        state_client = mix64_array(seeds, stacked(lambda m: m.client_ids, 0))
+        tester = (mix64_array(state_client, np.uint64(4242)) / _TWO64) < TESTER_FRACTION
 
-        # (bucket x client-block) mixer states and bucket noise.
-        state_cb = mix64_array(state_client.reshape(1, -1), bucket_u64)
+        # (bucket x member x client) mixer states and bucket noise.
+        state_cb = mix64_array(state_client, bucket_u64)
         noise = 0.7 + 0.6 * (state_cb / _TWO64)
 
-        base = columns.volumes[c_lo:c_hi] * bucket_seconds / DAY
-        if factors is not None:
-            flows = (base.reshape(1, -1) * factors) * noise
-        else:
-            flows = base.reshape(1, -1) * noise
+        base = volumes * bucket_seconds / DAY
+        flows = (base * factors) * noise if factors is not None else base * noise
 
         adopted = {
-            family: columns.switchish[family][c_lo:c_hi].reshape(1, -1)
-            & (bucket_i64 >= columns.adoption_ts[c_lo:c_hi].reshape(1, -1))
+            family: stacked(lambda m: m.switchish[family], False)
+            & (bucket_i64 >= adoption_ts)
             for family in (4, 6)
         }
-        has_v6 = columns.has_v6[c_lo:c_hi]
         family_share = {
             4: np.where(has_v6, 1.0 - V6_TRAFFIC_SHARE, 1.0),
             6: np.where(has_v6, V6_TRAFFIC_SHARE, 0.0),
@@ -258,82 +315,88 @@ def _capture(
         state_cbf = {
             family: mix64_array(state_cb, np.uint64(family)) for family in (4, 6)
         }
+        # Client-major copy of one address's cells, row 0 the running
+        # bucket totals, so one fold continues each member's chain.
+        chained = np.empty((c_hi - c_lo + 1, n_buckets, len(captures)))
 
         for a, sa in enumerate(addresses):
             family = sa.family
-            amount = (flows * weight_cols[sa.address]) * family_share[
-                family
-            ].reshape(1, -1)
+            amount = flows * weights[sa.letter]
+            amount *= family_share[family]
             if sa.generation == "new":
                 amount = np.where(
                     adopted[family],
                     amount,
-                    np.where(tester_row, amount * TESTER_TRAFFIC_SHARE, 0.0),
+                    np.where(tester, amount * TESTER_TRAFFIC_SHARE, 0.0),
                 )
             elif sa.generation == "old":
                 amount = np.where(
                     adopted[family],
                     np.where(
-                        columns.primer[family][c_lo:c_hi].reshape(1, -1),
+                        stacked(lambda m: m.primer[family], False),
                         np.minimum(amount * 0.05, 0.5),
                         0.0,
                     ),
-                    np.where(
-                        tester_row, amount * (1.0 - TESTER_TRAFFIC_SHARE), amount
-                    ),
+                    np.where(tester, amount * (1.0 - TESTER_TRAFFIC_SHARE), amount),
                 )
 
-            sampled = amount * capture.sampling_rate
-            address_hash = mix_str(sa.address) & 0xFFFF
-            drop = mix64_array(state_cbf[family], np.uint64(address_hash)) / _TWO64
-            kept = (amount > 0.0) & ((sampled >= 1.0) | (drop <= sampled))
-            contributions = np.where(kept, np.maximum(sampled, 1.0), 0.0)
+            # Only a trickle (0 < sampled < 1) draws the drop hash.
+            sampled = amount * point.sampling_rate
+            kept = sampled >= 1.0
+            trickle = np.flatnonzero((sampled < 1.0) & (amount > 0.0))
+            address_hash = np.uint64(mix_str(sa.address) & 0xFFFF)
+            drop = mix64_array(state_cbf[family].reshape(-1)[trickle], address_hash)
+            kept.reshape(-1)[trickle] = drop / _TWO64 <= sampled.reshape(-1)[trickle]
+            contributions = np.maximum(sampled, 1.0)
+            contributions *= kept
 
-            # cumsum reduces strictly left-to-right; seeding it with the
-            # previous blocks' running total continues that exact chain,
-            # so the final bits match the unblocked grid (and the oracle).
-            bucket_totals[:, a] = np.cumsum(
-                np.concatenate([bucket_totals[:, a : a + 1], contributions], axis=1),
-                axis=1,
-            )[:, -1]
-            bucket_counts[:, a] += np.count_nonzero(kept, axis=1)
+            chained[0] = totals[a]
+            chained[1:] = contributions.transpose(2, 0, 1)
+            totals[a] = _fold(chained)
+            seen = kept.any(axis=1)
+            counts[:, a] += np.count_nonzero(seen, axis=1)
 
-            client_totals = np.cumsum(contributions, axis=0)[-1, :]
-            client_days = np.count_nonzero(kept, axis=0)
+            # Per client: flows over buckets, then over members in order;
+            # active days take the maximum over members.
+            client_flows = _fold(_fold(contributions))
+            client_days = np.count_nonzero(kept, axis=0).max(axis=0)
             nz = np.flatnonzero(client_days)
             client_rows[a].append(
                 {
                     "prefix": client_codes[family][nz + c_lo],
-                    "flows": client_totals[nz],
-                    "days": client_days[nz],
+                    "flows": client_flows[nz],
+                    "days": client_days[nz].astype(np.int32),
                 }
             )
             if keep_cells:
-                b_idx, c_idx = np.nonzero(kept)
+                b_idx, c_idx = np.nonzero(seen)
                 cell_parts.append(
                     {
-                        "bucket": bucket_i64[b_idx, 0],
+                        "bucket": bucket_i64[b_idx, 0, 0],
                         "addr": np.full(len(b_idx), a, dtype=np.int16),
                         "prefix": client_codes[family][c_idx + c_lo],
                     }
                 )
 
-    # Flow table: row-major over (bucket, address), so already sorted.
-    b_idx, a_idx = np.nonzero(bucket_counts)
+    # Flow table: members fold in order; row-major over (bucket,
+    # address), so already sorted.
+    bucket_flows = _fold(np.ascontiguousarray(totals.transpose(2, 1, 0)))
+    b_idx, a_idx = np.nonzero(counts)
     flow_table = {
-        "bucket": bucket_i64[b_idx, 0],
+        "bucket": bucket_i64[b_idx, 0, 0],
         "addr": a_idx,
-        "flows": bucket_totals[b_idx, a_idx],
-        "clients": bucket_counts[b_idx, a_idx],
+        "flows": bucket_flows[b_idx, a_idx],
+        "clients": counts[b_idx, a_idx],
     }
 
     # Client table: address-major, then prefix rank (the table is sorted).
     client_parts: List[Dict[str, np.ndarray]] = []
     for a, rows in enumerate(client_rows):
         part = stitch_columns(("prefix", "flows", "days"), rows)
+        rows.clear()  # at 10**6 clients the client table sets peak memory
         order = np.argsort(part["prefix"])
         client_parts.append(
-            {"addr": np.full(len(order), a)}
+            {"addr": np.full(len(order), a, dtype=np.int16)}
             | {name: column[order] for name, column in part.items()}
         )
     aggregate = FlowAggregate.from_columns(

@@ -11,7 +11,7 @@ Fig. 13).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.geo.continents import Continent
 from repro.netsim.facilities import Ixp, IXP_CATALOG, PASSIVE_IXP_IDS
@@ -24,7 +24,7 @@ from repro.passive.clients import (
 )
 from repro.netsim.mix import mix_str
 from repro.passive.isp import IspCapture
-from repro.passive.traces import FlowAggregate, TrafficTimeSeries, merge_captures
+from repro.passive.traces import FlowAggregate, TrafficTimeSeries
 from repro.util.rng import RngFactory
 from repro.util.timeutil import DAY, Timestamp
 
@@ -61,16 +61,21 @@ def build_ixp_captures(
     sampling_rate: float = 0.1,
     eu_profile: PopulationProfile = IXP_EU_PROFILE,
     na_profile: PopulationProfile = IXP_NA_PROFILE,
+    region: Optional[Continent] = None,
 ) -> List[IxpCapture]:
-    """The 14 passive IXP vantage points with region-specific behaviour.
+    """The 14 passive IXP vantage points with region-specific behaviour,
+    or only *region*'s exchanges.
 
     The regional profiles default to the paper's; a scenario's traffic
-    layer substitutes its overridden ones.
+    layer substitutes its overridden ones.  Exchanges draw from their own
+    named streams, so one region's populations equal the full build's.
     """
     captures: List[IxpCapture] = []
     by_id: Dict[str, Ixp] = {ixp.ixp_id: ixp for ixp in IXP_CATALOG}
     for ixp_id in PASSIVE_IXP_IDS:
         ixp = by_id[ixp_id]
+        if region not in (None, ixp.continent):
+            continue
         profile = eu_profile if ixp.continent is Continent.EUROPE else na_profile
         # Per-exchange population: share the regional behaviour profile
         # but draw independent clients.
@@ -96,13 +101,7 @@ def regional_aggregate(
     bucket_seconds: int = DAY,
 ) -> FlowAggregate:
     """Merged aggregate over all exchanges of one region (Fig. 9 view)."""
-    from repro.passive.flow_engine import capture_with_membership
+    from repro.passive.flow_engine import capture_group
 
-    return merge_captures(
-        bucket_seconds,
-        [
-            capture_with_membership(capture.engine, start, end, bucket_seconds)
-            for capture in captures
-            if capture.region is region
-        ],
-    )
+    engines = [capture.engine for capture in captures if capture.region is region]
+    return capture_group(engines, start, end, bucket_seconds)

@@ -68,8 +68,10 @@ def isp_aggregate(
 def ixp_captures(
     seed: int,
     traffic: Optional["TrafficSpec"] = None,
+    region: Optional[Continent] = None,
 ) -> List[IxpCapture]:
-    """The 14 per-exchange capture points at report scale."""
+    """The 14 per-exchange capture points at report scale (only
+    *region*'s when given)."""
     kwargs = {}
     if traffic is not None:
         kwargs["eu_profile"] = traffic.profile("ixp-eu")
@@ -78,6 +80,7 @@ def ixp_captures(
         RngFactory(seed).fork("ixp"),
         seed=seed,
         clients_per_ixp=CLIENTS_PER_IXP,
+        region=region,
         **kwargs,
     )
 
@@ -98,7 +101,7 @@ def build_capture(
             f"{', '.join(STANDARD_CAPTURES)}"
         ) from None
     window = (parse_ts(IXP_WINDOW[0]), parse_ts(IXP_WINDOW[1]))
-    return regional_aggregate(ixp_captures(seed, traffic), region, *window)
+    return regional_aggregate(ixp_captures(seed, traffic, region), region, *window)
 
 
 def standard_captures(
