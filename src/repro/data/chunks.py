@@ -53,10 +53,11 @@ uninterrupted one):
 :class:`CheckpointReader` serves the sealed prefix of a mid-campaign (or
 killed) run as a :class:`~repro.data.dataset.Dataset` — each chunk is
 memory-mapped zero-copy; stitching n > 1 chunks concatenates the mapped
-columns lazily per table access.  :meth:`ChunkedDatasetWriter.finalize`
-streams the sealed chunks into a normal dataset directory that is
-byte-identical to what :class:`~repro.data.io.DatasetWriter` writes for
-the equivalent batch run, without ever materialising the full tables.
+columns lazily per table access.  Chunk directories and the finalized
+dataset are both written by :func:`~repro.data.io.write_dataset`, the
+batch ``--save``'s writer: :meth:`ChunkedDatasetWriter.finalize` hands
+it the chunks' mapped columns one chunk at a time, so the full tables
+are never materialised.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ from repro.data.dataset import Dataset, Table
 from repro.data.io import (
     DatasetReader,
     MANIFEST_NAME,
-    assemble_manifest,
     read_binary_table,
-    table_manifest_entry,
+    transfer_lines,
     write_binary_table,
+    write_dataset,
 )
 from repro.data.schema import (
     BINARY_TABLES,
@@ -87,7 +88,7 @@ from repro.data.schema import (
     DatasetError,
 )
 from repro.data.state import fsync_path, read_state, write_state
-from repro.data.transfers import record_to_row, seal_transfers
+from repro.data.transfers import seal_transfers
 from repro.vantage.collector import CampaignCollector, CollectorState
 
 CHECKPOINT_NAME = "CHECKPOINT.json"
@@ -263,41 +264,22 @@ class ChunkedDatasetWriter:
         chunk_dir = self.path / "chunks" / name
         if chunk_dir.exists():  # unsealed debris from a crash at this boundary
             shutil.rmtree(chunk_dir)
-        chunk_dir.mkdir(parents=True)
-
-        tables_manifest: Dict[str, dict] = {}
-        for table_name, columns in (
-            ("probes", chunk.probes),
-            ("traceroutes", chunk.traceroutes),
-            ("stability", chunk.stability),
-        ):
-            tables_manifest[table_name] = write_binary_table(
-                chunk_dir, table_name, BINARY_TABLES[table_name], columns
-            )
-
-        (chunk_dir / "identities.json").write_text(json.dumps(chunk.identities))
         records = seal_transfers(list(chunk.transfers))
-        with open(chunk_dir / "transfers.jsonl", "w") as handle:
-            for record in records:
-                handle.write(json.dumps(record_to_row(record)) + "\n")
-
-        manifest = assemble_manifest(
+        write_dataset(
+            chunk_dir,
             study=ckpt["study"],
             summary=chunk.summary(),
             addresses=ckpt["addresses"],
             sites=state.sites,
             hops=state.hops,
-            tables_manifest=tables_manifest,
-        )
-        manifest["chunk"] = {
-            "index": len(ckpt["chunks"]),
-            "round_lo": chunk.round_lo,
-            "round_hi": chunk.round_hi,
-        }
-        # Compact (the C encoder): a chunk manifest lists every interned
-        # site and hop, and only readers parse it.
-        (chunk_dir / MANIFEST_NAME).write_text(
-            json.dumps(manifest, separators=(",", ":"))
+            identities=chunk.identities,
+            tables={name: [getattr(chunk, name)] for name in BINARY_TABLES},
+            transfers=transfer_lines(records),
+            chunk={
+                "index": len(ckpt["chunks"]),
+                "round_lo": chunk.round_lo,
+                "round_hi": chunk.round_hi,
+            },
         )
 
         state_dir = write_state(chunk_dir / STATE_DIR, state, durable=True)
@@ -357,7 +339,7 @@ class ChunkedDatasetWriter:
             "prefixes": prefixes,
             "tables": {
                 table_name: write_binary_table(
-                    staging, table_name, table.schema, table.columns()
+                    staging, table_name, table.schema, [table.columns()]
                 )
                 for table_name, table in tables.items()
             },
@@ -426,12 +408,10 @@ class ChunkedDatasetWriter:
     ) -> Path:
         """Stream the sealed chunks into a normal dataset directory.
 
-        Byte-identical to :class:`~repro.data.io.DatasetWriter` writing
-        the equivalent batch run's dataset: chunk column files are
-        already in disk dtype and serial order, so the final tables are
-        plain file concatenations; stability, identities and the
-        manifest come from the aggregate *state_collector*.  The full
-        probe/traceroute tables are never materialised in memory.
+        The probe and traceroute tables are the chunks' memory-mapped
+        columns, written one chunk at a time (never materialised whole),
+        ``transfers.jsonl`` is the chunks' lines in order, and the rest
+        comes from the aggregate *state_collector*.
         """
         ckpt = self.checkpoint
         if ckpt["rounds_done"] != ckpt["n_rounds"]:
@@ -439,74 +419,43 @@ class ChunkedDatasetWriter:
                 f"cannot finalize: {ckpt['rounds_done']} of "
                 f"{ckpt['n_rounds']} rounds sealed"
             )
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         chunk_dirs = [self.path / "chunks" / e["name"] for e in ckpt["chunks"]]
-        for path in chunk_dirs:
-            if not path.is_dir():
-                raise CheckpointError(f"checkpoint promises missing chunk {path}")
 
-        tables_manifest: Dict[str, dict] = {}
-        for name in ("probes", "traceroutes"):
-            schema = BINARY_TABLES[name]
-            (out / "tables" / name).mkdir(parents=True, exist_ok=True)
-            for spec in schema.columns:
-                relpath = f"tables/{name}/{spec.name}.bin"
-                with open(out / relpath, "wb") as sink:
-                    for chunk_dir in chunk_dirs:
-                        part = chunk_dir / relpath
-                        if not part.exists():
-                            raise CheckpointError(
-                                f"chunk {chunk_dir.name} lacks column file "
-                                f"{relpath}"
-                            )
-                        with open(part, "rb") as source:
-                            shutil.copyfileobj(source, sink)
-            tables_manifest[name] = table_manifest_entry(
-                schema, ckpt["totals"][name]
-            )
-
-        columns = state_collector.stability_columns()
-        tables_manifest["stability"] = write_binary_table(
-            out, "stability", BINARY_TABLES["stability"], columns
-        )
-
-        passive_entry = None
-        captures_interner: List[str] = []
-        prefixes_interner: List[str] = []
-        if passive_store is not None:
-            passive_tables, captures_interner, prefixes_interner = (
-                passive_store.to_tables(state_collector.addr_index)
-            )
-            for name, table in passive_tables.items():
-                tables_manifest[name] = write_binary_table(
-                    out, name, table.schema, table.columns()
-                )
-            passive_entry = passive_store.manifest_entry()
-
-        (out / "identities.json").write_text(
-            json.dumps(state_collector.identities)
-        )
-        with open(out / "transfers.jsonl", "wb") as sink:
+        def chunk_tables(name: str):
             for chunk_dir in chunk_dirs:
-                with open(chunk_dir / "transfers.jsonl", "rb") as source:
-                    shutil.copyfileobj(source, sink)
+                try:
+                    entry = DatasetReader(chunk_dir).manifest()["tables"][name]
+                    table = read_binary_table(chunk_dir, BINARY_TABLES[name], entry)
+                except (DatasetError, KeyError) as exc:
+                    raise CheckpointError(
+                        f"chunk {chunk_dir.name} is damaged: {exc}"
+                    ) from exc
+                yield table.columns()
 
-        manifest = assemble_manifest(
+        def chunk_transfers():
+            for chunk_dir in chunk_dirs:
+                with open(chunk_dir / "transfers.jsonl") as source:
+                    yield from source
+
+        stability = state_collector.stability_columns()
+        return write_dataset(
+            Path(out_dir),
             study=ckpt["study"],
             summary=_campaign_summary(
-                state_collector, ckpt["totals"], len(columns["vp"])
+                state_collector, ckpt["totals"], len(stability["vp"])
             ),
             addresses=ckpt["addresses"],
-            sites=list(state_collector.sites.values),
-            hops=list(state_collector.hops.values),
-            tables_manifest=tables_manifest,
-            passive_entry=passive_entry,
-            captures=captures_interner,
-            prefixes=prefixes_interner,
+            sites=state_collector.sites.values,
+            hops=state_collector.hops.values,
+            identities=state_collector.identities,
+            tables={
+                "probes": chunk_tables("probes"),
+                "traceroutes": chunk_tables("traceroutes"),
+                "stability": [stability],
+            },
+            transfers=chunk_transfers(),
+            passive=passive_store,
         )
-        (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
-        return out
 
 
 # --- reader -------------------------------------------------------------------------

@@ -150,13 +150,13 @@ def write_shard_spill(
 
     tables = {
         "probes": write_binary_table(
-            root, "probes", BINARY_TABLES["probes"], collector.probe_columns()
+            root, "probes", BINARY_TABLES["probes"], [collector.probe_columns()]
         ),
         "traceroutes": write_binary_table(
             root,
             "traceroutes",
             BINARY_TABLES["traceroutes"],
-            collector.traceroute_columns(),
+            [collector.traceroute_columns()],
         ),
     }
 

@@ -111,7 +111,7 @@ def write_state(
             "identities": len(state.identities),
         },
         "tables": {
-            name: write_binary_table(root, name, schema, columns[name])
+            name: write_binary_table(root, name, schema, [columns[name]])
             for name, schema in STATE_TABLES.items()
         },
     }

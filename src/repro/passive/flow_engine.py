@@ -42,7 +42,7 @@ import numpy as np
 from repro.data.columnar import stitch_columns
 from repro.netsim.mix import mix64_array, mix64_prefix, mix_str
 from repro.passive.clients import ClientBehavior, ClientNetwork
-from repro.passive.traces import CLIENT_DTYPES, ClientMembership, FlowAggregate
+from repro.passive.traces import CLIENT_DTYPES, FlowAggregate
 from repro.util.timeutil import DAY, HOUR, Timestamp
 
 _TWO64 = float(1 << 64)
@@ -130,19 +130,6 @@ def capture_vectorized(
     return capture_group([capture], start, end, bucket_seconds, client_block)
 
 
-def capture_with_membership(
-    capture,
-    start: Timestamp,
-    end: Timestamp,
-    bucket_seconds: int,
-    client_block: Optional[int] = None,
-) -> Tuple[FlowAggregate, ClientMembership]:
-    """:func:`capture_vectorized` plus the capture's kept cells, which a
-    regional merge (:func:`~repro.passive.traces.merge_captures`) needs
-    to count distinct clients across exchanges."""
-    return _capture([capture], start, end, bucket_seconds, client_block, True)
-
-
 def capture_group(
     captures: Sequence,
     start: Timestamp,
@@ -151,14 +138,14 @@ def capture_group(
     client_block: Optional[int] = None,
 ) -> FlowAggregate:
     """One aggregate over a capture group (one region's exchanges),
-    byte-identical to :func:`~repro.passive.traces.merge_captures` over
-    the members' single captures.  Members share every capture
-    parameter but seed and population, and their prefixes line up by
-    client index, so a row's distinct clients are the indices kept at
-    any member."""
+    byte-identical to the regional merge of the members' single
+    captures (the test reference ``tests/passive/regional_merge.py``).
+    Members share every capture parameter but seed and population, and
+    their prefixes line up by client index, so a row's distinct clients
+    are the indices kept at any member."""
     if not captures:
         return FlowAggregate(bucket_seconds)
-    return _capture(captures, start, end, bucket_seconds, client_block, False)[0]
+    return _capture(captures, start, end, bucket_seconds, client_block)
 
 
 def _prefix_codes(
@@ -215,8 +202,7 @@ def _capture(
     end: Timestamp,
     bucket_seconds: int,
     client_block: Optional[int],
-    keep_cells: bool,
-) -> Tuple[FlowAggregate, Optional[ClientMembership]]:
+) -> FlowAggregate:
     from repro.passive.isp import (
         TESTER_FRACTION,
         TESTER_TRAFFIC_SHARE,
@@ -274,11 +260,10 @@ def _capture(
 
     # Cross-block accumulators: per (address, bucket, member) the running
     # flow total, per (bucket, address) the distinct kept clients, per
-    # address the client rows of every block, and the kept cells if asked.
+    # address the client rows of every block.
     totals = np.zeros((len(addresses), n_buckets, len(captures)), dtype=np.float64)
     counts = np.zeros((n_buckets, len(addresses)), dtype=np.int64)
     client_rows: List[List[Dict[str, np.ndarray]]] = [[] for _ in addresses]
-    cell_parts: List[Dict[str, np.ndarray]] = []
 
     for c_lo in range(0, n, block):
         c_hi = min(c_lo + block, n)
@@ -353,8 +338,7 @@ def _capture(
             chained[0] = totals[a]
             chained[1:] = contributions.transpose(2, 0, 1)
             totals[a] = _fold(chained)
-            seen = kept.any(axis=1)
-            counts[:, a] += np.count_nonzero(seen, axis=1)
+            counts[:, a] += np.count_nonzero(kept.any(axis=1), axis=1)
 
             # Per client: flows over buckets, then over members in order;
             # active days take the maximum over members.
@@ -368,15 +352,6 @@ def _capture(
                     "days": client_days[nz].astype(np.int32),
                 }
             )
-            if keep_cells:
-                b_idx, c_idx = np.nonzero(seen)
-                cell_parts.append(
-                    {
-                        "bucket": bucket_i64[b_idx, 0, 0],
-                        "addr": np.full(len(b_idx), a, dtype=np.int16),
-                        "prefix": client_codes[family][c_idx + c_lo],
-                    }
-                )
 
     # Flow table: members fold in order; row-major over (bucket,
     # address), so already sorted.
@@ -399,18 +374,10 @@ def _capture(
             {"addr": np.full(len(order), a, dtype=np.int16)}
             | {name: column[order] for name, column in part.items()}
         )
-    aggregate = FlowAggregate.from_columns(
+    return FlowAggregate.from_columns(
         bucket_seconds,
         addresses=[sa.address for sa in addresses],
         prefixes=prefix_table,
         flow_table=flow_table,
         client_table=stitch_columns(CLIENT_DTYPES, client_parts),
-    )
-    if not keep_cells:
-        return aggregate, None
-    return aggregate, ClientMembership(
-        **stitch_columns(
-            ("bucket", "addr", "prefix"), cell_parts,
-            empty_dtypes={"bucket": "int64", "addr": "int16", "prefix": "int32"},
-        )
     )

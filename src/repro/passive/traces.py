@@ -16,16 +16,15 @@ string tables their codes index.
 
 Those are exactly the capture's rows of the dataset's ``passive_flows``
 / ``passive_clients`` tables, so the kernel
-(:mod:`repro.passive.flow_engine`) emits them, :func:`merge_captures`
-folds exchanges column by column, and :class:`repro.data.passive.PassiveStore`
-writes them by concatenation and reloads them by slicing.  Every read
+(:mod:`repro.passive.flow_engine`) emits them, a region's exchanges
+already merged, and :class:`repro.data.passive.PassiveStore` writes them
+by concatenation and reloads them by slicing.  Every read
 view (``series``, ``unique_clients``, the Figure 8 per-client means) is
 computed from the columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,21 +54,6 @@ def _typed(columns: Dict[str, np.ndarray], dtypes: Dict[str, str]) -> Dict[str, 
         name: np.asarray(columns.get(name, ()), dtype=dtype)
         for name, dtype in dtypes.items()
     }
-
-
-@dataclass(frozen=True)
-class ClientMembership:
-    """The kept (bucket, address, client prefix) cells of one live capture.
-
-    Only a regional merge needs them: the distinct clients of a merged
-    (bucket, address) are the union of the exchanges' prefix strings,
-    which the per-row counts alone cannot give.  ``prefix`` indexes the
-    capture's prefix table, ``addr`` its address table.
-    """
-
-    bucket: np.ndarray  # int64
-    addr: np.ndarray  # int16
-    prefix: np.ndarray  # int32
 
 
 class FlowAggregate:
@@ -164,89 +148,6 @@ def union_keys(parts: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray
         return np.empty(0), []
     union, inverse = np.unique(np.concatenate(parts), return_inverse=True)
     return union, np.split(inverse, np.cumsum([len(part) for part in parts])[:-1])
-
-
-def merge_captures(
-    bucket_seconds: int,
-    parts: Sequence[Tuple[FlowAggregate, ClientMembership]],
-) -> FlowAggregate:
-    """Fold per-exchange captures into one aggregate (regional IXP view).
-
-    Flow counts add; a prefix seen at two exchanges is one client, so a
-    row's distinct clients are the union of the exchanges' prefix
-    strings; per-client flows add and active-day counts take the
-    maximum.  Sums run in exchange order from 0.0, one aligned vector
-    add per exchange over the union of keys — never a pairwise
-    segment reduction — so the float bits match a left-to-right fold.
-    """
-    if not parts:
-        return FlowAggregate(bucket_seconds)
-    addresses = parts[0][0].addresses
-    for aggregate, _membership in parts:
-        if aggregate.bucket_seconds != bucket_seconds:
-            raise ValueError(
-                f"cannot merge bucket_seconds={aggregate.bucket_seconds} "
-                f"into bucket_seconds={bucket_seconds}"
-            )
-        if aggregate.addresses != addresses:
-            raise ValueError("cannot merge captures over different address tables")
-    n_addr = len(addresses)
-    prefixes, remaps = union_keys([aggregate.prefixes for aggregate, _m in parts])
-    n_prefix = max(1, len(prefixes))
-
-    # Flow rows keyed by (bucket, addr), which sorts like the table.
-    flow_keys, flow_slots = union_keys(
-        [agg.flow_table["bucket"] * n_addr + agg.flow_table["addr"] for agg, _m in parts]
-    )
-    flows = np.zeros(len(flow_keys), dtype=np.float64)
-    for (aggregate, _m), slots in zip(parts, flow_slots):
-        flows[slots] += aggregate.flow_table["flows"]
-    # Distinct (row, prefix) cells: sort plus a boundary mask — numpy's
-    # np.unique takes a slower hash path on int64 arrays.
-    cells = np.sort(
-        np.concatenate(
-            [
-                np.searchsorted(flow_keys, m.bucket * n_addr + m.addr) * n_prefix
-                + remap[m.prefix]
-                for (_agg, m), remap in zip(parts, remaps)
-            ]
-        )
-    )
-    distinct = np.ones(len(cells), dtype=bool)
-    distinct[1:] = cells[1:] != cells[:-1]
-    clients = np.bincount(cells[distinct] // n_prefix, minlength=len(flow_keys))
-
-    # Client rows keyed by (addr, prefix rank), which sorts like the table.
-    client_keys, client_slots = union_keys(
-        [
-            agg.client_table["addr"].astype(np.int64) * n_prefix
-            + remap[agg.client_table["prefix"]]
-            for (agg, _m), remap in zip(parts, remaps)
-        ]
-    )
-    client_flows = np.zeros(len(client_keys), dtype=np.float64)
-    days = np.zeros(len(client_keys), dtype=np.int32)
-    for (aggregate, _m), slots in zip(parts, client_slots):
-        client_flows[slots] += aggregate.client_table["flows"]
-        days[slots] = np.maximum(days[slots], aggregate.client_table["days"])
-
-    return FlowAggregate.from_columns(
-        bucket_seconds,
-        addresses=addresses,
-        prefixes=prefixes,
-        flow_table={
-            "bucket": flow_keys // n_addr,
-            "addr": flow_keys % n_addr,
-            "flows": flows,
-            "clients": clients,
-        },
-        client_table={
-            "addr": client_keys // n_prefix,
-            "prefix": client_keys % n_prefix,
-            "flows": client_flows,
-            "days": days,
-        },
-    )
 
 
 class TrafficTimeSeries:

@@ -23,7 +23,7 @@ from typing import Dict, List
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: The streamed-RSS gate streams its campaign in chunks of this many rounds.
-CHECKPOINT_EVERY = 8
+CHECKPOINT_EVERY = 32
 
 #: Seed of the epoch-plan and population gates.
 SCALE_SEED = 2024
@@ -38,16 +38,18 @@ POPULATION_DAYS = 7
 
 
 def streamed_rss_config():
-    """A month of campaign at ring scale 0.15 with every probe's RTT
-    kept, so the probe table (what streaming keeps out of memory)
-    dominates the working set."""
+    """A month of campaign at ring scale 0.15 and a dense probing
+    cadence, with every probe's RTT kept: an 81 MB dataset, so the row
+    tables (what streaming keeps out of memory) dominate the working
+    set rather than the world, platform and imports every child
+    shares."""
     from repro.core.config import StudyConfig
     from repro.util.timeutil import parse_ts
 
     return StudyConfig(
         seed=77,
         ring_scale=0.15,
-        interval_scale=24.0,
+        interval_scale=4.0,
         campaign_start=parse_ts("2023-11-15"),
         campaign_end=parse_ts("2023-12-15"),
         rtt_sample_every=1,

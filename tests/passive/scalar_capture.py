@@ -14,6 +14,7 @@ it needs the population as a list of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -26,9 +27,25 @@ from repro.passive.isp import (
     V6_TRAFFIC_SHARE,
     IspCapture,
 )
-from repro.passive.traces import ClientMembership, FlowAggregate
+from repro.passive.traces import FlowAggregate
 from repro.rss.operators import ServiceAddress
 from repro.util.timeutil import DAY, HOUR, Timestamp
+
+
+@dataclass(frozen=True)
+class ClientMembership:
+    """The kept (bucket, address, client prefix) cells of one capture.
+
+    Only the regional merge reference (``regional_merge.py``) needs
+    them: the distinct clients of a merged (bucket, address) are the
+    union of the exchanges' prefix strings, which the per-row counts
+    alone cannot give.  ``prefix`` indexes the capture's prefix table,
+    ``addr`` its address table.
+    """
+
+    bucket: np.ndarray  # int64
+    addr: np.ndarray  # int16
+    prefix: np.ndarray  # int32
 
 
 def _client_bucket_flows(

@@ -3,8 +3,8 @@
 :func:`repro.passive.flow_engine.capture_group` evaluates a region's
 exchanges stacked on the client axis and folds the regional merge into
 the same call.  It must equal the scalar oracle's exchange-order fold
-and :func:`~repro.passive.traces.merge_captures` over the single
-captures, byte for byte, at every client-block width — including widths
+and the merge reference (``regional_merge.py``) over the oracle's
+single captures, byte for byte, at every client-block width — including widths
 that split an exchange's clients or fall on the boundary — and for
 groups it cannot stack.  The left-to-right sums it relies on are pinned
 against a Python fold here too, so a numpy change that regroups them
@@ -21,17 +21,13 @@ from repro.netsim.facilities import IXP_CATALOG, PASSIVE_IXP_IDS
 from repro.passive import clients as clients_module
 from repro.passive import ixp as ixp_module
 from repro.passive import recipes
-from repro.passive.flow_engine import (
-    _fold,
-    capture_group,
-    capture_with_membership,
-)
+from repro.passive.flow_engine import _fold, capture_group
 from repro.passive.isp import IspCapture
 from repro.passive.ixp import build_ixp_captures
-from repro.passive.traces import merge_captures
 from repro.util.rng import RngFactory
 from repro.util.timeutil import DAY, parse_ts
 
+from tests.passive.regional_merge import merge_captures, oracle_part
 from tests.passive.scalar_capture import ScalarAggregate, expand, scalar_capture
 from tests.passive.test_flow_engine import assert_identical
 
@@ -49,28 +45,23 @@ def oracle_fold(engines) -> ScalarAggregate:
     return fold
 
 
-def merged_singles(engines, client_block=None):
-    """The regional merge over each exchange captured on its own."""
-    return merge_captures(
-        DAY,
-        [
-            capture_with_membership(engine, *WINDOW, DAY, client_block)
-            for engine in engines
-        ],
-    )
+def merged_singles(engines):
+    """The merge reference over each exchange's oracle capture."""
+    return merge_captures(DAY, [oracle_part(engine, *WINDOW) for engine in engines])
 
 
 @pytest.fixture(scope="module")
 def regions():
     """Per region: its exchange capture points (120 clients each, as at
-    report scale) and the oracle's fold over them."""
+    report scale), the oracle's fold over them and the merge reference
+    over their single oracle captures."""
     captures = build_ixp_captures(
         RngFactory(SEED).fork("ixp"), seed=SEED, clients_per_ixp=120
     )
     out = {}
     for region in REGIONS:
         engines = [c.engine for c in captures if c.region is region]
-        out[region] = (engines, oracle_fold(engines))
+        out[region] = (engines, oracle_fold(engines), merged_singles(engines))
     return out
 
 
@@ -78,12 +69,12 @@ class TestStackedRegions:
     @pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.name)
     @pytest.mark.parametrize("block", [1, 41, 119, 120, 121])
     def test_block_widths_match_oracle_and_merge(self, regions, region, block):
-        engines, fold = regions[region]
+        engines, fold, merged = regions[region]
         stacked = capture_group(engines, *WINDOW, DAY, client_block=block)
         assert_identical(fold, stacked)
         default = capture_group(engines, *WINDOW, DAY)
         assert expand(stacked) == expand(default)
-        assert expand(stacked) == expand(merged_singles(engines, block))
+        assert expand(stacked) == expand(merged)
         assert list(stacked.prefixes) == list(default.prefixes)
 
     def test_uneven_exchanges_pad_with_idle_clients(self, regions):
