@@ -261,6 +261,21 @@ def test_truncated_chunk_column_raises(checkpoint_dir, tmp_path):
         CheckpointReader(copy).dataset()
 
 
+@pytest.mark.parametrize("damage", ["truncated column", "missing chunk"])
+def test_finalize_refuses_damaged_chunk(checkpoint_dir, tmp_path, damage):
+    """Finalize reads each sealed chunk's columns as it writes them; a
+    damaged middle chunk stops it with a CheckpointError naming it."""
+    copy = _damaged_copy(checkpoint_dir, tmp_path)
+    chunk = copy / "chunks" / "000001"
+    if damage == "missing chunk":
+        shutil.rmtree(chunk)
+    else:
+        column = chunk / "tables" / "traceroutes" / "hop.bin"
+        column.write_bytes(column.read_bytes()[:-1])
+    with pytest.raises(CheckpointError, match="000001"):
+        finalize_streaming_campaign(copy, tmp_path / "out", passive=False)
+
+
 def test_resume_discards_unsealed_tail_chunk(checkpoint_dir, tmp_path):
     copy = _damaged_copy(checkpoint_dir, tmp_path)
     junk = copy / "chunks" / "000007"
